@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"testing"
 
+	"chaffmec/internal/coordinator"
 	"chaffmec/internal/rng"
 )
 
@@ -346,9 +347,9 @@ func TestAdaptiveResumeFacade(t *testing.T) {
 	}
 }
 
-// TestRunDistributedJobFacade: the facade's fan-out produces the
-// bit-identical Report of a single-process RunJob — fixed and
-// adaptive — over an in-process fleet.
+// TestRunDistributedJobFacade: the facade's fan-out over a default
+// in-process fleet produces the bit-identical Report of a
+// single-process RunJob — fixed and SE-targeted adaptive jobs alike.
 func TestRunDistributedJobFacade(t *testing.T) {
 	ctx := context.Background()
 	norm := func(r *Report) string {
@@ -370,10 +371,11 @@ func TestRunDistributedJobFacade(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var events []FanOutEvent
-		got, err := RunDistributedJob(ctx, Job{Spec: spec}, FanOutOptions{
-			Workers:  InProcessWorkers(3),
-			Progress: func(e FanOutEvent) { events = append(events, e) },
-		})
+		fleet, err := NewFleet(WithInProcessWorkers(3), WithProgress(func(e FanOutEvent) { events = append(events, e) }))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := fleet.Run(ctx, Job{Spec: spec})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -386,9 +388,9 @@ func TestRunDistributedJobFacade(t *testing.T) {
 	}
 }
 
-// TestNewFleetFacade: the builder covers the old constructors — a
-// static fleet's Run matches RunJob bit-for-bit, weights skew the
-// shard shares, and a configured Fleet is reusable across jobs.
+// TestNewFleetFacade: the builder's options — a static fleet's Run
+// matches RunJob bit-for-bit, weights skew the shard shares, and a
+// configured Fleet is reusable across jobs.
 func TestNewFleetFacade(t *testing.T) {
 	ctx := context.Background()
 	spec := ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 40, Seed: 5}
@@ -442,8 +444,8 @@ func TestNewFleetFacade(t *testing.T) {
 	// Weighted members skew the per-round dispatch shares.
 	var spans []Shard
 	weighted, err := NewFleet(
-		WithWeighted(3, InProcessWorkers(1)[0]),
-		WithWeighted(1, InProcessWorkers(1)[0]),
+		WithWeighted(3, &coordinator.InProcess{Label: "heavy"}),
+		WithWeighted(1, &coordinator.InProcess{Label: "light"}),
 		WithShardsPerWorker(1),
 		WithoutSpeculation(),
 		WithProgress(func(e FanOutEvent) {

@@ -86,7 +86,7 @@ func measureFleet(ctx context.Context, seed int64) (*fleetBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{Handler: reg.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln) //nolint:errcheck // closed by the deferred shutdown
 	defer func() {
 		sctx, stop := context.WithTimeout(context.Background(), 5*time.Second)

@@ -16,7 +16,8 @@ import (
 )
 
 // workerMain is `experiments -worker`: one Job JSON on stdin, its
-// Report JSON on stdout (the Subprocess transport's wire protocol).
+// Report on stdout as a count-1 envelope in the CHAFFMEC_WIRE encoding
+// (the Subprocess transport's wire protocol).
 // Malformed input exits ExitBadJob with the named error on stderr; a
 // SIGTERM/SIGINT mid-shard writes the resumable prefix checkpoint and
 // exits ExitPartial. Never returns.
@@ -36,12 +37,18 @@ func workerMain(ctx context.Context) {
 	}
 }
 
+// readHeaderTimeout bounds how long the worker and registry servers
+// wait for a request's headers, so a stalled client cannot pin a
+// connection. Bodies and responses stay unbounded in time: a shard
+// legitimately runs for minutes.
+const readHeaderTimeout = 10 * time.Second
+
 // serveMain is `experiments -serve ADDR`: a long-lived HTTP worker
-// (POST /run, GET /healthz). SIGTERM drains it: in-flight shards abort
-// at the next chunk boundary and respond with their checkpointed
+// (POST /v1/run, GET /v1/healthz). SIGTERM drains it: in-flight shards
+// abort at the next chunk boundary and respond with their checkpointed
 // prefix (206), then the server shuts down.
 func serveMain(ctx context.Context, addr string) error {
-	srv := &http.Server{Addr: addr, Handler: coordinator.Handler(ctx)}
+	srv := &http.Server{Addr: addr, Handler: coordinator.Handler(ctx), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "experiments: worker serving on %s\n", addr)
@@ -74,7 +81,7 @@ func daemonMain(ctx context.Context, registryURL, listenAddr, advertise string, 
 	if advertise == "" {
 		advertise = "http://" + ln.Addr().String()
 	}
-	srv := &http.Server{Handler: coordinator.Handler(ctx)}
+	srv := &http.Server{Handler: coordinator.Handler(ctx), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.Serve(ln) }()
 	go func() {
@@ -113,7 +120,7 @@ func registryFleet(ctx context.Context, addr string, fleetMin int) (*coordinator
 		reg.Close()
 		return nil, nil, err
 	}
-	srv := &http.Server{Handler: reg.Handler()}
+	srv := &http.Server{Handler: reg.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go srv.Serve(ln) //nolint:errcheck // closed by shutdown below
 	shutdown := func() {
 		sctx, stop := context.WithTimeout(context.Background(), 5*time.Second)

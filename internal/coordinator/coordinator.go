@@ -49,10 +49,6 @@ import (
 
 // Options tunes one fan-out.
 type Options struct {
-	// Workers is a frozen fleet, kept for Run's historical signature:
-	// Run wraps it in StaticOf. RunFleet callers pass a Fleet directly
-	// and leave this nil.
-	Workers []Transport
 	// ShardsPerWorker oversplits each round into this many shards per
 	// alive worker (default 2), so a retry or straggler re-dispatch
 	// moves a fraction of the round, not all of it.
@@ -181,21 +177,6 @@ type result struct {
 	err error
 }
 
-// Run fans one whole Job out over the frozen fleet in opts.Workers and
-// returns the merged Report — bit-identical (up to summed ElapsedMS) to
-// the single-process run of the same Job, fixed or adaptive. It is
-// RunFleet over a StaticOf fleet, kept for the historical signature.
-// Like the scenario layer's drivers it returns the accumulated partial
-// of the COMPLETED rounds alongside any error (cancellation included):
-// a well-formed checkpoint scenario.ResumeJob — or Resume — continues
-// from.
-func Run(ctx context.Context, job scenario.Job, opts Options) (*report.Report, error) {
-	if len(opts.Workers) == 0 {
-		return nil, errors.New("coordinator: no workers")
-	}
-	return RunFleet(ctx, job, StaticOf(opts.Workers...), opts)
-}
-
 // RunFleet fans one whole Job out over an elastic fleet: membership is
 // re-read between dispatches (joiners are admitted mid-round, evicted
 // members stop receiving work), each round's run range is split into
@@ -203,7 +184,10 @@ func Run(ctx context.Context, job scenario.Job, opts Options) (*report.Report, e
 // merged Report is bit-identical to the single-process run — churn
 // moves work around, never changes results. With a dynamic fleet
 // (Fleet.Updates non-nil) running out of workers WAITS for a join
-// instead of failing; cancel ctx to give up.
+// instead of failing; cancel ctx to give up. Like the scenario layer's
+// drivers it returns the accumulated partial of the COMPLETED rounds
+// alongside any error (cancellation included): a well-formed checkpoint
+// scenario.ResumeJob — or Resume — continues from.
 func RunFleet(ctx context.Context, job scenario.Job, fleet Fleet, opts Options) (*report.Report, error) {
 	return runFleet(ctx, job, nil, false, fleet, opts)
 }

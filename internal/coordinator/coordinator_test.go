@@ -108,8 +108,8 @@ func TestFanOutFixedBitIdentical(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
 	for _, workers := range []int{1, 2, 3} {
-		got, err := Run(context.Background(), scenario.Job{Spec: sp},
-			Options{Workers: InProcessFleet(workers)})
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(InProcessFleet(workers)...), Options{})
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -123,8 +123,8 @@ func TestFanOutAdaptiveBitIdentical(t *testing.T) {
 	sp := adaptiveSpec()
 	want := single(t, sp)
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: InProcessFleet(3), Progress: log.add})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(InProcessFleet(3)...), Options{Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +143,35 @@ func TestFanOutRetriesCrashedWorker(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
 	// Worker 0 crashes on every dispatch; after WorkerFailLimit failures
-	// it leaves the fleet and the others re-run its shards.
+	// it leaves the fleet and the others re-run its shards. The healthy
+	// pair is held until the coordinator has declared crashy dead:
+	// otherwise they may drain every queued shard first, or speculatively
+	// resolve crashy's shard so that its error arrives too late to count.
 	crash := &fakeTransport{label: "crashy", behave: func(int, context.Context, scenario.Job) (*report.Report, error) {
 		return nil, errors.New("boom")
 	}}
+	dead := make(chan struct{})
+	held := func(_ int, ctx context.Context, job scenario.Job) (*report.Report, error) {
+		select {
+		case <-dead:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("crashy was never declared dead")
+		}
+		return scenario.RunJob(ctx, job)
+	}
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{crash}, InProcessFleet(2)...),
-		Progress: log.add,
+	fleet := StaticOf(crash,
+		&fakeTransport{label: "healthy-0", behave: held},
+		&fakeTransport{label: "healthy-1", behave: held})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{
+		Progress: func(e Event) {
+			log.add(e)
+			if e.Kind == EventWorkerDead && e.Worker == "crashy" {
+				close(dead)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +205,15 @@ func TestFanOutBanksPartialAndRequeuesRemainder(t *testing.T) {
 		}
 		return prefix, fmt.Errorf("%w: terminated", ErrPartial)
 	}
+	// Speculation is off: a healthy worker re-running mortal's in-flight
+	// shard could resolve it before the partial lands, and this test is
+	// about prefix banking, not speculation.
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{mortal}, InProcessFleet(2)...),
-		Progress: log.add,
-	})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(append([]Transport{mortal}, InProcessFleet(2)...)...), Options{
+			NoSpeculation: true,
+			Progress:      log.add,
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +240,8 @@ func TestFanOutSpeculatesAroundStraggler(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  append([]Transport{slow}, InProcessFleet(2)...),
-		Progress: log.add,
-	})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(append([]Transport{slow}, InProcessFleet(2)...)...), Options{Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +260,8 @@ func TestFanOutShardExhaustsFleet(t *testing.T) {
 			return nil, errors.New("always fails")
 		}}
 	}
-	_, err := Run(context.Background(), scenario.Job{Spec: testSpec()}, Options{
-		Workers: []Transport{bad("a"), bad("b")},
-	})
+	_, err := RunFleet(context.Background(), scenario.Job{Spec: testSpec()},
+		StaticOf(bad("a"), bad("b")), Options{})
 	if err == nil {
 		t.Fatal("all-failing fleet succeeded")
 	}
@@ -249,13 +271,13 @@ func TestFanOutShardExhaustsFleet(t *testing.T) {
 }
 
 func TestFanOutRejectsShardedJob(t *testing.T) {
-	_, err := Run(context.Background(),
+	_, err := RunFleet(context.Background(),
 		scenario.Job{Spec: testSpec(), Shard: engine.Shard{Index: 0, Count: 2}},
-		Options{Workers: InProcessFleet(1)})
+		StaticOf(InProcessFleet(1)...), Options{})
 	if err == nil || !strings.Contains(err.Error(), "whole") {
 		t.Fatalf("sharded job accepted: %v", err)
 	}
-	if _, err := Run(context.Background(), scenario.Job{Spec: testSpec()}, Options{}); err == nil {
+	if _, err := RunFleet(context.Background(), scenario.Job{Spec: testSpec()}, StaticOf(), Options{}); err == nil {
 		t.Fatal("empty fleet accepted")
 	}
 }
@@ -263,7 +285,7 @@ func TestFanOutRejectsShardedJob(t *testing.T) {
 func TestFanOutCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, scenario.Job{Spec: testSpec()}, Options{Workers: InProcessFleet(2)})
+	_, err := RunFleet(ctx, scenario.Job{Spec: testSpec()}, StaticOf(InProcessFleet(2)...), Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -280,12 +302,12 @@ func TestFanOutDispatchTimeoutRescuesHungWorker(t *testing.T) {
 		return nil, ctx.Err()
 	}}
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:         append([]Transport{hung}, InProcessFleet(2)...),
-		NoSpeculation:   true,
-		DispatchTimeout: 100 * time.Millisecond,
-		Progress:        log.add,
-	})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(append([]Transport{hung}, InProcessFleet(2)...)...), Options{
+			NoSpeculation:   true,
+			DispatchTimeout: 100 * time.Millisecond,
+			Progress:        log.add,
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +318,7 @@ func TestFanOutDispatchTimeoutRescuesHungWorker(t *testing.T) {
 		t.Fatal("hung worker produced no failure events")
 	}
 	// A fleet that is ALL hung must error out instead of deadlocking.
-	_, err = Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:         []Transport{hung},
+	_, err = RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(hung), Options{
 		NoSpeculation:   true,
 		DispatchTimeout: 50 * time.Millisecond,
 	})

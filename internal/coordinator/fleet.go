@@ -33,7 +33,7 @@ type Fleet interface {
 }
 
 // StaticFleet is the frozen-membership Fleet: the workers it was built
-// with, forever. It is what Options.Workers wraps into.
+// with, forever.
 type StaticFleet struct {
 	members []Member
 }

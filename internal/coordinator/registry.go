@@ -16,9 +16,9 @@ import (
 // Capabilities is the JSON envelope a persistent worker announces on
 // POST /v1/register and echoes on GET /v1/healthz: who it is, where to
 // dispatch, how much it can take, and which wire contract it speaks.
-// The registry rejects a stream-version mismatch at registration —
-// mixed rng streams would merge garbage — and everything else is
-// advisory metadata for scheduling and operators.
+// The registry refuses any stream version but its own at registration,
+// an absent one included (mixed rng streams would merge garbage);
+// everything else is advisory metadata for scheduling and operators.
 type Capabilities struct {
 	// Name labels the worker in events and logs (default: Addr).
 	Name string `json:"name,omitempty"`
@@ -31,7 +31,8 @@ type Capabilities struct {
 	// bit-identical across architectures by construction).
 	GOARCH string `json:"goarch,omitempty"`
 	// Stream is the rng stream version the worker draws runs from. It
-	// must match the coordinator's or registration is refused.
+	// must equal the coordinator's or registration is refused; a worker
+	// announcing none is refused too.
 	Stream string `json:"stream,omitempty"`
 	// Codecs lists the report wire encodings the worker can answer in.
 	Codecs []string `json:"codecs,omitempty"`
@@ -243,11 +244,11 @@ type registerResponse struct {
 // same Addr (a restarted worker re-registers; two live entries for one
 // address would double-dispatch to it).
 func (r *Registry) register(caps Capabilities) (registerResponse, error) {
+	if caps.Stream != rng.StreamVersion {
+		return registerResponse{}, fmt.Errorf("worker stream %q does not match coordinator stream %q; mixed streams cannot merge", caps.Stream, rng.StreamVersion)
+	}
 	if caps.Addr == "" {
 		return registerResponse{}, fmt.Errorf("registration announces no addr")
-	}
-	if caps.Stream != "" && caps.Stream != rng.StreamVersion {
-		return registerResponse{}, fmt.Errorf("worker stream %q does not match coordinator stream %q; mixed streams cannot merge", caps.Stream, rng.StreamVersion)
 	}
 	if caps.Name == "" {
 		caps.Name = caps.Addr
@@ -298,7 +299,8 @@ func (r *Registry) heartbeat(id string) bool {
 // Handler serves the registry's side of the versioned worker API:
 //
 //	POST /v1/register   Capabilities JSON in, {id, heartbeat_ms} out
-//	                    (409 on an rng stream-version mismatch)
+//	                    (409 unless the announced rng stream version
+//	                    is the coordinator's; an absent one included)
 //	POST /v1/heartbeat  {"id": ...} in; 404 asks the worker to
 //	                    re-register (its lease was evicted)
 //
@@ -312,14 +314,14 @@ func (r *Registry) Handler() http.Handler {
 			return
 		}
 		var caps Capabilities
-		if err := json.NewDecoder(req.Body).Decode(&caps); err != nil {
-			http.Error(w, fmt.Sprintf("parsing registration: %v", err), http.StatusBadRequest)
+		if status, err := decodeRequest(w, req, &caps, false); err != nil {
+			http.Error(w, fmt.Sprintf("parsing registration: %v", err), status)
 			return
 		}
 		resp, err := r.register(caps)
 		if err != nil {
 			status := http.StatusBadRequest
-			if caps.Stream != "" && caps.Stream != rng.StreamVersion {
+			if caps.Stream != rng.StreamVersion {
 				status = http.StatusConflict
 			}
 			http.Error(w, err.Error(), status)
@@ -336,8 +338,8 @@ func (r *Registry) Handler() http.Handler {
 		var beat struct {
 			ID string `json:"id"`
 		}
-		if err := json.NewDecoder(req.Body).Decode(&beat); err != nil {
-			http.Error(w, fmt.Sprintf("parsing heartbeat: %v", err), http.StatusBadRequest)
+		if status, err := decodeRequest(w, req, &beat, false); err != nil {
+			http.Error(w, fmt.Sprintf("parsing heartbeat: %v", err), status)
 			return
 		}
 		if !r.heartbeat(beat.ID) {

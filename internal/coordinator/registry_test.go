@@ -92,25 +92,31 @@ func TestRegistryLifecycle(t *testing.T) {
 }
 
 // TestRegistryStreamMismatch pins the compatibility gate: a worker on a
-// different rng stream version is refused with 409 (its results could
-// not merge), while matching and legacy (silent) streams register fine.
+// different rng stream version — or announcing none — is refused with
+// 409 (its results could not be trusted to merge), while a matching
+// stream registers fine.
 func TestRegistryStreamMismatch(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{Dial: fakeDial})
 	defer reg.Close()
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
 
-	resp, err := http.Post(srv.URL+"/v1/register", mimeJSON,
-		strings.NewReader(`{"addr":"http://x","stream":"bogus/999"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("mismatched stream registered: HTTP %d, want 409", resp.StatusCode)
-	}
-	if len(reg.Members()) != 0 {
-		t.Fatal("refused worker appears in the membership")
+	for name, body := range map[string]string{
+		"mismatched": `{"addr":"http://x","stream":"bogus/999"}`,
+		"empty":      `{"addr":"http://x","stream":""}`,
+		"absent":     `{"addr":"http://x"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/register", mimeJSON, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("%s stream registered: HTTP %d, want 409", name, resp.StatusCode)
+		}
+		if len(reg.Members()) != 0 {
+			t.Fatalf("refused worker (%s stream) appears in the membership", name)
+		}
 	}
 
 	ok, err := http.Post(srv.URL+"/v1/register", mimeJSON,
@@ -133,7 +139,7 @@ func TestRegistryReRegisterReplaces(t *testing.T) {
 	defer srv.Close()
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(srv.URL+"/v1/register", mimeJSON,
-			strings.NewReader(`{"addr":"http://same","name":"same"}`))
+			strings.NewReader(`{"addr":"http://same","name":"same","stream":"`+rng.StreamVersion+`"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,6 +171,28 @@ func TestRegistryHeartbeatUnknownLease(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown lease heartbeat: HTTP %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRegistryRefusesOversizedBodies: register and heartbeat bodies
+// past maxRequestBody are refused with 413 and change no lease.
+func TestRegistryRefusesOversizedBodies(t *testing.T) {
+	reg := NewRegistry(RegistryOptions{Dial: fakeDial})
+	defer reg.Close()
+	h := reg.Handler()
+	pad := strings.Repeat("x", maxRequestBody)
+	for path, body := range map[string]string{
+		"/v1/register":  `{"addr":"http://big","stream":"` + rng.StreamVersion + `","name":"` + pad + `"}`,
+		"/v1/heartbeat": `{"id":"` + pad + `"}`,
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: HTTP %d, want 413", path, rec.Code)
+		}
+	}
+	if len(reg.Members()) != 0 {
+		t.Fatal("oversized registration was admitted")
 	}
 }
 

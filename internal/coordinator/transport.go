@@ -60,9 +60,8 @@ const (
 )
 
 // Report wire content types. The worker Handler negotiates them from
-// the request's Accept header; absent (an older coordinator), the
-// response stays plain JSON, and since every encoding is
-// self-describing a decoder never needs the header to parse — the
+// the request's Accept header (absent: JSON). Every encoding is
+// self-describing, so a decoder never needs the header to parse — the
 // types exist for proxies, logs and humans.
 const (
 	mimeJSON       = "application/json"
@@ -83,9 +82,7 @@ func encodingMime(enc report.Encoding) string {
 }
 
 // WireStats is one dispatch's wire cost: encoded bytes each way and the
-// report encoding that actually came back (a legacy worker answers a
-// binary-accepting coordinator in JSON; the self-describing formats
-// make that harmless).
+// report encoding detected on the response.
 type WireStats struct {
 	// Sent counts job bytes written to the worker, summed over retry
 	// attempts; Received counts report bytes read back.
@@ -115,11 +112,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeReportStream reads exactly one report from a worker response in
-// any wire format, streaming (no whole-envelope buffering): the legacy
-// single-object JSON the original worker contract used, or a count-1
-// envelope in any format report.ReadReports detects. It returns the
-// detected encoding for wire accounting.
+// decodeReportStream reads exactly one report from a worker response,
+// streaming (no whole-envelope buffering): a count-1 envelope in any
+// format report.ReadReports detects. It returns the detected encoding
+// for wire accounting.
 func decodeReportStream(r io.Reader) (*report.Report, report.Encoding, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(1)
@@ -128,12 +124,6 @@ func decodeReportStream(r io.Reader) (*report.Report, report.Encoding, error) {
 	}
 	enc := report.EncodingJSON
 	switch head[0] {
-	case '{': // legacy single-object JSON
-		var rep report.Report
-		if err := json.NewDecoder(br).Decode(&rep); err != nil {
-			return nil, enc, fmt.Errorf("coordinator: parsing worker report: %w", err)
-		}
-		return &rep, enc, nil
 	case 0x1f:
 		enc = report.EncodingBinaryGzip
 	case 'C':
@@ -183,9 +173,7 @@ func InProcessFleet(n int) []Transport {
 // its stdout (see RunWorker for the contract). Exit code ExitPartial
 // yields the checkpointed prefix report alongside ErrPartial. The
 // report encoding is negotiated through the child's environment
-// (EnvWire) and decoded as a stream off the stdout pipe; a legacy
-// worker binary ignores the variable and answers in JSON, which the
-// auto-detecting decoder handles the same way.
+// (EnvWire) and decoded as a stream off the stdout pipe.
 type Subprocess struct {
 	// Label names the worker (default "subprocess").
 	Label string
@@ -292,15 +280,11 @@ func stderrTail(s string) string {
 // HTTP dispatches to a long-lived worker serving the Handler API
 // (`experiments -serve` / `-worker-daemon`): POST {URL}/v1/run with the
 // Job JSON. Status 200 carries the full report, 206 a checkpointed
-// prefix (ErrPartial). A worker predating the versioned API answers
-// /v1/run with 404; the transport then falls back to the legacy /run
-// path — once, remembering the downgrade for the connection's lifetime
-// — so a new coordinator drives an old worker unchanged. The Accept
-// header asks the worker for the compact binary wire (gzip by
-// default); responses stream through the auto-detecting decoder, so a
-// legacy worker's JSON answer still parses. Connection-refused and
-// connection-reset failures — a worker restarting, a briefly saturated
-// accept queue — are retried in place with a short exponential backoff
+// prefix (ErrPartial). The Accept header asks the worker for the
+// compact binary wire (gzip by default); responses stream through the
+// auto-detecting decoder. Connection-refused and connection-reset
+// failures — a worker restarting, a briefly saturated accept queue —
+// are retried in place with a short exponential backoff
 // before they count as a worker failure.
 type HTTP struct {
 	// Label names the worker (default: the URL).
@@ -314,10 +298,6 @@ type HTTP struct {
 	Encoding report.Encoding
 
 	lastWire WireStats
-	// legacy records a negotiated downgrade to the unversioned /run
-	// path (the worker 404'd /v1/run). The coordinator runs at most one
-	// dispatch per transport at a time, so no lock is needed.
-	legacy bool
 }
 
 // Name implements Transport.
@@ -370,21 +350,15 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 	}
 }
 
-// post is one dispatch attempt. It negotiates the API version: the
-// versioned /v1/run first, downgrading (sticky) to the legacy /run on
-// a 404/405 from a worker predating the versioned surface.
+// post is one dispatch attempt: POST {URL}/v1/run.
 func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*report.Report, error) {
-	path := "/v1/run"
-	if t.legacy {
-		path = "/run"
-	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		trimURL(t.URL)+path, bytes.NewReader(blob))
+		trimURL(t.URL)+"/v1/run", bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", mimeJSON)
-	req.Header.Set("Accept", encodingMime(enc)+", "+mimeJSON+";q=0.5")
+	req.Header.Set("Accept", encodingMime(enc))
 	client := t.Client
 	if client == nil {
 		client = http.DefaultClient
@@ -414,15 +388,6 @@ func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*rep
 			return rep, fmt.Errorf("%w: %s", ErrPartial, t.Name())
 		}
 		return rep, nil
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		if !t.legacy {
-			// An old worker without /v1: fall back to the original path
-			// and keep using it — the job was never parsed, so nothing
-			// double-runs.
-			t.legacy = true
-			return t.post(ctx, blob, enc)
-		}
-		fallthrough
 	default:
 		body, _ := io.ReadAll(io.LimitReader(cr, 4096))
 		return nil, fmt.Errorf("coordinator: %s: HTTP %d: %s", t.Name(), resp.StatusCode, stderrTail(string(body)))

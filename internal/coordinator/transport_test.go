@@ -12,13 +12,11 @@ import (
 	"os/exec"
 	"os/signal"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"chaffmec/internal/engine"
-	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 )
 
@@ -69,8 +67,8 @@ func testWorkerFleet(n int, worker0Env ...string) []Transport {
 func TestSubprocessFanOutBitIdentical(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: testWorkerFleet(3)})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(testWorkerFleet(3)...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +82,8 @@ func TestSubprocessCrashInjection(t *testing.T) {
 	want := single(t, sp)
 	for _, mode := range []string{"exit", "partial"} {
 		log := &eventLog{}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers:  testWorkerFleet(3, EnvCrash+"="+mode),
-			Progress: log.add,
-		})
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(testWorkerFleet(3, EnvCrash+"="+mode)...), Options{Progress: log.add})
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -155,13 +151,13 @@ func TestRunWorkerMatchesDirectRun(t *testing.T) {
 	if err := RunWorker(context.Background(), bytes.NewReader(blob), &out); err != nil {
 		t.Fatal(err)
 	}
-	var got report.Report
-	if err := json.Unmarshal(out.Bytes(), &got); err != nil {
+	got, _, err := decodeReportStream(&out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The worker executes the shard in chunks; position-aware reducers
 	// make the chunked result bit-identical to the one-shot shard.
-	if norm(t, &got) != norm(t, want) {
+	if norm(t, got) != norm(t, want) {
 		t.Fatal("worker chunked shard differs from direct shard run")
 	}
 }
@@ -178,8 +174,8 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	if !errors.Is(err, ErrPartial) {
 		t.Fatalf("err = %v, want ErrPartial", err)
 	}
-	var partial report.Report
-	if err := json.Unmarshal(out.Bytes(), &partial); err != nil {
+	partial, _, err := decodeReportStream(&out)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if partial.RunStart != 0 || partial.RunCount <= 0 || partial.RunCount >= 60 {
@@ -201,7 +197,7 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if norm(t, &partial) != norm(t, want) {
+	if norm(t, partial) != norm(t, want) {
 		t.Fatal("resumed partial differs from uninterrupted shard")
 	}
 }
@@ -213,8 +209,8 @@ func TestHTTPFanOutBitIdentical(t *testing.T) {
 	defer srv.Close()
 	srv2 := httptest.NewServer(Handler(context.Background()))
 	defer srv2.Close()
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: HTTPFleet(srv.URL, srv2.URL)})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(HTTPFleet(srv.URL, srv2.URL)...), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,23 +221,41 @@ func TestHTTPFanOutBitIdentical(t *testing.T) {
 
 func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 	// The transient-error retry would have the dead worker spend most of
-	// this test in backoff; zero it so its dispatches still fail fast
-	// enough to cross WorkerFailLimit before the round completes (the
-	// retry itself is covered by TestHTTPRetriesTransientErrors).
+	// this test in backoff; zero it (the retry itself is covered by
+	// TestHTTPRetriesTransientErrors).
 	defer func(d time.Duration) { httpBackoff = d }(httpBackoff)
 	httpBackoff = 0
 
 	sp := testSpec()
 	want := single(t, sp)
-	srv := httptest.NewServer(Handler(context.Background()))
+	// The live worker holds its dispatches until the coordinator has
+	// declared the dead one dead: otherwise it may drain every queued
+	// shard first, or speculatively resolve the dead worker's shard so
+	// that its failure arrives too late to count.
+	gone := make(chan struct{})
+	live := Handler(context.Background())
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-gone:
+		case <-r.Context().Done():
+			return
+		case <-time.After(10 * time.Second):
+			http.Error(w, "the dead worker was never declared dead", http.StatusServiceUnavailable)
+			return
+		}
+		live.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close() // connection refused from the first dispatch
 	log := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-		Workers:  HTTPFleet(srv.URL, dead.URL),
-		Progress: log.add,
-	})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(HTTPFleet(srv.URL, dead.URL)...), Options{Progress: func(e Event) {
+			log.add(e)
+			if e.Kind == EventWorkerDead && e.Worker == dead.URL {
+				close(gone)
+			}
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,129 +267,12 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 	}
 }
 
-// TestHTTPLegacyWorkerFallback is the forward half of version
-// negotiation: a NEW coordinator driving an OLD worker that only serves
-// the unversioned /run. The transport's first /v1/run attempt 404s, it
-// downgrades — once, stickily — and every dispatch lands on /run.
-func TestHTTPLegacyWorkerFallback(t *testing.T) {
-	var v1Hits, runHits int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/v1/") {
-			atomic.AddInt32(&v1Hits, 1)
-			http.NotFound(w, r) // a worker binary predating the versioned API
-			return
-		}
-		if r.URL.Path != "/run" {
-			http.NotFound(w, r)
-			return
-		}
-		atomic.AddInt32(&runHits, 1)
-		var job scenario.Job
-		if err := json.NewDecoder(r.Body).Decode(&job); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rep, err := RunShard(r.Context(), job, 0)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		json.NewEncoder(w).Encode(rep) //nolint:errcheck // test server
-	}))
-	defer srv.Close()
-
-	sp := testSpec()
-	want := single(t, sp)
-	tr := &HTTP{URL: srv.URL}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp},
-		Options{Workers: []Transport{tr}, NoSpeculation: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm(t, got) != norm(t, want) {
-		t.Fatal("legacy-worker fan-out differs from single-process report")
-	}
-	if !tr.legacy {
-		t.Fatal("transport never recorded the downgrade")
-	}
-	if hits := atomic.LoadInt32(&v1Hits); hits != 1 {
-		t.Fatalf("/v1/run probed %d times, want exactly 1 (the downgrade must stick)", hits)
-	}
-	if hits := atomic.LoadInt32(&runHits); hits < 2 {
-		t.Fatalf("/run served %d dispatches, want every shard after the downgrade", hits)
-	}
-}
-
-// TestLegacyPathsServeDeprecated is the backward half: an OLD
-// coordinator posting to the unversioned paths of a NEW worker still
-// gets its original contract — plus RFC 9745 Deprecation headers
-// pointing at the successor. The /v1 paths answer without them.
-func TestLegacyPathsServeDeprecated(t *testing.T) {
-	srv := httptest.NewServer(Handler(context.Background()))
-	defer srv.Close()
-	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)}
-	blob, err := json.Marshal(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := scenario.RunJob(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for path, deprecated := range map[string]bool{"/run": true, "/v1/run": false} {
-		resp, err := http.Post(srv.URL+path, mimeJSON, bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: HTTP %d", path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("Deprecation"); (got == "true") != deprecated {
-			t.Fatalf("%s: Deprecation header = %q, want deprecated=%v", path, got, deprecated)
-		}
-		if deprecated && !strings.Contains(resp.Header.Get("Link"), `/v1/run>; rel="successor-version"`) {
-			t.Fatalf("%s: Link header %q names no successor", path, resp.Header.Get("Link"))
-		}
-		var rep report.Report
-		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		resp.Body.Close()
-		if norm(t, &rep) != norm(t, want) {
-			t.Fatalf("%s: response differs from the direct shard run", path)
-		}
-	}
-
-	health, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	health.Body.Close()
-	if health.Header.Get("Deprecation") != "true" {
-		t.Fatal("/healthz answered without a Deprecation header")
-	}
-	v1health, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1health.Body.Close()
-	if v1health.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/healthz is marked deprecated")
-	}
-	var caps Capabilities
-	if err := json.NewDecoder(v1health.Body).Decode(&caps); err != nil {
-		t.Fatal(err)
-	}
-	if caps.Stream == "" || len(caps.Codecs) == 0 {
-		t.Fatalf("/v1/healthz envelope = %+v, want stream and codecs", caps)
-	}
-}
-
+// TestHTTPHandlerRejectsBadJob: a malformed job is a named 400, the
+// health probe still answers, and the unversioned paths are gone.
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(srv.URL+"/v1/run", mimeJSON, strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +280,53 @@ func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", resp.StatusCode)
 	}
-	health, err := http.Get(srv.URL + "/healthz")
+	health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	health.Body.Close()
 	if health.StatusCode != http.StatusOK {
-		t.Fatalf("healthz = %d", health.StatusCode)
+		t.Fatalf("/v1/healthz = %d", health.StatusCode)
+	}
+	blob, err := json.Marshal(scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ method, path string }{
+		{http.MethodPost, "/run"}, {http.MethodGet, "/healthz"},
+	} {
+		r, err := http.NewRequest(req.method, srv.URL+req.path, bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s = %d, want 404", req.method, req.path, resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPHandlerRefusesOversizedJob: a job body past maxRequestBody is
+// refused with 413 before any shard runs — even one that is otherwise
+// a valid, runnable Job.
+func TestHTTPHandlerRefusesOversizedJob(t *testing.T) {
+	sp := testSpec()
+	sp.Name = strings.Repeat("x", maxRequestBody)
+	blob, err := json.Marshal(scenario.Job{Spec: sp, Shard: engine.Span(0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	Handler(context.Background()).ServeHTTP(rec,
+		httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(blob)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status = %d, want 413", rec.Code)
+	}
+	if _, _, err := decodeReportStream(rec.Body); err == nil {
+		t.Fatal("oversized job answered with a report: a shard ran")
 	}
 }

@@ -101,10 +101,8 @@ func TestHTTPWireNegotiation(t *testing.T) {
 		report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip,
 	} {
 		log := &eventLog{}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers:  []Transport{&HTTP{URL: srv.URL, Encoding: enc}},
-			Progress: log.add,
-		})
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(&HTTP{URL: srv.URL, Encoding: enc}), Options{Progress: log.add})
 		if err != nil {
 			t.Fatalf("%s: %v", enc, err)
 		}
@@ -128,9 +126,8 @@ func TestSubprocessWireNegotiation(t *testing.T) {
 			Label: "sub-wire", Argv: []string{os.Args[0]},
 			Env: []string{"CHAFFMEC_TEST_WORKER=1"}, Encoding: enc,
 		}
-		got, err := Run(context.Background(), scenario.Job{Spec: sp}, Options{
-			Workers: []Transport{tr}, Progress: log.add,
-		})
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(tr), Options{Progress: log.add})
 		if err != nil {
 			t.Fatalf("%s: %v", enc, err)
 		}
@@ -174,12 +171,13 @@ func TestCoordinatorBanksShards(t *testing.T) {
 	}
 	sp := testSpec()
 	want := single(t, sp)
-	opts := func(log *eventLog) Options {
-		return Options{Workers: InProcessFleet(2), Store: st, Progress: log.add}
+	run := func(log *eventLog) (*report.Report, error) {
+		return RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(InProcessFleet(2)...), Options{Store: st, Progress: log.add})
 	}
 
 	cold := &eventLog{}
-	got, err := Run(context.Background(), scenario.Job{Spec: sp}, opts(cold))
+	got, err := run(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestCoordinatorBanksShards(t *testing.T) {
 
 	// Warm: every shard comes from the bank, no dispatch at all.
 	warm := &eventLog{}
-	got, err = Run(context.Background(), scenario.Job{Spec: sp}, opts(warm))
+	got, err = run(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestCoordinatorBanksShards(t *testing.T) {
 		t.Fatalf("corrupting an artifact: err=%v corrupted=%v", err, corrupted)
 	}
 	after := &eventLog{}
-	got, err = Run(context.Background(), scenario.Job{Spec: sp}, opts(after))
+	got, err = run(after)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package coordinator
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,9 +29,7 @@ const EnvCrash = "CHAFFMEC_WORKER_CRASH"
 // EnvWire is the report-encoding negotiation channel of the Subprocess
 // transport: the parent sets it to a report encoding name ("json",
 // "binary", "binary+gzip") and the worker writes its stdout report in
-// that format. Unset or unknown values fall back to the original JSON
-// contract, so a new worker binary under an old coordinator behaves
-// exactly as before.
+// that format. Unset or unknown values answer in JSON.
 const EnvWire = "CHAFFMEC_WIRE"
 
 // wireFromEnv resolves EnvWire into the stdout report encoding.
@@ -114,12 +113,13 @@ func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk
 }
 
 // RunWorker is the worker half of the Subprocess transport — the body
-// of `cmd/experiments -worker`: ONE Job as JSON on in, its Report as
-// JSON on out. Malformed input (bad JSON, unknown kind, invalid shard
-// or precision block) returns an error wrapping ErrBadJob without
-// running anything. A cancellation (SIGTERM) mid-shard writes the
-// resumable prefix checkpoint to out and returns an error wrapping
-// ErrPartial; the caller maps these to ExitBadJob/ExitPartial.
+// of `cmd/experiments -worker`: ONE Job as JSON on in, its Report on
+// out as a count-1 envelope in the EnvWire encoding. Malformed input
+// (bad JSON, unknown kind, invalid shard or precision block) returns
+// an error wrapping ErrBadJob without running anything. A cancellation
+// (SIGTERM) mid-shard writes the resumable prefix checkpoint to out and
+// returns an error wrapping ErrPartial; the caller maps these to
+// ExitBadJob/ExitPartial.
 func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
 	dec := json.NewDecoder(in)
 	dec.DisallowUnknownFields()
@@ -181,23 +181,14 @@ func crashFromEnv(cancel context.CancelFunc) func(i int) {
 	}
 }
 
-func writeReportJSON(w io.Writer, rep *report.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// writeReportWire writes one report in the negotiated wire encoding:
-// the legacy single-object JSON, or a count-1 binary envelope.
+// writeReportWire writes one report as a count-1 envelope in the
+// negotiated wire encoding.
 func writeReportWire(w io.Writer, rep *report.Report, enc report.Encoding) error {
-	if enc == report.EncodingJSON || enc == "" {
-		return writeReportJSON(w, rep)
-	}
 	return report.WriteEncoded(w, []*report.Report{rep}, enc)
 }
 
 // negotiateWire picks the response encoding from a request's Accept
-// header; absent or JSON-only keeps the original JSON responses.
+// header; absent or JSON-only answers in JSON.
 func negotiateWire(accept string) report.Encoding {
 	switch {
 	case strings.Contains(accept, mimeBinaryGzip):
@@ -209,18 +200,39 @@ func negotiateWire(accept string) report.Encoding {
 	}
 }
 
+// maxRequestBody bounds the JSON bodies the worker and registry servers
+// read. A Job is a small spec plus a shard, and a registration or
+// heartbeat is smaller still, so 1 MiB is ample; a larger body is
+// refused with 413 before anything runs.
+const maxRequestBody = 1 << 20
+
+// decodeRequest decodes a request's JSON body, read through a
+// maxRequestBody limit, into v (strict: unknown fields are an error).
+// On failure it returns the status to answer with: 413 for an oversized
+// body, 400 for a malformed one.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any, strict bool) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if strict {
+		dec.DisallowUnknownFields()
+	}
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return http.StatusRequestEntityTooLarge, err
+		}
+		return http.StatusBadRequest, err
+	}
+	return http.StatusOK, nil
+}
+
 // Handler serves the worker HTTP API of `experiments -serve` and
-// `-worker-daemon`, versioned since the elastic-fleet redesign:
+// `-worker-daemon`:
 //
-//	POST /v1/run      Job JSON in, Report JSON out (206 + prefix report
-//	                  when the worker is terminated mid-shard)
+//	POST /v1/run      Job JSON in, a count-1 report envelope out in the
+//	                  encoding the Accept header negotiates (206 + prefix
+//	                  report when the worker is terminated mid-shard)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
 //	                  supported report codecs, warm-state build counter
-//
-// The pre-versioning paths /run and /healthz still serve their
-// original contract — an old coordinator keeps working — but answer
-// with a Deprecation header and a Link to the successor so operators
-// can find stragglers in their access logs.
 //
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
@@ -237,20 +249,14 @@ func Handler(ctx context.Context) http.Handler {
 			TraceLabBuilds: scenario.TraceLabBuilds(),
 		})
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, "/v1/healthz")
-		fmt.Fprintln(w, "ok")
-	})
-	runHandler := func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/v1/run", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			http.Error(w, "POST a Job to "+r.URL.Path, http.StatusMethodNotAllowed)
+			http.Error(w, "POST a Job to /v1/run", http.StatusMethodNotAllowed)
 			return
 		}
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
 		var job scenario.Job
-		if err := dec.Decode(&job); err != nil {
-			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), http.StatusBadRequest)
+		if status, err := decodeRequest(w, r, &job, true); err != nil {
+			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), status)
 			return
 		}
 		// The shard aborts when either the request is abandoned or the
@@ -273,18 +279,6 @@ func Handler(ctx context.Context) http.Handler {
 		}
 		w.Header().Set("Content-Type", encodingMime(enc))
 		writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
-	}
-	mux.HandleFunc("/v1/run", runHandler)
-	mux.HandleFunc("/run", func(w http.ResponseWriter, r *http.Request) {
-		deprecateHeaders(w, "/v1/run")
-		runHandler(w, r)
 	})
 	return mux
-}
-
-// deprecateHeaders marks a legacy-path response (RFC 9745 Deprecation
-// plus a successor-version Link) without changing its body contract.
-func deprecateHeaders(w http.ResponseWriter, successor string) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
 }

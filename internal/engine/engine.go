@@ -8,11 +8,11 @@
 //
 //   - Stream derivation: run r of an experiment with base seed s draws all
 //     of its randomness from the internal/rng splitmix64 stream
-//     rng.Derive(s, r) (MixSeed and NewRunRNG are thin aliases kept for
-//     discoverability). The derivation applies a full golden-ratio
-//     avalanche, so adjacent run indices yield decorrelated streams and a
-//     run's result depends only on (s, r) — never on scheduling, worker
-//     count, or which process executes the run. Stream stability follows
+//     rng.Derive(s, r); rng.NewRun(s, r) replays one run's stream by
+//     hand. The derivation applies a full golden-ratio avalanche, so
+//     adjacent run indices yield decorrelated streams and a run's
+//     result depends only on (s, r) — never on scheduling, worker count,
+//     or which process executes the run. Stream stability follows
 //     internal/rng's contract: fixed for a given rng package version,
 //     re-pinned in one commit when the generator changes.
 //
@@ -170,21 +170,6 @@ func (o Options) Normalized() Options {
 // normalizing Runs).
 func (o Options) Range() (start, end int) {
 	return o.Shard.Range(o.Normalized().Runs)
-}
-
-// MixSeed derives the RNG seed of one run from the experiment's base
-// seed. It is an alias for rng.Derive(seed, run), the repository's one
-// seed-derivation API; new code should call rng.Derive directly.
-func MixSeed(seed int64, run int) int64 {
-	return rng.Derive(seed, int64(run))
-}
-
-// NewRunRNG returns the private RNG stream of one run — the stream a
-// worker Source yields after Reseed(seed, run). It is an alias for
-// rng.NewRun; Run's workers draw the same stream allocation-free, and
-// tests use this to replay a single run by hand.
-func NewRunRNG(seed int64, run int) *rand.Rand {
-	return rng.NewRun(seed, run)
 }
 
 // Config wires one experiment into Run. W is the per-worker scratch state,

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"chaffmec/internal/rng"
 )
 
 // statsOver runs a toy experiment over the selected shard and returns
@@ -128,7 +130,7 @@ func TestShardRunsGlobalIndices(t *testing.T) {
 		t.Fatalf("shard 1/3 of 10 ran %v, want [3 4 5]", got)
 	}
 	for i, run := range got {
-		if want := NewRunRNG(5, run).Float64(); draws[i] != want {
+		if want := rng.NewRun(5, run).Float64(); draws[i] != want {
 			t.Fatalf("run %d drew %v, want the global (seed,run) stream's %v", run, draws[i], want)
 		}
 	}

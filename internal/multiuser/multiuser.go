@@ -6,7 +6,7 @@
 // coexisting users (and their chaffs) provide additional cover.
 //
 // Execution is delegated to internal/engine, which also supplies the
-// per-run seed derivation (engine.MixSeed): every run's RNG stream gets a
+// per-run seed derivation (rng.Derive): every run's RNG stream gets a
 // full avalanche finish, replacing the earlier xor+multiply-only mixing
 // whose adjacent runs produced correlated streams.
 package multiuser

@@ -12,6 +12,7 @@ import (
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
 	"chaffmec/internal/mobility"
+	"chaffmec/internal/rng"
 )
 
 // TestRunMatchesPinnedValues pins a small fixed scenario's output. The
@@ -53,7 +54,7 @@ func TestRunMatchesPinnedValues(t *testing.T) {
 
 // TestRunUsesEngineSeedDerivation re-derives one run's stream by hand and
 // checks the harness produces exactly the result that stream yields: the
-// weak per-package mixing is gone, runs draw from engine.MixSeed.
+// weak per-package mixing is gone, runs draw from rng.Derive.
 func TestRunUsesEngineSeedDerivation(t *testing.T) {
 	c := modelChain(t, mobility.ModelNonSkewed, 1)
 	cfg := Config{TargetChain: c, OtherChains: []*markov.Chain{c, c}, Horizon: 10}
@@ -63,10 +64,10 @@ func TestRunUsesEngineSeedDerivation(t *testing.T) {
 	}
 	// Replay run 0 with the engine's stream derivation, in the harness's
 	// sampling order: target first, then the coexisting users.
-	rng := engine.NewRunRNG(77, 0)
+	r := rng.NewRun(77, 0)
 	var trs []markov.Trajectory
 	for i := 0; i < 3; i++ {
-		tr, err := c.Sample(rng, 10)
+		tr, err := c.Sample(r, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +82,7 @@ func TestRunUsesEngineSeedDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.PerSlot, want) {
-		t.Fatalf("single-run result %v does not match engine.MixSeed replay %v", res.PerSlot, want)
+		t.Fatalf("single-run result %v does not match rng.NewRun replay %v", res.PerSlot, want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // TestDeriveMatchesHistoricalMixSeed pins Derive(seed, run) to the
 // engine's historical MixSeed algorithm: a golden-ratio multiply of
 // (run+1) xor'd into the seed, then the splitmix64 finishing avalanche.
-// engine.MixSeed delegates here; this test keeps the delegation honest.
+// Every campaign ever banked drew its runs from that derivation.
 func TestDeriveMatchesHistoricalMixSeed(t *testing.T) {
 	mixSeed := func(seed int64, run int) int64 {
 		x := uint64(seed) ^ (uint64(run)+1)*0x9e3779b97f4a7c15
