@@ -320,12 +320,17 @@ func BenchmarkPaperProtocolMO(b *testing.B) {
 }
 
 // BenchmarkEngineOverhead isolates the engine's dispatch/reorder cost with
-// a no-op run body.
+// a no-op block body.
 func BenchmarkEngineOverhead(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		err := engine.Run(context.Background(), engine.Options{Runs: 1000, Seed: 1}, engine.Config[struct{}, int]{
-			Run:        func(_ struct{}, run int, _ *rand.Rand) (int, error) { return run, nil },
+			RunBlock: func(_ struct{}, start int, _ []*rand.Rand, out []int) error {
+				for i := range out {
+					out[i] = start + i
+				}
+				return nil
+			},
 			Accumulate: func(int, int) error { return nil },
 		})
 		if err != nil {

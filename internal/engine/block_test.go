@@ -10,44 +10,6 @@ import (
 	"chaffmec/internal/rng"
 )
 
-// collectBlock is collect's batch twin: each run's result is its first
-// draw from its bank stream.
-func collectBlock(t *testing.T, runs, workers int, seed int64) []float64 {
-	t.Helper()
-	var out []float64
-	err := Run(nil, Options{Runs: runs, Seed: seed, Workers: workers}, Config[struct{}, float64]{
-		RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, res []float64) error {
-			for i, r := range rngs {
-				res[i] = r.Float64()
-			}
-			return nil
-		},
-		Accumulate: func(run int, v float64) error {
-			out = append(out, v)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestRunBlockMatchesRun pins the batch dispatch path's stream contract:
-// rngs[i] inside a block is exactly the private stream run start+i would
-// receive from the scalar path, so a RunBlock config reproduces a Run
-// config bit for bit.
-func TestRunBlockMatchesRun(t *testing.T) {
-	const runs, seed = 137, 42
-	ref := collect(t, runs, 1, seed)
-	for _, workers := range []int{1, 4, 32} {
-		got := collectBlock(t, runs, workers, seed)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("workers=%d: RunBlock accumulation differs from scalar Run", workers)
-		}
-	}
-}
-
 // TestRunBlockBankStreams checks every bank rng against rng.NewRun
 // directly, including multiple draws per run (the bank sources must be
 // repositioned, not shared).
@@ -109,16 +71,26 @@ func TestRunBlockErrorAttribution(t *testing.T) {
 	}
 }
 
-// TestExactlyOneOfRunAndRunBlock rejects both-none and both-set configs.
+// TestExactlyOneOfRunAndRunBlock pins that RunBlock is the one per-run
+// callback: a config without it is rejected, and a config with it alone
+// executes every run exactly once.
 func TestExactlyOneOfRunAndRunBlock(t *testing.T) {
-	acc := func(int, int) error { return nil }
-	run := func(_ struct{}, run int, _ *rand.Rand) (int, error) { return run, nil }
-	blk := func(_ struct{}, start int, _ []*rand.Rand, res []int) error { return nil }
-	if err := Run(nil, Options{Runs: 4}, Config[struct{}, int]{Accumulate: acc}); err == nil {
-		t.Fatal("config with neither Run nor RunBlock accepted")
+	seen := 0
+	acc := func(run int, v int) error {
+		if v != run {
+			return fmt.Errorf("run %d accumulated %d", run, v)
+		}
+		seen++
+		return nil
 	}
-	if err := Run(nil, Options{Runs: 4}, Config[struct{}, int]{Run: run, RunBlock: blk, Accumulate: acc}); err == nil {
-		t.Fatal("config with both Run and RunBlock accepted")
+	if err := Run(nil, Options{Runs: 4}, Config[struct{}, int]{Accumulate: acc}); err == nil {
+		t.Fatal("config without RunBlock accepted")
+	}
+	if err := Run(nil, Options{Runs: 4, Workers: 2}, Config[struct{}, int]{RunBlock: identityBlock, Accumulate: acc}); err != nil {
+		t.Fatalf("config with RunBlock alone rejected: %v", err)
+	}
+	if seen != 4 {
+		t.Fatalf("accumulated %d runs, want 4", seen)
 	}
 }
 
@@ -126,7 +98,7 @@ func TestExactlyOneOfRunAndRunBlock(t *testing.T) {
 // the union of complementary shard accumulations equals the whole run.
 func TestRunBlockSharded(t *testing.T) {
 	const runs, seed = 64, 9
-	whole := collectBlock(t, runs, 3, seed)
+	whole := collect(t, runs, 3, seed)
 	var merged []float64
 	for idx := 0; idx < 4; idx++ {
 		err := Run(nil, Options{Runs: runs, Seed: seed, Workers: 2, Shard: Shard{Index: idx, Count: 4}},

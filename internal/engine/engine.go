@@ -25,13 +25,15 @@
 //
 //   - Worker pools with per-worker scratch: NewWorker is called once per
 //     worker, letting callers hoist detector construction, steady-state
-//     lookups and log-likelihood buffers out of the per-run hot path; the
-//     Run callback then reuses that state across all runs the worker
-//     executes. The run RNG itself is per-worker scratch too: each worker
-//     owns one reseedable rng.Source and repositions it with
-//     Reseed(seed, run) before every run, so deriving a run's stream is
-//     allocation-free (the old design allocated a ~5 KB math/rand source
-//     per run).
+//     lookups and scoring arenas out of the hot path; the RunBlock
+//     callback then reuses that state across every block the worker
+//     executes. There is one execution path: a worker receives a
+//     contiguous chunk of runs and hands RunBlock the whole chunk, so
+//     batch kernels sample and score every run in flight at once. The
+//     run RNGs are per-worker scratch too: each worker owns a pooled
+//     bank of reseedable rng.Sources and repositions slot i with
+//     Reseed(seed, start+i) before every block, so deriving a run's
+//     stream is allocation-free.
 //
 //   - Deterministic streaming aggregation: results are re-ordered and
 //     handed to Accumulate in strict run order on a single goroutine, so
@@ -39,11 +41,11 @@
 //     count.
 //
 // Errors cancel the experiment early: the first error (from worker setup,
-// a run, or accumulation) stops dispatch, unblocks all workers and is
+// a block, or accumulation) stops dispatch, unblocks all workers and is
 // returned to the caller. Cancelling the context passed to Run has the
-// same effect: dispatch stops, in-flight runs finish, and the context's
-// error is returned (checks happen between runs, so cancellation latency
-// is one run, not one experiment).
+// same effect: dispatch stops, in-flight blocks finish, and the context's
+// error is returned (checks happen between blocks, so cancellation
+// latency is one block — at most 256 runs — not one experiment).
 package engine
 
 import (
@@ -178,35 +180,26 @@ type Config[W, R any] struct {
 	// NewWorker builds worker-local scratch (detectors, reusable buffers).
 	// It runs once per worker on the caller's goroutine before any run
 	// executes, so setup failures abort the experiment deterministically.
-	// Nil means no scratch (W's zero value is passed to every Run call).
+	// Nil means no scratch (W's zero value is passed to every RunBlock
+	// call).
 	NewWorker func(worker int) (W, error)
-	// Run executes one Monte-Carlo run. run is the GLOBAL run index (a
-	// shard sees its own slice of the global range); rng is the run's
-	// private stream, derived deterministically from (Options.Seed, run).
-	// The returned R is retained by the engine until Accumulate consumes
-	// it, so it must not alias worker scratch that the next Run call
-	// overwrites.
+	// RunBlock executes a whole dispatch chunk of runs at once — the
+	// batch-kernel hot path. The engine hands the worker the contiguous
+	// GLOBAL run range [start, start+len(out)) (a shard sees its own
+	// slice of the global range): rngs[i] is run start+i's private
+	// stream, derived deterministically from (Options.Seed, start+i), and
+	// the callback must fill out[i] with run start+i's result. The rng
+	// bank is per-worker scratch repositioned before every block; results
+	// are retained by the engine until Accumulate consumes them, so they
+	// must not alias the bank or any other scratch the next block
+	// overwrites. A block error is attributed to the block's first run.
 	//
-	// Run must not call rng.Read: the engine repositions a shared
-	// per-worker source between runs, but rand.Rand's Read method
-	// buffers up to 7 bytes internally across calls, which would leak
-	// state between consecutive runs of one worker and break the
-	// (seed, run)-only determinism contract. Every other rand.Rand
-	// method is stateless over the source and safe.
-	Run func(w W, run int, rng *rand.Rand) (R, error)
-	// RunBlock, when set instead of Run, executes a whole dispatch chunk
-	// of runs at once — the batch-kernel hot path. The engine hands the
-	// worker the contiguous global run range [start, start+len(out)):
-	// rngs[i] is run start+i's private stream (the same stream Run would
-	// receive, so batch and scalar configs draw identically), and the
-	// callback must fill out[i] with run start+i's result. The rng bank
-	// is per-worker scratch repositioned before every block; results
-	// must not alias it or any other scratch the next block overwrites.
-	//
-	// Exactly one of Run and RunBlock must be set. With RunBlock the
-	// cancellation latency is one block (up to 256 runs) instead of one
-	// run, and a block error is attributed to the block's first run.
-	// The rng.Read prohibition of Run applies to every rng in the bank.
+	// RunBlock must not call Read on any rng of the bank: the engine
+	// repositions each pooled source between blocks, but rand.Rand's Read
+	// method buffers up to 7 bytes internally across calls, which would
+	// leak state between consecutive runs drawing from one bank slot and
+	// break the (seed, run)-only determinism contract. Every other
+	// rand.Rand method is stateless over the source and safe.
 	RunBlock func(w W, start int, rngs []*rand.Rand, out []R) error
 	// BlockSize, when positive, is the preferred RunBlock dispatch width —
 	// typically the cache-calibrated block geometry internal/tune measured
@@ -215,7 +208,7 @@ type Config[W, R any] struct {
 	// runs/workers otherwise, and to the [1, 256] bounds chunkSize
 	// documents). It has no effect on results — runs draw identical
 	// streams at any chunking — only on how many travel per handoff.
-	// Ignored by scalar (Run) configs and when zero.
+	// Zero selects the chunkSize load-balance heuristic.
 	BlockSize int
 	// Accumulate folds one run's result into the experiment aggregate. It
 	// is called on a single goroutine in strict run order (ascending
@@ -270,8 +263,8 @@ func dispatchChunk(runs, workers, blockSize int) int {
 	return c
 }
 
-// rngBank is the pooled per-worker bank of reseedable run sources block
-// configs draw from. Each rand.Rand is permanently wired to its slot in
+// rngBank is the pooled per-worker bank of reseedable run sources every
+// block draws from. Each rand.Rand is permanently wired to its slot in
 // srcs, so the pair recycles as a unit; pooling it keeps adaptive round
 // loops (one engine run per round) from rebuilding banks every round.
 type rngBank struct {
@@ -321,8 +314,8 @@ func Run[W, R any](ctx context.Context, opts Options, cfg Config[W, R]) error {
 	if err := o.Shard.Validate(); err != nil {
 		return err
 	}
-	if (cfg.Run == nil) == (cfg.RunBlock == nil) {
-		return fmt.Errorf("engine: exactly one of Config.Run and Config.RunBlock must be set")
+	if cfg.RunBlock == nil {
+		return fmt.Errorf("engine: Config.RunBlock is nil")
 	}
 	if cfg.Accumulate == nil {
 		return fmt.Errorf("engine: Config.Accumulate is nil")
@@ -363,18 +356,12 @@ func Run[W, R any](ctx context.Context, opts Options, cfg Config[W, R]) error {
 		}()
 	}
 
-	blockSize := 0
-	if cfg.RunBlock != nil {
-		blockSize = cfg.BlockSize
-	}
-	chunk := dispatchChunk(runs, o.Workers, blockSize)
+	chunk := dispatchChunk(runs, o.Workers, cfg.BlockSize)
 	// A chunk is the half-open run range [start, start+len(res)).
 	type outcome struct {
 		start int
 		res   []R
 		err   error
-		// errRun is the failing run when err != nil.
-		errRun int
 	}
 	jobs := make(chan [2]int)
 	results := make(chan outcome, o.Workers)
@@ -391,19 +378,12 @@ func Run[W, R any](ctx context.Context, opts Options, cfg Config[W, R]) error {
 		go func(worker int) {
 			defer wg.Done()
 			state := states[worker]
-			// One reseedable source per worker (a pooled bank of them for
-			// block configs): repositioning with Reseed is an 8-byte
-			// write, so deriving a run's private stream costs no
-			// allocation regardless of the run count.
-			src := rng.NewSource(0)
-			workerRNG := rand.New(src)
-			var srcs []rng.Source
-			var bank []*rand.Rand
-			if cfg.RunBlock != nil {
-				b := getBank(chunk)
-				defer putBank(b)
-				srcs, bank = b.srcs, b.rands
-			}
+			// A pooled bank of reseedable sources per worker:
+			// repositioning one with Reseed is an 8-byte write, so
+			// deriving a run's private stream costs no allocation
+			// regardless of the run count.
+			b := getBank(chunk)
+			defer putBank(b)
 			for {
 				select {
 				case <-cancel:
@@ -412,44 +392,16 @@ func Run[W, R any](ctx context.Context, opts Options, cfg Config[W, R]) error {
 					if !ok {
 						return
 					}
-					out := outcome{start: job[0]}
-					if cfg.RunBlock != nil {
-						n := job[1] - job[0]
-						for i := 0; i < n; i++ {
-							srcs[i].Reseed(o.Seed, job[0]+i)
-						}
-						res := make([]R, n)
-						if err := cfg.RunBlock(state, job[0], bank[:n], res); err != nil {
-							out.err, out.errRun = err, job[0]
-						} else {
-							out.res = res
-						}
-						select {
-						case results <- out:
-						case <-cancel:
-							return
-						}
-						continue
+					n := job[1] - job[0]
+					for i := 0; i < n; i++ {
+						b.srcs[i].Reseed(o.Seed, job[0]+i)
 					}
-					out.res = make([]R, 0, job[1]-job[0])
-					for run := job[0]; run < job[1]; run++ {
-						// Keep the documented one-run cancellation
-						// latency even for large chunks: once the
-						// experiment is stopping (first error or ctx
-						// cancel), abandon the rest of the chunk —
-						// nobody reads results anymore.
-						select {
-						case <-cancel:
-							return
-						default:
-						}
-						src.Reseed(o.Seed, run)
-						res, err := cfg.Run(state, run, workerRNG)
-						if err != nil {
-							out.err, out.errRun = err, run
-							break
-						}
-						out.res = append(out.res, res)
+					out := outcome{start: job[0]}
+					res := make([]R, n)
+					if err := cfg.RunBlock(state, job[0], b.rands[:n], res); err != nil {
+						out.err = err
+					} else {
+						out.res = res
 					}
 					select {
 					case results <- out:
@@ -498,7 +450,7 @@ collect:
 			break collect
 		}
 		if out.err != nil {
-			firstErr = fmt.Errorf("engine: run %d: %w", out.errRun, out.err)
+			firstErr = fmt.Errorf("engine: run %d: %w", out.start, out.err)
 			break
 		}
 		pending[out.start] = out.res

@@ -21,8 +21,11 @@ func collect(t *testing.T, runs, workers int, seed int64) []float64 {
 	var out []float64
 	err := Run(context.Background(), Options{Runs: runs, Seed: seed, Workers: workers}, Config[int, float64]{
 		NewWorker: func(worker int) (int, error) { return worker, nil },
-		Run: func(_ int, run int, rng *rand.Rand) (float64, error) {
-			return rng.Float64(), nil
+		RunBlock: func(_ int, start int, rngs []*rand.Rand, res []float64) error {
+			for i, r := range rngs {
+				res[i] = r.Float64()
+			}
+			return nil
 		},
 		Accumulate: func(run int, v float64) error {
 			out = append(out, v)
@@ -51,7 +54,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestAccumulateInRunOrder(t *testing.T) {
 	next := 0
 	err := Run(context.Background(), Options{Runs: 200, Seed: 1, Workers: 8}, Config[struct{}, int]{
-		Run: func(_ struct{}, run int, _ *rand.Rand) (int, error) { return run, nil },
+		RunBlock: identityBlock,
 		Accumulate: func(run int, v int) error {
 			if run != next || v != run {
 				return fmt.Errorf("accumulate got run %d (value %d), want %d", run, v, next)
@@ -72,11 +75,11 @@ func TestRunErrorCancelsEarly(t *testing.T) {
 	boom := errors.New("boom")
 	executed := 0
 	err := Run(context.Background(), Options{Runs: 100000, Seed: 1, Workers: 4}, Config[struct{}, int]{
-		Run: func(_ struct{}, run int, _ *rand.Rand) (int, error) {
-			if run == 17 {
-				return 0, boom
+		RunBlock: func(_ struct{}, start int, _ []*rand.Rand, res []int) error {
+			if start <= 17 && 17 < start+len(res) {
+				return boom
 			}
-			return run, nil
+			return identityBlock(struct{}{}, start, nil, res)
 		},
 		Accumulate: func(run int, v int) error {
 			executed++
@@ -106,9 +109,9 @@ func TestWorkerSetupErrorPropagates(t *testing.T) {
 			}
 			return worker, nil
 		},
-		Run: func(_ int, run int, _ *rand.Rand) (int, error) {
+		RunBlock: func(_ int, start int, _ []*rand.Rand, res []int) error {
 			ran = true
-			return run, nil
+			return nil
 		},
 		Accumulate: func(int, int) error { return nil },
 	})
@@ -123,7 +126,7 @@ func TestWorkerSetupErrorPropagates(t *testing.T) {
 func TestAccumulateErrorPropagates(t *testing.T) {
 	boom := errors.New("agg")
 	err := Run(context.Background(), Options{Runs: 50, Seed: 1, Workers: 4}, Config[struct{}, int]{
-		Run: func(_ struct{}, run int, _ *rand.Rand) (int, error) { return run, nil },
+		RunBlock: identityBlock,
 		Accumulate: func(run int, v int) error {
 			if run == 10 {
 				return boom
@@ -363,12 +366,26 @@ func TestOptionsNormalized(t *testing.T) {
 }
 
 func TestNilCallbacksRejected(t *testing.T) {
-	if err := Run(context.Background(), Options{Runs: 1}, Config[int, int]{}); err == nil {
-		t.Fatal("nil Run accepted")
+	if err := Run(context.Background(), Options{Runs: 1}, Config[struct{}, int]{}); err == nil {
+		t.Fatal("empty config accepted")
 	}
-	if err := Run(context.Background(), Options{Runs: 1}, Config[int, int]{
-		Run: func(int, int, *rand.Rand) (int, error) { return 0, nil },
+	if err := Run(context.Background(), Options{Runs: 1}, Config[struct{}, int]{
+		Accumulate: func(int, int) error { return nil },
+	}); err == nil {
+		t.Fatal("nil RunBlock accepted")
+	}
+	if err := Run(context.Background(), Options{Runs: 1}, Config[struct{}, int]{
+		RunBlock: identityBlock,
 	}); err == nil {
 		t.Fatal("nil Accumulate accepted")
 	}
+}
+
+// identityBlock is the no-op block body: run i's result is its global
+// index.
+func identityBlock(_ struct{}, start int, _ []*rand.Rand, res []int) error {
+	for i := range res {
+		res[i] = start + i
+	}
+	return nil
 }

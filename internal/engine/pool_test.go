@@ -16,7 +16,7 @@ func TestFreeWorkerReleasesEveryState(t *testing.T) {
 			return w, nil
 		},
 		FreeWorker: func(w int) { freed++ },
-		Run:        func(w, run int, rng *rand.Rand) (int, error) { return run, nil },
+		RunBlock:   func(w, start int, rngs []*rand.Rand, out []int) error { return nil },
 		Accumulate: func(run, r int) error { return nil },
 	})
 	if err != nil {
@@ -38,7 +38,7 @@ func TestFreeWorkerReleasesOnSetupFailure(t *testing.T) {
 			return w, nil
 		},
 		FreeWorker: func(w int) { freed++ },
-		Run:        func(w, run int, rng *rand.Rand) (int, error) { return run, nil },
+		RunBlock:   func(w, start int, rngs []*rand.Rand, out []int) error { return nil },
 		Accumulate: func(run, r int) error { return nil },
 	})
 	if !errors.Is(err, boom) {

@@ -22,12 +22,15 @@ func statsOver(t *testing.T, runs int, seed int64, shard Shard) (*SeriesStats, S
 	series := NewSeriesStatsAt(4, start)
 	scalar := NewScalarStatsAt(start)
 	err := Run(context.Background(), opts, Config[struct{}, []float64]{
-		Run: func(_ struct{}, run int, rng *rand.Rand) ([]float64, error) {
-			row := make([]float64, 4)
-			for i := range row {
-				row[i] = rng.NormFloat64()
+		RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, out [][]float64) error {
+			for r, rng := range rngs {
+				row := make([]float64, 4)
+				for i := range row {
+					row[i] = rng.NormFloat64()
+				}
+				out[r] = row
 			}
-			return row, nil
+			return nil
 		},
 		Accumulate: func(run int, row []float64) error {
 			scalar.Add(row[0])
@@ -100,7 +103,7 @@ func TestShardValidateAndRange(t *testing.T) {
 		t.Fatalf("shards cover %d of %d runs", next, total)
 	}
 	if err := Run(context.Background(), Options{Runs: 4, Shard: Shard{Index: 9, Count: 3}}, Config[struct{}, int]{
-		Run:        func(struct{}, int, *rand.Rand) (int, error) { return 0, nil },
+		RunBlock:   identityBlock,
 		Accumulate: func(int, int) error { return nil },
 	}); err == nil {
 		t.Fatal("invalid shard accepted by Run")
@@ -114,8 +117,11 @@ func TestShardRunsGlobalIndices(t *testing.T) {
 	var got []int
 	var draws []float64
 	err := Run(context.Background(), Options{Runs: 10, Seed: 5, Workers: 1, Shard: Shard{Index: 1, Count: 3}}, Config[struct{}, [2]float64]{
-		Run: func(_ struct{}, run int, rng *rand.Rand) ([2]float64, error) {
-			return [2]float64{float64(run), rng.Float64()}, nil
+		RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, out [][2]float64) error {
+			for i, rng := range rngs {
+				out[i] = [2]float64{float64(start + i), rng.Float64()}
+			}
+			return nil
 		},
 		Accumulate: func(run int, v [2]float64) error {
 			got = append(got, run)
@@ -146,10 +152,10 @@ func TestRunContextCancel(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Run(ctx, Options{Runs: 1_000_000, Seed: 1, Workers: 2}, Config[struct{}, int]{
-			Run: func(_ struct{}, run int, _ *rand.Rand) (int, error) {
+			RunBlock: func(_ struct{}, start int, _ []*rand.Rand, out []int) error {
 				once.Do(func() { close(started) })
 				time.Sleep(100 * time.Microsecond)
-				return run, nil
+				return identityBlock(struct{}{}, start, nil, out)
 			},
 			Accumulate: func(run int, v int) error {
 				accumulated++
@@ -175,7 +181,7 @@ func TestRunContextCancel(t *testing.T) {
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
 	err := Run(pre, Options{Runs: 10}, Config[struct{}, int]{
-		Run:        func(struct{}, int, *rand.Rand) (int, error) { return 0, nil },
+		RunBlock:   identityBlock,
 		Accumulate: func(int, int) error { return nil },
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -117,8 +117,15 @@ func runGrid(res *TraceBarResult, cells []gridCell, seed int64, opts GridOptions
 	sweep := func(active []int, sweepSeed int64, reps int) error {
 		return engine.Run(context.Background(), engine.Options{Runs: len(active) * reps, Seed: sweepSeed},
 			engine.Config[struct{}, float64]{
-				Run: func(_ struct{}, i int, rng *rand.Rand) (float64, error) {
-					return eval(cells[active[i%len(active)]], rng)
+				RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, out []float64) error {
+					for i, rng := range rngs {
+						acc, err := eval(cells[active[(start+i)%len(active)]], rng)
+						if err != nil {
+							return err
+						}
+						out[i] = acc
+					}
+					return nil
 				},
 				Accumulate: func(i int, acc float64) error {
 					stats[active[i%len(active)]].Add(acc)

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -76,6 +77,40 @@ func TestRunGridAdaptive(t *testing.T) {
 				res.CellRuns[u][s] != again.CellRuns[u][s] {
 				t.Fatalf("cell (%d,%d): adaptive grid evaluation not deterministic", u, s)
 			}
+		}
+	}
+}
+
+// TestRunGridMatchesPinnedValues pins the grid harness's cell values for
+// a fixed repetition count and for an adaptive TargetSE schedule, so a
+// change to how the engine hands cells their streams cannot go
+// unnoticed. The values are exact.
+func TestRunGridMatchesPinnedValues(t *testing.T) {
+	cases := []struct {
+		opts   GridOptions
+		acc    [][]float64
+		stdErr [][]float64
+		runs   [][]int
+	}{
+		{
+			opts:   GridOptions{Runs: 3},
+			acc:    [][]float64{{0.5, 0.5583351337621985, -0.058569892307891086}, {0.5, 0.5028046449676482, 0.545247707040905}},
+			stdErr: [][]float64{{0, 0.062498656552568616, 0.647684406649028}, {0, 0.04194285894484565, 0.677305119174732}},
+			runs:   [][]int{{3, 3, 3}, {3, 3, 3}},
+		},
+		{
+			opts:   GridOptions{Runs: 2, TargetSE: 0.05, MaxRuns: 16},
+			acc:    [][]float64{{0.5, 0.5169506718177993, 0.4024736805137097}, {0.5, 0.46112937255033093, 0.45065062192139516}},
+			stdErr: [][]float64{{0, 0.03446866060613796, 0.18009570666011637}, {0, 0.008193000441159476, 0.21500268336274256}},
+			runs:   [][]int{{2, 4, 16}, {2, 2, 16}},
+		},
+	}
+	for _, tc := range cases {
+		res := syntheticGrid(t, tc.opts)
+		if !reflect.DeepEqual(res.Acc, tc.acc) || !reflect.DeepEqual(res.StdErr, tc.stdErr) ||
+			!reflect.DeepEqual(res.CellRuns, tc.runs) {
+			t.Fatalf("%+v: acc %v, SE %v, runs %v; want %v, %v, %v",
+				tc.opts, res.Acc, res.StdErr, res.CellRuns, tc.acc, tc.stdErr, tc.runs)
 		}
 	}
 }

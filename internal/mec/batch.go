@@ -44,12 +44,13 @@ type BatchResult struct {
 
 // RunBatch executes a batch of episodes on the shared Monte-Carlo engine
 // (the whole batch, or the global-episode slice opts.Shard selects; ctx
-// cancels between episodes): episode e draws all of its randomness from
-// the rng.Derive(seed, e) stream (a reseeded per-worker splitmix64
-// source — see internal/rng), workers run episodes in parallel, and
-// aggregation is deterministic in episode order. Because online controllers are stateful,
-// each worker builds its own via newController; cfg.Controller must be
-// left nil (a set controller would be silently ignored, so it is
+// cancels between blocks of episodes): episode e draws all of its
+// randomness from the rng.Derive(seed, e) stream (a reseeded per-worker
+// splitmix64 source — see internal/rng), workers run their blocks of
+// episodes in parallel, one episode at a time, and aggregation is
+// deterministic in episode order. Because online controllers are
+// stateful, each worker builds its own via newController; cfg.Controller
+// must be left nil (a set controller would be silently ignored, so it is
 // rejected).
 func RunBatch(ctx context.Context, cfg Config, newController func() (chaff.OnlineController, error), opts engine.Options) (*BatchResult, error) {
 	if newController == nil {
@@ -94,8 +95,15 @@ func RunBatch(ctx context.Context, cfg Config, newController func() (chaff.Onlin
 			wcfg.Controller = ctrl
 			return NewSimulator(wcfg)
 		},
-		Run: func(s *Simulator, episode int, rng *rand.Rand) (*Report, error) {
-			return s.Run(rng)
+		RunBlock: func(s *Simulator, start int, rngs []*rand.Rand, out []*Report) error {
+			for i, rng := range rngs {
+				rep, err := s.Run(rng)
+				if err != nil {
+					return err
+				}
+				out[i] = rep
+			}
+			return nil
 		},
 		Accumulate: func(episode int, rep *Report) error {
 			if err := st.Tracking.Add(rep.Tracking); err != nil {

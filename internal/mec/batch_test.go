@@ -84,3 +84,33 @@ func TestRunBatchValidation(t *testing.T) {
 		t.Fatal("pre-set cfg.Controller accepted (would be silently ignored)")
 	}
 }
+
+// TestRunBatchMatchesPinnedValues pins RunBatch's aggregates on the 4×4
+// grid with MO chaff and failure injection, so a change to how the
+// engine hands episodes their streams cannot go unnoticed. The values
+// are exact: any difference is a regression unless it is a deliberate,
+// documented stream change re-pinned in the same commit.
+func TestRunBatchMatchesPinnedValues(t *testing.T) {
+	cfg, newController := batchFixture(t)
+	cfg.Horizon = 12
+	cfg.MigrationFailProb = 0.2
+	res, err := RunBatch(context.Background(), cfg, newController, engine.Options{Runs: 24, Seed: 3, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTracking := []float64{0.09722222222222221, 0.013888888888888888, 0.027777777777777776,
+		0.05555555555555555, 0.08333333333333334, 0, 0, 0, 0.04166666666666667,
+		0.08333333333333333, 0.08333333333333334, 0.04166666666666667}
+	if !reflect.DeepEqual(res.Tracking, wantTracking) {
+		t.Fatalf("tracking = %#v, want %#v", res.Tracking, wantTracking)
+	}
+	wantCosts := CostBreakdown{Migration: 8.25, Chaff: 2.4, Comm: 0.6666666666666666}
+	if res.Costs != wantCosts {
+		t.Fatalf("costs = %#v, want %#v", res.Costs, wantCosts)
+	}
+	got := []float64{res.Overall, res.OverallStdErr, res.Migrations, res.FailedMigrations, res.QoSViolations}
+	want := []float64{0.04398148148148148, 0.011694223391844158, 8.25, 1.7916666666666667, 1.25}
+	if !reflect.DeepEqual(got, want) || res.Episodes != 24 {
+		t.Fatalf("overall/SE/migrations/failed/QoS = %v over %d episodes, want %v over 24", got, res.Episodes, want)
+	}
+}

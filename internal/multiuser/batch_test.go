@@ -2,6 +2,7 @@ package multiuser
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,36 +11,70 @@ import (
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
 	"chaffmec/internal/mobility"
+	"chaffmec/internal/rng"
 )
 
-// runScalar executes the config through the engine on the SCALAR per-run
-// path (runOnce), bypassing Run's batch dispatch.
+// runScalar executes the config one run at a time through runOnce,
+// drawing run r's stream from rng.NewRun(seed, r) with no engine in
+// between — the reference the batch path must reproduce bit for bit.
 func runScalar(t *testing.T, cfg Config, opts engine.Options) *Result {
 	t.Helper()
-	var det detect.PrefixDetector
-	if cfg.Gamma != nil {
-		adv, err := detect.NewAdvancedDetector(cfg.TargetChain, cfg.Gamma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		det = adv
-	} else {
-		det = detect.NewMLDetector(cfg.TargetChain)
-	}
-	o := opts.Normalized()
-	start, _ := o.Range()
-	track := engine.NewSeriesStatsAt(cfg.Horizon, start)
-	err := engine.Run(context.Background(), o, engine.Config[*muWorker, []float64]{
-		NewWorker: func(int) (*muWorker, error) { return newWorker(&cfg), nil },
-		Run: func(w *muWorker, run int, rng *rand.Rand) ([]float64, error) {
-			return runOnce(&cfg, det, w, rng)
-		},
-		Accumulate: func(run int, series []float64) error { return track.Add(series) },
-	})
+	det, err := newDetector(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := opts.Normalized()
+	start, end := o.Range()
+	track := engine.NewSeriesStatsAt(cfg.Horizon, start)
+	w := newWorker(&cfg)
+	defer w.ws.Release()
+	for run := start; run < end; run++ {
+		series, err := runOnce(&cfg, det, w, rng.NewRun(o.Seed, run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := track.Add(series); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return &Result{PerSlot: track.Mean(), Runs: track.N()}
+}
+
+// runOnce is the scalar per-run pipeline — per-run Sample, GenerateChaffs
+// and prefix detection — kept as the reference the batch path is tested
+// against.
+func runOnce(cfg *Config, det detect.PrefixDetector, w *muWorker, rng *rand.Rand) ([]float64, error) {
+	target, err := cfg.TargetChain.Sample(rng, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
+	trs := []markov.Trajectory{target}
+	for i, oc := range cfg.OtherChains {
+		tr, err := oc.Sample(rng, cfg.Horizon)
+		if err != nil {
+			return nil, err
+		}
+		trs = append(trs, tr)
+		if i < len(cfg.OtherStrategies) && cfg.OtherStrategies[i] != nil {
+			chaffs, err := cfg.OtherStrategies[i].GenerateChaffs(rng, tr, cfg.OtherNumChaffs[i])
+			if err != nil {
+				return nil, fmt.Errorf("multiuser: chaffs for other user %d: %w", i, err)
+			}
+			trs = append(trs, chaffs...)
+		}
+	}
+	if cfg.Strategy != nil {
+		chaffs, err := cfg.Strategy.GenerateChaffs(rng, target, cfg.NumChaffs)
+		if err != nil {
+			return nil, err
+		}
+		trs = append(trs, chaffs...)
+	}
+	dets, err := det.PrefixDetectionsWith(w.ws, trs)
+	if err != nil {
+		return nil, err
+	}
+	return detect.TrackingAccuracySeries(dets, trs, 0)
 }
 
 // TestBatchMatchesScalar: Run's batch dispatch must reproduce the scalar

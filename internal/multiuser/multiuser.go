@@ -100,16 +100,12 @@ type Result struct {
 	TrackStats *engine.SeriesStats
 }
 
-// muWorker is the per-worker scratch: the detection workspace, the
-// observed-trajectory slice rebuilt in place every run on the scalar
-// path, and the batch-path buffers — the SoA target sample block plus
-// reused trajectory buffers for the coexisting users and every chaff
-// group. All of it is reused across the worker's runs, taking the
-// steady-state per-run allocations to ~0.
+// muWorker is the per-worker scratch: the detection workspace, the SoA
+// target sample block and reused trajectory buffers for the coexisting
+// users and every chaff group. All of it is reused across the worker's
+// blocks, taking the steady-state per-run allocations to ~0.
 type muWorker struct {
-	ws  *detect.Workspace
-	trs []markov.Trajectory
-
+	ws        *detect.Workspace
 	targets   []int32               // markov.SampleBatch layout: targets[t*B+r]
 	tbuf      markov.Trajectory     // run r's target, gathered for chaff generation
 	obuf      markov.Trajectory     // current other user's trajectory
@@ -119,7 +115,7 @@ type muWorker struct {
 
 // Run executes the scenario on the shared Monte-Carlo engine (the whole
 // experiment, or the global-run slice opts.Shard selects; ctx cancels
-// between runs): each run samples the target, the coexisting users and
+// between blocks): each run samples the target, the coexisting users and
 // the chaffs, and evaluates the per-slot prefix detector that knows the
 // target's chain.
 func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) {
@@ -128,44 +124,31 @@ func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) 
 	}
 	// Detector construction is hoisted out of the per-run loop; both
 	// detectors are immutable and shared by all workers.
-	var det detect.PrefixDetector
-	if cfg.Gamma != nil {
-		adv, err := detect.NewAdvancedDetector(cfg.TargetChain, cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		det = adv
-	} else {
-		det = detect.NewMLDetector(cfg.TargetChain)
+	scorer, err := newDetector(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	o := opts.Normalized()
 	start, _ := o.Range()
 	track := engine.NewSeriesStatsAt(cfg.Horizon, start)
 
-	ecfg := engine.Config[*muWorker, []float64]{
+	// Whole dispatch chunks are sampled and scored through the SoA
+	// kernels. The chunk width comes from the block-geometry calibration
+	// for this kernel shape (cached per host; chunking never changes
+	// results).
+	err = engine.Run(ctx, o, engine.Config[*muWorker, []float64]{
 		NewWorker: func(int) (*muWorker, error) {
 			return newWorker(&cfg), nil
 		},
 		FreeWorker: func(w *muWorker) { w.ws.Release() },
+		RunBlock: func(w *muWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+			return runBlock(&cfg, scorer, w, rngs, out)
+		},
+		BlockSize: tune.BlockSize(cfg.TargetChain, numObserved(&cfg), cfg.Horizon),
 		Accumulate: func(run int, series []float64) error {
 			return track.Add(series)
 		},
-	}
-	if scorer, ok := det.(detect.BlockScorer); ok {
-		// Batch path: whole dispatch chunks sampled and scored through the
-		// SoA kernels; bit-identical to the scalar runOnce path. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
-		ecfg.RunBlock = func(w *muWorker, start int, rngs []*rand.Rand, out [][]float64) error {
-			return runBlock(&cfg, scorer, w, rngs, out)
-		}
-		ecfg.BlockSize = tune.BlockSize(cfg.TargetChain, numObserved(&cfg), cfg.Horizon)
-	} else {
-		ecfg.Run = func(w *muWorker, run int, rng *rand.Rand) ([]float64, error) {
-			return runOnce(&cfg, det, w, rng)
-		}
-	}
-	err := engine.Run(ctx, o, ecfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -180,18 +163,20 @@ func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) 
 	return res, nil
 }
 
+// newDetector builds the eavesdropper: the strategy-aware advanced
+// detector when Gamma is set, the basic Eq. 1 detector otherwise.
+func newDetector(cfg *Config) (detect.BlockScorer, error) {
+	if cfg.Gamma != nil {
+		return detect.NewAdvancedDetector(cfg.TargetChain, cfg.Gamma)
+	}
+	return detect.NewMLDetector(cfg.TargetChain), nil
+}
+
 // newWorker builds one worker's scratch, pre-sizing every trajectory
 // buffer to the horizon so the hot loop never grows them.
 func newWorker(cfg *Config) *muWorker {
-	capTrs := 1 + len(cfg.OtherChains) + cfg.NumChaffs
-	for i := range cfg.OtherStrategies {
-		if cfg.OtherStrategies[i] != nil {
-			capTrs += cfg.OtherNumChaffs[i]
-		}
-	}
 	w := &muWorker{
 		ws:   detect.GetWorkspace(),
-		trs:  make([]markov.Trajectory, 0, capTrs),
 		tbuf: make(markov.Trajectory, cfg.Horizon),
 		obuf: make(markov.Trajectory, cfg.Horizon),
 	}
@@ -215,7 +200,7 @@ func newWorker(cfg *Config) *muWorker {
 }
 
 // numObserved returns U, the trajectories the eavesdropper observes per
-// run — the length of runOnce's trs slice.
+// run — the column count of the scoring block.
 func numObserved(cfg *Config) int {
 	u := 1 + len(cfg.OtherChains)
 	for i := range cfg.OtherStrategies {
@@ -230,11 +215,11 @@ func numObserved(cfg *Config) int {
 }
 
 // runBlock executes a whole engine dispatch chunk through the batch
-// kernels, preserving runOnce's per-stream draw order exactly: the
-// target is each run's first sample (SampleBatch), then per run the
-// coexisting users and chaff groups are generated into reused buffers
-// and packed into the scoring block in the same column order the scalar
-// path builds trs.
+// kernels. Each run's stream is drawn in a fixed order: the target is
+// the run's first sample (SampleBatch), then the coexisting users, each
+// followed by its chaff group, and last the target's chaffs — generated
+// into reused buffers and packed into the scoring block in that column
+// order.
 //
 //chaffmec:hotpath
 func runBlock(cfg *Config, scorer detect.BlockScorer, w *muWorker, rngs []*rand.Rand, out [][]float64) error {
@@ -296,38 +281,4 @@ func runBlock(cfg *Config, scorer detect.BlockScorer, w *muWorker, rngs []*rand.
 		out[r] = series
 	}
 	return nil
-}
-
-func runOnce(cfg *Config, det detect.PrefixDetector, w *muWorker, rng *rand.Rand) ([]float64, error) {
-	target, err := cfg.TargetChain.Sample(rng, cfg.Horizon)
-	if err != nil {
-		return nil, err
-	}
-	w.trs = append(w.trs[:0], target)
-	for i, oc := range cfg.OtherChains {
-		tr, err := oc.Sample(rng, cfg.Horizon)
-		if err != nil {
-			return nil, err
-		}
-		w.trs = append(w.trs, tr)
-		if i < len(cfg.OtherStrategies) && cfg.OtherStrategies[i] != nil {
-			chaffs, err := cfg.OtherStrategies[i].GenerateChaffs(rng, tr, cfg.OtherNumChaffs[i])
-			if err != nil {
-				return nil, fmt.Errorf("multiuser: chaffs for other user %d: %w", i, err)
-			}
-			w.trs = append(w.trs, chaffs...)
-		}
-	}
-	if cfg.Strategy != nil {
-		chaffs, err := cfg.Strategy.GenerateChaffs(rng, target, cfg.NumChaffs)
-		if err != nil {
-			return nil, err
-		}
-		w.trs = append(w.trs, chaffs...)
-	}
-	dets, err := det.PrefixDetectionsWith(w.ws, w.trs)
-	if err != nil {
-		return nil, err
-	}
-	return detect.TrackingAccuracySeries(dets, w.trs, 0)
 }

@@ -59,6 +59,12 @@ var binaryMagic = [4]byte{'C', 'M', 'R', '1'}
 // fast instead of attempting a multi-GB allocation.
 const maxDecodeLen = 1 << 28
 
+// maxPrealloc caps how many elements a decoder allocates up front from
+// a count it has not yet seen the bytes for. The streaming decoder
+// cannot check a count against the remaining input, so it grows past
+// this cap only as elements actually arrive.
+const maxPrealloc = 4096
+
 // WriteReportsBinary encodes reports in the compact binary format,
 // gzip-framed when compress is set. The encoding streams: nothing is
 // buffered beyond bufio/gzip block granularity.
@@ -136,7 +142,7 @@ func readBinary(br *bufio.Reader) ([]*Report, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("report: parsing binary: %w", d.err)
 	}
-	reps := make([]*Report, 0, min(n, 4096))
+	reps := make([]*Report, 0, min(n, maxPrealloc))
 	for i := 0; i < n && d.err == nil; i++ {
 		reps = append(reps, d.report())
 	}
@@ -309,14 +315,26 @@ func (d *binDecoder) length(what string) int {
 	return int(v)
 }
 
+// readN reads an n-byte field, doubling the buffer only as bytes
+// actually arrive, so a corrupt length fails at the end of the input
+// instead of allocating ahead of it.
+func (d *binDecoder) readN(n int) []byte {
+	b := make([]byte, min(n, maxPrealloc))
+	d.read(b)
+	for len(b) < n && d.err == nil {
+		k := min(n-len(b), len(b))
+		b = append(b, make([]byte, k)...)
+		d.read(b[len(b)-k:])
+	}
+	return b
+}
+
 func (d *binDecoder) string() string {
 	n := d.length("string length")
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	d.read(b)
-	return string(b)
+	return string(d.readN(n))
 }
 
 func (d *binDecoder) bytes() []byte {
@@ -324,9 +342,7 @@ func (d *binDecoder) bytes() []byte {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	b := make([]byte, n)
-	d.read(b)
-	return b
+	return d.readN(n)
 }
 
 func (d *binDecoder) float() float64 {
@@ -338,9 +354,12 @@ func (d *binDecoder) floats(n int) []float64 {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]float64, min(n, maxPrealloc))
 	for i := range out {
 		out[i] = d.float()
+	}
+	for len(out) < n && d.err == nil {
+		out = append(out, d.float())
 	}
 	return out
 }
@@ -360,14 +379,14 @@ func (d *binDecoder) report() *Report {
 	rep.Spec = d.bytes()
 
 	if n := d.length("series count"); n > 0 && d.err == nil {
-		rep.Series = make(map[string]engine.SeriesSnapshot, n)
+		rep.Series = make(map[string]engine.SeriesSnapshot, min(n, maxPrealloc))
 		for i := 0; i < n && d.err == nil; i++ {
 			name := d.string()
 			rep.Series[name] = d.series()
 		}
 	}
 	if n := d.length("scalars count"); n > 0 && d.err == nil {
-		rep.Scalars = make(map[string]engine.ScalarSnapshot, n)
+		rep.Scalars = make(map[string]engine.ScalarSnapshot, min(n, maxPrealloc))
 		for i := 0; i < n && d.err == nil; i++ {
 			name := d.string()
 			rep.Scalars[name] = d.scalar()
@@ -386,12 +405,11 @@ func (d *binDecoder) series() engine.SeriesSnapshot {
 	if d.err != nil || nodes == 0 {
 		return snap
 	}
-	snap.Nodes = make([]engine.StatNode, nodes)
+	snap.Nodes = make([]engine.StatNode, 0, min(nodes, maxPrealloc))
 	pos := d.varint() // first node's start; the rest follow contiguously
-	for i := range snap.Nodes {
+	for i := 0; i < nodes && d.err == nil; i++ {
 		n := d.varint()
-		snap.Nodes[i].Start = pos
-		snap.Nodes[i].N = n
+		snap.Nodes = append(snap.Nodes, engine.StatNode{Start: pos, N: n})
 		pos += n
 	}
 	for i := range snap.Nodes {
@@ -407,12 +425,11 @@ func (d *binDecoder) scalar() engine.ScalarSnapshot {
 	if d.err != nil || nodes == 0 {
 		return snap
 	}
-	snap.Nodes = make([]engine.ScalarStatNode, nodes)
+	snap.Nodes = make([]engine.ScalarStatNode, 0, min(nodes, maxPrealloc))
 	pos := d.varint()
-	for i := range snap.Nodes {
+	for i := 0; i < nodes && d.err == nil; i++ {
 		n := d.varint()
-		snap.Nodes[i].Start = pos
-		snap.Nodes[i].N = n
+		snap.Nodes = append(snap.Nodes, engine.ScalarStatNode{Start: pos, N: n})
 		pos += n
 	}
 	for i := range snap.Nodes {

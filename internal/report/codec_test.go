@@ -11,7 +11,7 @@ import (
 
 // jsonWire renders reports exactly as Write does — the byte-identity
 // reference every codec test compares against.
-func jsonWire(t *testing.T, reps []*Report) []byte {
+func jsonWire(t testing.TB, reps []*Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, reps); err != nil {

@@ -59,7 +59,7 @@ func decodeBinary(data []byte) ([]*Report, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("report: parsing binary: %w", d.err)
 	}
-	reps := make([]*Report, 0, min(n, 4096))
+	reps := make([]*Report, 0, min(n, maxPrealloc))
 	for i := 0; i < n && d.err == nil; i++ {
 		reps = append(reps, d.report())
 	}
@@ -126,10 +126,19 @@ func decodeVarintErr(n int) error {
 	return fmt.Errorf("varint overflows 64 bits")
 }
 
+// length reads an unsigned count and bounds it. Every counted item —
+// a byte, a report, a map entry, a spine node — takes at least one byte
+// of the buffer, so a count larger than the bytes that remain is
+// corrupt: refusing it keeps every allocation sized from a count within
+// a fixed multiple of the input.
 func (d *byteDecoder) length(what string) int {
 	v := d.uvarint()
-	if d.err == nil && v > maxDecodeLen {
+	switch rest := len(d.data) - d.off; {
+	case d.err != nil:
+	case v > maxDecodeLen:
 		d.err = fmt.Errorf("%s %d exceeds limit %d", what, v, maxDecodeLen)
+	case v > uint64(rest):
+		d.err = fmt.Errorf("%s %d exceeds the %d bytes that remain", what, v, rest)
 	}
 	return int(v)
 }

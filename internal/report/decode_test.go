@@ -2,7 +2,10 @@ package report
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"chaffmec/internal/engine"
@@ -11,7 +14,7 @@ import (
 // decodeCorpus builds the envelope shapes the codec tests exercise:
 // multi-report shards, a spec-less scalar-less report, an empty shard,
 // non-finite/subnormal float bits, and the empty list.
-func decodeCorpus(t *testing.T) [][]*Report {
+func decodeCorpus(t testing.TB) [][]*Report {
 	t.Helper()
 	lean := buildPart(t, 0, 7, 7)
 	lean.Spec = nil
@@ -148,4 +151,117 @@ func TestDecodeReportsMergeSafe(t *testing.T) {
 	if got := jsonWire(t, []*Report{merged}); !bytes.Equal(got, wantWire) {
 		t.Fatalf("merge of zero-copy decoded shards leaked aliased memory:\n got %s\nwant %s", got, wantWire)
 	}
+}
+
+// inflatedEnvelopes are two well-formed CMR1 prefixes whose counts
+// announce far more items than the bytes that follow: one report
+// holding one T=0 series with 2²⁸−1 spine nodes (30 bytes), and one
+// report announcing 2²⁸−1 series (27 bytes). Both counts sit at
+// maxDecodeLen−1, so only a check against the actual input can refuse
+// them before the allocation they ask for.
+func inflatedEnvelopes() map[string][]byte {
+	header := []byte{'C', 'M', 'R', '1',
+		1,       // report count
+		0, 0, 0, // name, kind, stream
+		0, 0, 0, 0, 0, // seed, horizon, total_runs, run_start, run_count
+		0, 0, 0, 0, 0, 0, 0, 0, // elapsed_ms
+		0, // spec
+	}
+	maxCount := []byte{0xff, 0xff, 0xff, 0x7f}               // uvarint 2²⁸−1
+	nodes := append(append([]byte{}, header...), 1, 0, 0, 0) // one series: name "", T=0, next=0
+	nodes = append(nodes, maxCount...)
+	series := append(append([]byte{}, header...), maxCount...)
+	series = append(series, 0) // the first series' empty name
+	return map[string][]byte{"nodes": nodes, "series": series}
+}
+
+// decoders names both envelope decoders by a common signature.
+var decoders = map[string]func([]byte) ([]*Report, error){
+	"DecodeReports": DecodeReports,
+	"ReadReports": func(b []byte) ([]*Report, error) {
+		return ReadReports(bytes.NewReader(b))
+	},
+}
+
+// decodeMeasured runs one decoder over data and reports the bytes it
+// allocated.
+func decodeMeasured(decode func([]byte) ([]*Report, error), data []byte) ([]*Report, uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	reps, err := decode(data)
+	runtime.ReadMemStats(&after)
+	return reps, after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestDecodersRejectInflatedCounts feeds both inflated envelopes, raw
+// and gzip-framed, to both decoders: each must return an error without
+// allocating ahead of the input.
+func TestDecodersRejectInflatedCounts(t *testing.T) {
+	for name, raw := range inflatedEnvelopes() {
+		var gz bytes.Buffer
+		w := gzip.NewWriter(&gz)
+		if _, err := w.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for frame, data := range map[string][]byte{"raw": raw, "gzip": gz.Bytes()} {
+			for dec, decode := range decoders {
+				_, alloc, err := decodeMeasured(decode, data)
+				if err == nil {
+					t.Fatalf("%s/%s/%s: inflated envelope accepted", name, frame, dec)
+				}
+				if alloc > 4<<20 {
+					t.Fatalf("%s/%s/%s: allocated %d bytes for a %d-byte input", name, frame, dec, alloc, len(data))
+				}
+			}
+		}
+	}
+}
+
+// FuzzDecodeReports is the decoder differential over arbitrary bytes:
+// neither decoder panics, neither allocates more than a fixed multiple
+// of the input (of the inflated input, for a gzip frame) plus a constant
+// for reader buffers and capped preallocations, and whenever both accept
+// an input they agree on its JSON wire. The seeds are the codec corpus
+// in every encoding plus the inflated envelopes.
+func FuzzDecodeReports(f *testing.F) {
+	for _, reps := range decodeCorpus(f) {
+		for _, enc := range []Encoding{EncodingJSON, EncodingBinary, EncodingBinaryGzip} {
+			var buf bytes.Buffer
+			if err := WriteEncoded(&buf, reps, enc); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	for _, raw := range inflatedEnvelopes() {
+		f.Add(raw)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		size := len(data)
+		if gz, err := gzip.NewReader(bytes.NewReader(data)); err == nil {
+			n, _ := io.Copy(io.Discard, gz)
+			size = max(size, int(n))
+		}
+		wires := make(map[string][]byte, len(decoders))
+		for dec, decode := range decoders {
+			reps, alloc, err := decodeMeasured(decode, data)
+			if alloc > uint64(4<<20+128*size) {
+				t.Fatalf("%s allocated %d bytes for a %d-byte input", dec, alloc, size)
+			}
+			if err != nil {
+				continue
+			}
+			var wire bytes.Buffer
+			if err := Write(&wire, reps); err != nil {
+				wire.WriteString("unwritable: " + err.Error())
+			}
+			wires[dec] = wire.Bytes()
+		}
+		if len(wires) == len(decoders) && !bytes.Equal(wires["DecodeReports"], wires["ReadReports"]) {
+			t.Fatalf("decoders disagree:\nDecodeReports %s\nReadReports   %s", wires["DecodeReports"], wires["ReadReports"])
+		}
+	})
 }

@@ -160,11 +160,9 @@ func TraceLabBuilds() int {
 }
 
 // traceWorker is a trace run's per-worker scratch: the reusable scoring
-// workspace, the scalar path's trajectory slice (rebuilt, not
-// reallocated, per run) and the batch path's reused chaff buffers.
+// workspace and the chaff buffers every block regenerates in place.
 type traceWorker struct {
 	ws        *detect.Workspace
-	trs       []markov.Trajectory
 	chaffBufs []markov.Trajectory
 }
 
@@ -256,28 +254,30 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 		}
 		numChaffs = sp.NumChaffs
 	}
-	var det detect.PrefixDetector = detect.NewMLDetector(lab.Chain)
+	var scorer detect.BlockScorer = detect.NewMLDetector(lab.Chain)
 	if sp.Advanced {
 		gamma, err := specGamma(sp, lab.Chain)
 		if err != nil {
 			return nil, err
 		}
-		adv, err := detect.NewAdvancedDetector(lab.Chain, gamma)
-		if err != nil {
+		if scorer, err = detect.NewAdvancedDetector(lab.Chain, gamma); err != nil {
 			return nil, err
 		}
-		det = adv
 	}
 
 	o := sp.options(shard).Normalized()
 	start, _ := o.Range()
 	track := engine.NewSeriesStatsAt(lab.Horizon, start)
 
-	cfg := engine.Config[*traceWorker, []float64]{
+	// The fixed fleet plus each run's chaff stream are packed into the
+	// worker's scoring block and swept once per chunk; only chaff
+	// generation draws from the run streams. The chunk width comes from
+	// the block-geometry calibration for this kernel shape (cached per
+	// host; chunking never changes results).
+	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
 		NewWorker: func(int) (*traceWorker, error) {
 			w := &traceWorker{
 				ws:        detect.GetWorkspace(),
-				trs:       make([]markov.Trajectory, 0, len(lab.Trajectories)+numChaffs),
 				chaffBufs: make([]markov.Trajectory, numChaffs),
 			}
 			for i := range w.chaffBufs {
@@ -286,39 +286,14 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 			return w, nil
 		},
 		FreeWorker: func(w *traceWorker) { w.ws.Release() },
+		RunBlock: func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
+		},
+		BlockSize: tune.BlockSize(lab.Chain, len(lab.Trajectories)+numChaffs, lab.Horizon),
 		Accumulate: func(run int, series []float64) error {
 			return track.Add(series)
 		},
-	}
-	if scorer, ok := det.(detect.BlockScorer); ok {
-		// Batch path: the fixed fleet plus each run's chaff stream are
-		// packed into the worker's scoring block and swept once per chunk.
-		// Only chaff generation draws from the run streams, exactly as the
-		// scalar path does, so results are bit-identical to it. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
-		cfg.RunBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
-			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
-		}
-		cfg.BlockSize = tune.BlockSize(lab.Chain, len(lab.Trajectories)+numChaffs, lab.Horizon)
-	} else {
-		cfg.Run = func(w *traceWorker, run int, rng *rand.Rand) ([]float64, error) {
-			w.trs = append(w.trs[:0], lab.Trajectories...)
-			if strat != nil {
-				chaffs, err := strat.GenerateChaffs(rng, lab.Trajectories[user], numChaffs)
-				if err != nil {
-					return nil, fmt.Errorf("scenario: trace chaffs: %w", err)
-				}
-				w.trs = append(w.trs, chaffs...)
-			}
-			dets, err := det.PrefixDetectionsWith(w.ws, w.trs)
-			if err != nil {
-				return nil, err
-			}
-			return detect.TrackingAccuracySeries(dets, w.trs, user)
-		}
-	}
-	err = engine.Run(ctx, o, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}

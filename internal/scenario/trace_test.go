@@ -1,12 +1,22 @@
 package scenario
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"chaffmec/internal/chaff"
+	"chaffmec/internal/detect"
+	"chaffmec/internal/engine"
 	"chaffmec/internal/figures"
+	"chaffmec/internal/markov"
+	"chaffmec/internal/report"
+	"chaffmec/internal/rng"
 	"chaffmec/internal/store"
 )
 
@@ -202,5 +212,101 @@ func TestTraceLabStoreWarmStart(t *testing.T) {
 	}
 	if string(blob) == "corrupt" {
 		t.Fatal("corrupt artifact still in store")
+	}
+}
+
+// traceOnce is the scalar per-run trace pipeline — the fixed fleet plus
+// one GenerateChaffs stream, scored by per-run prefix detection — kept as
+// the reference runTraceBlock is tested against.
+func traceOnce(lab *figures.TraceLab, strat chaff.Strategy, numChaffs int, det detect.PrefixDetector,
+	user int, ws *detect.Workspace, rng *rand.Rand) ([]float64, error) {
+	trs := append([]markov.Trajectory(nil), lab.Trajectories...)
+	if strat != nil {
+		chaffs, err := strat.GenerateChaffs(rng, lab.Trajectories[user], numChaffs)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: trace chaffs: %w", err)
+		}
+		trs = append(trs, chaffs...)
+	}
+	dets, err := det.PrefixDetectionsWith(ws, trs)
+	if err != nil {
+		return nil, err
+	}
+	return detect.TrackingAccuracySeries(dets, trs, user)
+}
+
+// traceScalar evaluates a trace spec one run at a time through traceOnce,
+// drawing run r's stream from rng.NewRun(seed, r) with no engine in
+// between, and returns the tracking accumulator's snapshot.
+func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
+	t.Helper()
+	lab, err := sharedTraceLab(figures.TraceConfig{Seed: sp.Seed, Nodes: sp.Nodes, Minutes: sp.Horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, _, err := lab.TopUsers(sp.TraceUser + 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	user := top[sp.TraceUser]
+	var strat chaff.Strategy
+	var det detect.PrefixDetector = detect.NewMLDetector(lab.Chain)
+	if sp.Strategy != "" {
+		if strat, err = chaff.NewByName(sp.Strategy, lab.Chain); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sp.Advanced {
+		gamma, err := specGamma(sp, lab.Chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det, err = detect.NewAdvancedDetector(lab.Chain, gamma); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ws := detect.GetWorkspace()
+	defer ws.Release()
+	track := engine.NewSeriesStatsAt(lab.Horizon, 0)
+	for run := 0; run < sp.Runs; run++ {
+		series, err := traceOnce(lab, strat, sp.NumChaffs, det, user, ws, rng.NewRun(sp.Seed, run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := track.Add(series); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return track.Snapshot()
+}
+
+// TestTraceBatchMatchesScalar is the trace kind's differential test:
+// runTrace's block dispatch must reproduce the scalar traceOnce pipeline
+// bit for bit — chaff-free, with MO chaff, against the strategy-aware
+// eavesdropper, and with IM chaff (the case whose chaffs draw from the
+// run streams; MO's do not) — at any worker count.
+func TestTraceBatchMatchesScalar(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace lab build")
+	}
+	base := Spec{Kind: "trace", Nodes: 40, Horizon: 25, Runs: 24, Seed: 6}
+	mo := base
+	mo.Strategy, mo.NumChaffs = "MO", 1
+	adv := mo
+	adv.Advanced = true
+	im := base
+	im.Strategy, im.NumChaffs = "IM", 2
+	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "IM": im} {
+		want := traceScalar(t, sp)
+		for _, workers := range []int{1, 4} {
+			sp.Workers = workers
+			rep, err := runTrace(context.Background(), sp, engine.Shard{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rep.Series[report.SeriesTracking]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, workers=%d: batch tracking snapshot differs from the scalar oracle", name, workers)
+			}
+		}
 	}
 }

@@ -2,19 +2,22 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"chaffmec/internal/chaff"
 	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
+	"chaffmec/internal/markov"
 	"chaffmec/internal/mobility"
 	"chaffmec/internal/rng"
 )
 
-// runScalar executes the scenario through the engine on the SCALAR
-// per-run path (runOnce), bypassing Run's batch dispatch — the reference
-// the batch path must reproduce bit for bit.
+// runScalar executes the scenario one run at a time through runOnce,
+// drawing run r's stream from rng.NewRun(seed, r) with no engine in
+// between — the reference the batch path must reproduce bit for bit.
 func runScalar(t *testing.T, sc Scenario, opts engine.Options) *Result {
 	t.Helper()
 	det, err := sc.newDetector()
@@ -22,28 +25,24 @@ func runScalar(t *testing.T, sc Scenario, opts engine.Options) *Result {
 		t.Fatal(err)
 	}
 	o := opts.Normalized()
-	start, _ := o.Range()
+	start, end := o.Range()
 	track := engine.NewSeriesStatsAt(sc.Horizon, start)
 	detection := engine.NewSeriesStatsAt(sc.Horizon, start)
 	var cts []float64
-	err = engine.Run(context.Background(), o, engine.Config[*simWorker, runResult]{
-		NewWorker: func(int) (*simWorker, error) { return sc.newWorker(), nil },
-		Run: func(w *simWorker, run int, rng *rand.Rand) (runResult, error) {
-			return sc.runOnce(w, det, rng)
-		},
-		Accumulate: func(run int, r runResult) error {
-			if err := track.Add(r.track); err != nil {
-				return err
-			}
-			if err := detection.Add(r.det); err != nil {
-				return err
-			}
-			cts = append(cts, r.ct...)
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	w := sc.newWorker()
+	defer w.ws.Release()
+	for run := start; run < end; run++ {
+		r, err := sc.runOnce(w, det, rng.NewRun(o.Seed, run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := track.Add(r.track); err != nil {
+			t.Fatal(err)
+		}
+		if err := detection.Add(r.det); err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, r.ct...)
 	}
 	return &Result{
 		PerSlot:   track.Mean(),
@@ -51,6 +50,48 @@ func runScalar(t *testing.T, sc Scenario, opts engine.Options) *Result {
 		Runs:      track.N(),
 		CtSamples: cts,
 	}
+}
+
+// runOnce is the scalar per-run pipeline — per-run Sample, GenerateChaffs
+// and prefix detection — kept as the reference the batch path is tested
+// against. It executes a single Monte-Carlo run on the worker's scratch
+// state.
+// The rng is the run's private stream (rng.Derive(seed, run) — see
+// internal/rng), so the result depends only on (seed, run index).
+func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.Rand) (runResult, error) {
+	user, err := sc.Chain.Sample(rng, sc.Horizon)
+	if err != nil {
+		return runResult{}, fmt.Errorf("sim: sampling user: %w", err)
+	}
+	chaffs, err := sc.Strategy.GenerateChaffs(rng, user, sc.NumChaffs)
+	if err != nil {
+		return runResult{}, fmt.Errorf("sim: generating chaffs: %w", err)
+	}
+	trs := append([]markov.Trajectory{user}, chaffs...)
+
+	dets, err := det.PrefixDetectionsWith(w.ws, trs)
+	if err != nil {
+		return runResult{}, err
+	}
+	var out runResult
+	out.track, err = detect.TrackingAccuracySeries(dets, trs, 0)
+	if err != nil {
+		return runResult{}, err
+	}
+	out.det, err = detect.DetectionAccuracySeries(dets, len(trs), 0)
+	if err != nil {
+		return runResult{}, err
+	}
+	if sc.CollectCt {
+		ch := chaffs[0]
+		for t := 1; t < sc.Horizon; t++ {
+			v := sc.Chain.LogProb(user[t-1], user[t]) - sc.Chain.LogProb(ch[t-1], ch[t])
+			if !math.IsInf(v, 0) && !math.IsNaN(v) {
+				out.ct = append(out.ct, v)
+			}
+		}
+	}
+	return out, nil
 }
 
 // TestBatchMatchesScalar is the harness-level differential test: Run
@@ -107,11 +148,10 @@ func TestBatchMatchesScalar(t *testing.T) {
 func TestRunBlockAllocs(t *testing.T) {
 	c := modelChain(t, mobility.ModelNonSkewed)
 	sc := Scenario{Chain: c, Strategy: chaff.NewML(c), NumChaffs: 2, Horizon: 50}
-	det, err := sc.newDetector()
+	scorer, err := sc.newDetector()
 	if err != nil {
 		t.Fatal(err)
 	}
-	scorer := det.(detect.BlockScorer)
 	const B = 64
 	w := sc.newWorker()
 	rngs := make([]*rand.Rand, B)

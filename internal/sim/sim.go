@@ -6,8 +6,8 @@
 //
 // Execution is delegated to internal/engine: detectors are constructed
 // once per scenario, each worker keeps a reusable detect.Workspace and
-// trajectory slice, and per-run results are folded into streaming
-// statistics in deterministic run order.
+// sample buffers for the blocks it runs, and per-run results are folded
+// into streaming statistics in deterministic run order.
 package sim
 
 import (
@@ -99,7 +99,7 @@ type Result struct {
 // newDetector builds the scenario's eavesdropper once, hoisting detector
 // construction (and the steady-state solve behind it) out of the per-run
 // loop.
-func (sc *Scenario) newDetector() (detect.PrefixDetector, error) {
+func (sc *Scenario) newDetector() (detect.BlockScorer, error) {
 	switch sc.Detector {
 	case BasicDetector:
 		return detect.NewMLDetector(sc.Chain), nil
@@ -110,16 +110,13 @@ func (sc *Scenario) newDetector() (detect.PrefixDetector, error) {
 	}
 }
 
-// simWorker is the per-worker scratch: the reusable detection workspace,
-// the trajectory slice rebuilt (not reallocated) every run on the scalar
-// path, and the batch-path arena feeds — the SoA user sample block plus
-// the gather/chaff buffers GenerateInto fills in place. Everything here
-// is reused across every run the worker executes, which is what takes
-// the steady-state per-run allocations to ~0.
+// simWorker is the per-worker scratch: the reusable detection workspace
+// and the arena feeds — the SoA user sample block plus the gather/chaff
+// buffers GenerateInto fills in place. Everything here is reused across
+// every block the worker executes, which is what takes the steady-state
+// per-run allocations to ~0.
 type simWorker struct {
-	ws  *detect.Workspace
-	trs []markov.Trajectory
-
+	ws        *detect.Workspace
 	users     []int32             // markov.SampleBatch layout: users[t*B+r]
 	userBuf   markov.Trajectory   // run r's user, gathered for chaff generation
 	chaffBufs []markov.Trajectory // reused chaff buffers, one per chaff
@@ -136,12 +133,12 @@ type runResult struct {
 
 // Run executes the scenario on the shared Monte-Carlo engine: the whole
 // experiment, or the contiguous global-run slice opts.Shard selects.
-// ctx cancels between runs.
+// ctx cancels between blocks.
 func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	det, err := sc.newDetector()
+	scorer, err := sc.newDetector()
 	if err != nil {
 		return nil, err
 	}
@@ -153,11 +150,19 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 	detection := engine.NewSeriesStatsAt(T, start)
 	var cts []float64
 
-	cfg := engine.Config[*simWorker, runResult]{
+	// Whole dispatch chunks are sampled and scored through the SoA
+	// kernels. The chunk width comes from the block-geometry calibration
+	// for this kernel shape (cached per host; chunking never changes
+	// results).
+	err = engine.Run(ctx, o, engine.Config[*simWorker, runResult]{
 		NewWorker: func(int) (*simWorker, error) {
 			return sc.newWorker(), nil
 		},
 		FreeWorker: func(w *simWorker) { w.ws.Release() },
+		RunBlock: func(w *simWorker, start int, rngs []*rand.Rand, out []runResult) error {
+			return sc.runBlock(w, scorer, rngs, out)
+		},
+		BlockSize: tune.BlockSize(sc.Chain, 1+sc.NumChaffs, T),
 		Accumulate: func(run int, r runResult) error {
 			if err := track.Add(r.track); err != nil {
 				return err
@@ -168,22 +173,7 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 			cts = append(cts, r.ct...)
 			return nil
 		},
-	}
-	if scorer, ok := det.(detect.BlockScorer); ok {
-		// Batch path: whole dispatch chunks sampled and scored through the
-		// SoA kernels; bit-identical to the scalar path below. The chunk
-		// width comes from the block-geometry calibration for this kernel
-		// shape (cached per host; chunking never changes results).
-		cfg.RunBlock = func(w *simWorker, start int, rngs []*rand.Rand, out []runResult) error {
-			return sc.runBlock(w, scorer, rngs, out)
-		}
-		cfg.BlockSize = tune.BlockSize(sc.Chain, 1+sc.NumChaffs, T)
-	} else {
-		cfg.Run = func(w *simWorker, run int, rng *rand.Rand) (runResult, error) {
-			return sc.runOnce(w, det, rng)
-		}
-	}
-	err = engine.Run(ctx, o, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -206,7 +196,6 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 func (sc *Scenario) newWorker() *simWorker {
 	w := &simWorker{
 		ws:        detect.GetWorkspace(),
-		trs:       make([]markov.Trajectory, 0, 1+sc.NumChaffs),
 		userBuf:   make(markov.Trajectory, sc.Horizon),
 		chaffBufs: make([]markov.Trajectory, sc.NumChaffs),
 	}
@@ -218,7 +207,7 @@ func (sc *Scenario) newWorker() *simWorker {
 
 // runBlock executes a whole engine dispatch chunk through the batch
 // kernels: the users of all runs in flight are sampled in one SoA block
-// (rngs[r] draws exactly what runOnce's Sample would), chaffs are
+// (rngs[r] draws exactly what a per-run Sample would), chaffs are
 // generated into reused worker buffers, and the detector scores the
 // whole block in one slot-major sweep. Per-slot series are copied out of
 // the arena into one backing allocation per block (results must outlive
@@ -275,44 +264,4 @@ func (sc *Scenario) runBlock(w *simWorker, scorer detect.BlockScorer, rngs []*ra
 		out[r].track, out[r].det = track, det
 	}
 	return nil
-}
-
-// runOnce executes a single Monte-Carlo run on the worker's scratch state.
-// The rng is the run's private stream (rng.Derive(seed, run) — see
-// internal/rng), so the result depends only on (seed, run index).
-func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.Rand) (runResult, error) {
-	user, err := sc.Chain.Sample(rng, sc.Horizon)
-	if err != nil {
-		return runResult{}, fmt.Errorf("sim: sampling user: %w", err)
-	}
-	chaffs, err := sc.Strategy.GenerateChaffs(rng, user, sc.NumChaffs)
-	if err != nil {
-		return runResult{}, fmt.Errorf("sim: generating chaffs: %w", err)
-	}
-	w.trs = append(w.trs[:0], user)
-	w.trs = append(w.trs, chaffs...)
-
-	dets, err := det.PrefixDetectionsWith(w.ws, w.trs)
-	if err != nil {
-		return runResult{}, err
-	}
-	var out runResult
-	out.track, err = detect.TrackingAccuracySeries(dets, w.trs, 0)
-	if err != nil {
-		return runResult{}, err
-	}
-	out.det, err = detect.DetectionAccuracySeries(dets, len(w.trs), 0)
-	if err != nil {
-		return runResult{}, err
-	}
-	if sc.CollectCt {
-		ch := chaffs[0]
-		for t := 1; t < sc.Horizon; t++ {
-			v := sc.Chain.LogProb(user[t-1], user[t]) - sc.Chain.LogProb(ch[t-1], ch[t])
-			if !math.IsInf(v, 0) && !math.IsNaN(v) {
-				out.ct = append(out.ct, v)
-			}
-		}
-	}
-	return out, nil
 }
