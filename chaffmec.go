@@ -426,7 +426,7 @@ const (
 	// coverage spines, raw little-endian float64 series blocks.
 	EncodingBinary = report.EncodingBinary
 	// EncodingBinaryGzip is the binary codec behind a gzip frame — the
-	// leanest wire format, and what the fleet transports negotiate.
+	// leanest wire format, and the one every fleet worker answers in.
 	EncodingBinaryGzip = report.EncodingBinaryGzip
 )
 
@@ -496,7 +496,7 @@ type (
 	WorkerRegistryOptions = coordinator.RegistryOptions
 	// WorkerCapabilities is the capability envelope a persistent worker
 	// announces on registration and echoes on /v1/healthz: address,
-	// capacity weight, GOARCH, rng stream version, report codecs.
+	// capacity weight, GOARCH, rng stream version, warm-state builds.
 	WorkerCapabilities = coordinator.Capabilities
 	// WorkerDaemonOptions configures RunWorkerDaemon's registration loop.
 	WorkerDaemonOptions = coordinator.DaemonOptions
@@ -525,8 +525,9 @@ func ProbeWorker(ctx context.Context, baseURL string) (WorkerCapabilities, error
 }
 
 // WorkerHandler returns the worker side of the versioned dispatch API:
-// POST /v1/run executes one shard (checkpointed prefix on drain) and
-// GET /v1/healthz answers capability probes; every other path answers
+// POST /v1/run executes one shard and answers a binary+gzip report
+// envelope (checkpointed prefix on drain), and GET /v1/healthz answers
+// capability probes; every other path answers
 // 404. Mount it on the listener a persistent worker advertises
 // (RunWorkerDaemon registers that URL); ctx cancellation drains
 // in-flight shards at their next chunk boundary.

@@ -155,7 +155,7 @@ func realMain() int {
 
 		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (the coordinator execs this binary with -worker)")
 		connect   = flag.String("connect", "", "comma-separated base URLs of -serve workers to distribute -scenario jobs to instead of local subprocesses")
-		workerFlg = flag.Bool("worker", false, "worker mode: read one Job JSON from stdin, write its one-report envelope to stdout (JSON unless CHAFFMEC_WIRE names another encoding)")
+		workerFlg = flag.Bool("worker", false, "worker mode: read one Job JSON from stdin, write its one-report envelope to stdout as binary+gzip")
 		serveAddr = flag.String("serve", "", "serve the worker HTTP API (POST /v1/run, GET /v1/healthz) on this address; with -worker-daemon, the daemon's listen address")
 		crashWkr  = flag.Int("crash-worker", -1, "fault injection: subprocess worker i crashes mid-shard on every dispatch (CI retry proof)")
 		benchDist = flag.String("bench-distributed", "", "run the 1/2/4-worker paper-protocol scaling benchmark and write it as JSON to this file")

@@ -16,8 +16,8 @@ import (
 )
 
 // workerMain is `experiments -worker`: one Job JSON on stdin, its
-// Report on stdout as a count-1 envelope in the CHAFFMEC_WIRE encoding
-// (the Subprocess transport's wire protocol).
+// Report on stdout as a count-1 binary+gzip envelope (the Subprocess
+// transport's wire protocol).
 // Malformed input exits ExitBadJob with the named error on stderr; a
 // SIGTERM/SIGINT mid-shard writes the resumable prefix checkpoint and
 // exits ExitPartial. Never returns.

@@ -236,8 +236,8 @@ func main() {
 		elSum.Overall, elSum.Runs)
 
 	// Wire formats: the same Report travels as readable JSON or as the
-	// compact binary codec (optionally gzip-framed — what the fleet
-	// transports negotiate among themselves). ReadReports sniffs the
+	// compact binary codec (optionally gzip-framed — the one wire every
+	// fleet worker answers in). ReadReports sniffs the
 	// leading bytes, so every format reads back with the same call, and
 	// every format decodes to the bit-identical envelope.
 	dir, err := os.MkdirTemp("", "chaffmec-quickstart-*")

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
 )
 
@@ -34,8 +33,6 @@ type Capabilities struct {
 	// must equal the coordinator's or registration is refused; a worker
 	// announcing none is refused too.
 	Stream string `json:"stream,omitempty"`
-	// Codecs lists the report wire encodings the worker can answer in.
-	Codecs []string `json:"codecs,omitempty"`
 	// TraceLabBuilds counts the TraceLabs this worker built from
 	// scratch since process start — the warm-state probe the fleet
 	// bench asserts with (healthz only; ignored on register).
@@ -350,16 +347,6 @@ func (r *Registry) Handler() http.Handler {
 		fmt.Fprintln(w, `{"ok":true}`)
 	})
 	return mux
-}
-
-// localCodecs lists the report encodings this build can answer in — the
-// Codecs a daemon announces.
-func localCodecs() []string {
-	return []string{
-		string(report.EncodingJSON),
-		string(report.EncodingBinary),
-		string(report.EncodingBinaryGzip),
-	}
 }
 
 // ProbeWorker fetches a worker's /v1/healthz capability envelope — how

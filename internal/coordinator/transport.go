@@ -59,27 +59,13 @@ const (
 	ExitPartial = 3
 )
 
-// Report wire content types. The worker Handler negotiates them from
-// the request's Accept header (absent: JSON). Every encoding is
-// self-describing, so a decoder never needs the header to parse — the
-// types exist for proxies, logs and humans.
+// Content types: every worker response is a self-describing count-1
+// binary+gzip report envelope (mimeReports); job, registry and health
+// bodies are JSON. The types exist for proxies, logs and humans.
 const (
-	mimeJSON       = "application/json"
-	mimeBinary     = "application/x-chaffmec-reports"
-	mimeBinaryGzip = "application/x-chaffmec-reports+gzip"
+	mimeJSON    = "application/json"
+	mimeReports = "application/x-chaffmec-reports+gzip"
 )
-
-// encodingMime maps a report encoding to its wire content type.
-func encodingMime(enc report.Encoding) string {
-	switch enc {
-	case report.EncodingBinary:
-		return mimeBinary
-	case report.EncodingBinaryGzip:
-		return mimeBinaryGzip
-	default:
-		return mimeJSON
-	}
-}
 
 // WireStats is one dispatch's wire cost: encoded bytes each way and the
 // report encoding detected on the response.
@@ -112,21 +98,16 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// decodeReportStream reads exactly one report from a worker response,
-// streaming (no whole-envelope buffering): a count-1 envelope in any
-// format report.ReadReports detects. It returns the detected encoding
-// for wire accounting.
+// decodeReportStream reads exactly one report from a worker response:
+// a count-1 envelope, read whole through report.ReadReports. It returns
+// the encoding detected from the first byte for wire accounting.
 func decodeReportStream(r io.Reader) (*report.Report, report.Encoding, error) {
 	br := bufio.NewReader(r)
-	head, err := br.Peek(1)
-	if err != nil {
-		return nil, report.EncodingJSON, fmt.Errorf("coordinator: parsing worker report: %w", err)
-	}
 	enc := report.EncodingJSON
-	switch head[0] {
-	case 0x1f:
+	switch head, _ := br.Peek(1); string(head) {
+	case "\x1f":
 		enc = report.EncodingBinaryGzip
-	case 'C':
+	case "C":
 		enc = report.EncodingBinary
 	}
 	reps, err := report.ReadReports(br)
@@ -170,10 +151,9 @@ func InProcessFleet(n int) []Transport {
 
 // Subprocess execs a worker-mode binary once per dispatch: the Job is
 // written to the child's stdin as JSON and the Report read back from
-// its stdout (see RunWorker for the contract). Exit code ExitPartial
-// yields the checkpointed prefix report alongside ErrPartial. The
-// report encoding is negotiated through the child's environment
-// (EnvWire) and decoded as a stream off the stdout pipe.
+// its stdout as a binary+gzip envelope (see RunWorker for the
+// contract). Exit code ExitPartial yields the checkpointed prefix report
+// alongside ErrPartial.
 type Subprocess struct {
 	// Label names the worker (default "subprocess").
 	Label string
@@ -183,9 +163,6 @@ type Subprocess struct {
 	// Env entries are appended to the child's environment. CI's fault
 	// injection (EnvCrash) rides here.
 	Env []string
-	// Encoding is the report encoding requested from the worker
-	// (default binary+gzip).
-	Encoding report.Encoding
 
 	lastWire WireStats
 }
@@ -215,15 +192,11 @@ func (t *Subprocess) Run(ctx context.Context, job scenario.Job) (*report.Report,
 	if err != nil {
 		return nil, err
 	}
-	enc := t.Encoding
-	if enc == "" {
-		enc = report.EncodingBinaryGzip
-	}
 	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
 	cmd.Stdin = bytes.NewReader(blob)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
-	cmd.Env = append(append(os.Environ(), EnvWire+"="+string(enc)), t.Env...)
+	cmd.Env = append(os.Environ(), t.Env...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		return nil, fmt.Errorf("coordinator: %s: %w", t.Name(), err)
@@ -231,7 +204,6 @@ func (t *Subprocess) Run(ctx context.Context, job scenario.Job) (*report.Report,
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("coordinator: %s: %v", t.Name(), err)
 	}
-	// Decode straight off the pipe — the report is never buffered whole.
 	cr := &countingReader{r: stdout}
 	rep, gotEnc, derr := decodeReportStream(cr)
 	io.Copy(io.Discard, cr) //nolint:errcheck // drain so the child never blocks on a full pipe
@@ -280,12 +252,10 @@ func stderrTail(s string) string {
 // HTTP dispatches to a long-lived worker serving the Handler API
 // (`experiments -serve` / `-worker-daemon`): POST {URL}/v1/run with the
 // Job JSON. Status 200 carries the full report, 206 a checkpointed
-// prefix (ErrPartial). The Accept header asks the worker for the
-// compact binary wire (gzip by default); responses stream through the
-// auto-detecting decoder. Connection-refused and connection-reset
-// failures — a worker restarting, a briefly saturated accept queue —
-// are retried in place with a short exponential backoff
-// before they count as a worker failure.
+// prefix (ErrPartial), both as a binary+gzip envelope. Connection-refused
+// and connection-reset failures — a worker restarting, a briefly
+// saturated accept queue — are retried in place with a short
+// exponential backoff before they count as a worker failure.
 type HTTP struct {
 	// Label names the worker (default: the URL).
 	Label string
@@ -293,9 +263,6 @@ type HTTP struct {
 	URL string
 	// Client overrides http.DefaultClient.
 	Client *http.Client
-	// Encoding is the report encoding requested via Accept (default
-	// binary+gzip).
-	Encoding report.Encoding
 
 	lastWire WireStats
 }
@@ -330,14 +297,10 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 	if err != nil {
 		return nil, err
 	}
-	enc := t.Encoding
-	if enc == "" {
-		enc = report.EncodingBinaryGzip
-	}
 	t.lastWire = WireStats{}
 	backoff := httpBackoff
 	for attempt := 0; ; attempt++ {
-		rep, err := t.post(ctx, blob, enc)
+		rep, err := t.post(ctx, blob)
 		if err == nil || attempt >= httpRetries || !transientNetErr(err) || ctx.Err() != nil {
 			return rep, err
 		}
@@ -351,14 +314,13 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 }
 
 // post is one dispatch attempt: POST {URL}/v1/run.
-func (t *HTTP) post(ctx context.Context, blob []byte, enc report.Encoding) (*report.Report, error) {
+func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		trimURL(t.URL)+"/v1/run", bytes.NewReader(blob))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", mimeJSON)
-	req.Header.Set("Accept", encodingMime(enc))
 	client := t.Client
 	if client == nil {
 		client = http.DefaultClient

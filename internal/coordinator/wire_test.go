@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"chaffmec/internal/engine"
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
@@ -89,56 +91,48 @@ func TestHTTPRetriesTransientErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPWireNegotiation drives each encoding end to end over a real
-// server: the merged fleet report stays bit-identical, and result events
-// carry the negotiated encoding with non-zero byte counts.
+// TestHTTPWireNegotiation runs the one worker wire end to end over a
+// real server: the merged fleet report stays bit-identical, and result
+// events carry binary+gzip with non-zero byte counts.
 func TestHTTPWireNegotiation(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
-	for _, enc := range []report.Encoding{
-		report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip,
-	} {
-		log := &eventLog{}
-		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
-			StaticOf(&HTTP{URL: srv.URL, Encoding: enc}), Options{Progress: log.add})
-		if err != nil {
-			t.Fatalf("%s: %v", enc, err)
-		}
-		if norm(t, got) != norm(t, want) {
-			t.Fatalf("%s: fleet report differs from single-process report", enc)
-		}
-		checkWireEvents(t, log, enc)
+	log := &eventLog{}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(&HTTP{URL: srv.URL}), Options{Progress: log.add})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if norm(t, got) != norm(t, want) {
+		t.Fatal("fleet report differs from single-process report")
+	}
+	checkWireEvents(t, log)
 }
 
-// TestSubprocessWireNegotiation is the same property over the EnvWire
-// channel and a real worker process.
+// TestSubprocessWireNegotiation is the same property over a real worker
+// process's stdout.
 func TestSubprocessWireNegotiation(t *testing.T) {
 	sp := testSpec()
 	want := single(t, sp)
-	for _, enc := range []report.Encoding{
-		report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip,
-	} {
-		log := &eventLog{}
-		tr := &Subprocess{
-			Label: "sub-wire", Argv: []string{os.Args[0]},
-			Env: []string{"CHAFFMEC_TEST_WORKER=1"}, Encoding: enc,
-		}
-		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
-			StaticOf(tr), Options{Progress: log.add})
-		if err != nil {
-			t.Fatalf("%s: %v", enc, err)
-		}
-		if norm(t, got) != norm(t, want) {
-			t.Fatalf("%s: fleet report differs from single-process report", enc)
-		}
-		checkWireEvents(t, log, enc)
+	log := &eventLog{}
+	tr := &Subprocess{
+		Label: "sub-wire", Argv: []string{os.Args[0]},
+		Env: []string{"CHAFFMEC_TEST_WORKER=1"},
 	}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(tr), Options{Progress: log.add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, want) {
+		t.Fatal("fleet report differs from single-process report")
+	}
+	checkWireEvents(t, log)
 }
 
-func checkWireEvents(t *testing.T, log *eventLog, enc report.Encoding) {
+func checkWireEvents(t *testing.T, log *eventLog) {
 	t.Helper()
 	log.mu.Lock()
 	defer log.mu.Unlock()
@@ -148,15 +142,57 @@ func checkWireEvents(t *testing.T, log *eventLog, enc report.Encoding) {
 			continue
 		}
 		results++
-		if e.Wire.Encoding != enc {
-			t.Fatalf("%s: result event carries encoding %q", enc, e.Wire.Encoding)
+		if e.Wire.Encoding != report.EncodingBinaryGzip {
+			t.Fatalf("result event carries encoding %q, want binary+gzip", e.Wire.Encoding)
 		}
 		if e.Wire.Sent <= 0 || e.Wire.Received <= 0 {
-			t.Fatalf("%s: result event wire = %+v, want non-zero bytes both ways", enc, e.Wire)
+			t.Fatalf("result event wire = %+v, want non-zero bytes both ways", e.Wire)
 		}
 	}
 	if results == 0 {
-		t.Fatalf("%s: no result events observed", enc)
+		t.Fatal("no result events observed")
+	}
+}
+
+// TestHandlerAnswersOneWire: /v1/run answers binary+gzip whatever the
+// request's Accept header asks for — absent or JSON alike.
+func TestHandlerAnswersOneWire(t *testing.T) {
+	blob, err := json.Marshal(scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, accept := range []string{"", mimeJSON} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(blob))
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rec := httptest.NewRecorder()
+		Handler(context.Background()).ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("Accept %q: status = %d, want 200", accept, rec.Code)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != mimeReports {
+			t.Fatalf("Accept %q: Content-Type = %q, want %q", accept, ct, mimeReports)
+		}
+		if body := rec.Body.Bytes(); !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
+			t.Fatalf("Accept %q: body starts % x, want a gzip frame", accept, body[:min(len(body), 2)])
+		}
+	}
+}
+
+// TestRunWorkerAnswersOneWire: a worker process's stdout is a gzip
+// frame with no environment asking for it.
+func TestRunWorkerAnswersOneWire(t *testing.T) {
+	blob, err := json.Marshal(scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := RunWorker(context.Background(), bytes.NewReader(blob), &out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(out.Bytes(), []byte{0x1f, 0x8b}) {
+		t.Fatalf("stdout starts % x, want a gzip frame", out.Bytes()[:min(out.Len(), 2)])
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"os"
 	"runtime"
 	"slices"
-	"strings"
 
 	"chaffmec/internal/engine"
 	"chaffmec/internal/report"
@@ -25,22 +24,6 @@ import (
 // SIGTERM: the prefix checkpoint is written and the worker exits with
 // ExitPartial. Unset (production) does nothing.
 const EnvCrash = "CHAFFMEC_WORKER_CRASH"
-
-// EnvWire is the report-encoding negotiation channel of the Subprocess
-// transport: the parent sets it to a report encoding name ("json",
-// "binary", "binary+gzip") and the worker writes its stdout report in
-// that format. Unset or unknown values answer in JSON.
-const EnvWire = "CHAFFMEC_WIRE"
-
-// wireFromEnv resolves EnvWire into the stdout report encoding.
-func wireFromEnv() report.Encoding {
-	switch enc := report.Encoding(os.Getenv(EnvWire)); enc {
-	case report.EncodingBinary, report.EncodingBinaryGzip:
-		return enc
-	default:
-		return report.EncodingJSON
-	}
-}
 
 // workerChunks splits a worker's shard into about this many chunks of
 // [minChunk, maxChunk] runs each, so an interrupted worker has
@@ -114,7 +97,7 @@ func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk
 
 // RunWorker is the worker half of the Subprocess transport — the body
 // of `cmd/experiments -worker`: ONE Job as JSON on in, its Report on
-// out as a count-1 envelope in the EnvWire encoding. Malformed input
+// out as a count-1 binary+gzip envelope. Malformed input
 // (bad JSON, unknown kind, invalid shard or precision block) returns
 // an error wrapping ErrBadJob without running anything. A cancellation
 // (SIGTERM) mid-shard writes the resumable prefix checkpoint to out and
@@ -141,11 +124,10 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	enc := wireFromEnv()
 	rep, err := runShardChunks(runCtx, job, 0, crashFromEnv(cancel))
 	if err != nil {
 		if rep != nil && rep.RunCount > 0 {
-			if werr := writeReportWire(out, rep, enc); werr != nil {
+			if werr := writeReportWire(out, rep); werr != nil {
 				return fmt.Errorf("writing partial checkpoint: %w", werr)
 			}
 			return fmt.Errorf("%w: wrote runs [%d,%d): %v",
@@ -153,7 +135,7 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
 		}
 		return err
 	}
-	return writeReportWire(out, rep, enc)
+	return writeReportWire(out, rep)
 }
 
 // crashFromEnv resolves the EnvCrash fault injection into a chunk
@@ -181,23 +163,10 @@ func crashFromEnv(cancel context.CancelFunc) func(i int) {
 	}
 }
 
-// writeReportWire writes one report as a count-1 envelope in the
-// negotiated wire encoding.
-func writeReportWire(w io.Writer, rep *report.Report, enc report.Encoding) error {
-	return report.WriteEncoded(w, []*report.Report{rep}, enc)
-}
-
-// negotiateWire picks the response encoding from a request's Accept
-// header; absent or JSON-only answers in JSON.
-func negotiateWire(accept string) report.Encoding {
-	switch {
-	case strings.Contains(accept, mimeBinaryGzip):
-		return report.EncodingBinaryGzip
-	case strings.Contains(accept, mimeBinary):
-		return report.EncodingBinary
-	default:
-		return report.EncodingJSON
-	}
+// writeReportWire writes one report as the worker wire: a count-1
+// binary+gzip envelope.
+func writeReportWire(w io.Writer, rep *report.Report) error {
+	return report.WriteReportsBinary(w, []*report.Report{rep}, true)
 }
 
 // maxRequestBody bounds the JSON bodies the worker and registry servers
@@ -228,11 +197,11 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, strict bool) (
 // Handler serves the worker HTTP API of `experiments -serve` and
 // `-worker-daemon`:
 //
-//	POST /v1/run      Job JSON in, a count-1 report envelope out in the
-//	                  encoding the Accept header negotiates (206 + prefix
+//	POST /v1/run      Job JSON in, a count-1 binary+gzip report envelope
+//	                  out, whatever the Accept header says (206 + prefix
 //	                  report when the worker is terminated mid-shard)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
-//	                  supported report codecs, warm-state build counter
+//	                  warm-state build counter
 //
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
@@ -245,7 +214,6 @@ func Handler(ctx context.Context) http.Handler {
 		json.NewEncoder(w).Encode(Capabilities{ //nolint:errcheck // response already committed
 			GOARCH:         runtime.GOARCH,
 			Stream:         rng.StreamVersion,
-			Codecs:         localCodecs(),
 			TraceLabBuilds: scenario.TraceLabBuilds(),
 		})
 	})
@@ -265,20 +233,16 @@ func Handler(ctx context.Context) http.Handler {
 		defer cancel()
 		stop := context.AfterFunc(ctx, cancel)
 		defer stop()
-		enc := negotiateWire(r.Header.Get("Accept"))
 		rep, err := RunShard(runCtx, job, 0)
-		if err != nil {
-			if rep != nil && rep.RunCount > 0 {
-				w.Header().Set("Content-Type", encodingMime(enc))
-				w.WriteHeader(http.StatusPartialContent)
-				writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
-				return
-			}
+		if err != nil && (rep == nil || rep.RunCount == 0) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", encodingMime(enc))
-		writeReportWire(w, rep, enc) //nolint:errcheck // response already committed
+		w.Header().Set("Content-Type", mimeReports)
+		if err != nil { // the checkpointed prefix
+			w.WriteHeader(http.StatusPartialContent)
+		}
+		writeReportWire(w, rep) //nolint:errcheck // response already committed
 	})
 	return mux
 }

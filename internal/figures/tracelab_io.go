@@ -2,6 +2,8 @@ package figures
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -31,6 +33,10 @@ const traceLabMagic = "CMTL1"
 // maxLabLen bounds decoded counts so a corrupt blob fails fast instead
 // of attempting a huge allocation.
 const maxLabLen = 1 << 26
+
+// labPrealloc caps what the decoder allocates from a count before the
+// counted elements arrive; slices grow past it only as they do.
+const labPrealloc = 4096
 
 // Encode writes the lab in the persistent artifact format.
 func (lab *TraceLab) Encode(w io.Writer) error {
@@ -104,15 +110,17 @@ func DecodeTraceLab(r io.Reader) (*TraceLab, error) {
 		FilteredNodes: d.length("filtered nodes"),
 	}
 
+	// The chain stays sparse until the towers confirm its state count:
+	// its dense form is n² floats, which no count alone may ask for.
 	n := d.length("state count")
-	p := make([][]float64, 0, min(n, maxLabLen))
+	rows := make([][]sparseEntry, 0, min(n, labPrealloc))
 	for i := 0; i < n && d.err == nil; i++ {
-		p = append(p, d.sparse(n))
+		rows = append(rows, d.sparse(n))
 	}
 	pi := d.sparse(n)
 
 	nt := d.length("tower count")
-	towers := make([]geo.Point, 0, min(nt, maxLabLen))
+	towers := make([]geo.Point, 0, min(nt, labPrealloc))
 	for i := 0; i < nt && d.err == nil; i++ {
 		towers = append(towers, geo.Point{X: d.float(), Y: d.float()})
 	}
@@ -121,7 +129,7 @@ func DecodeTraceLab(r io.Reader) (*TraceLab, error) {
 	for i := 0; i < nn && d.err == nil; i++ {
 		lab.Nodes = append(lab.Nodes, d.string())
 		tl := d.length("trajectory length")
-		traj := make(markov.Trajectory, 0, min(tl, maxLabLen))
+		traj := make(markov.Trajectory, 0, min(tl, labPrealloc))
 		prev := int64(0)
 		for j := 0; j < tl && d.err == nil; j++ {
 			cell := prev + d.varint()
@@ -141,17 +149,21 @@ func DecodeTraceLab(r io.Reader) (*TraceLab, error) {
 	if _, err := io.Copy(io.Discard, gz); err != nil {
 		return nil, fmt.Errorf("figures: decoding lab: %w", err)
 	}
+	if len(towers) != n {
+		return nil, fmt.Errorf("figures: decoding lab: %d towers for %d chain states", len(towers), n)
+	}
 
-	lab.Chain, err = markov.NewWithStationary(p, pi)
+	p := make([][]float64, n)
+	for i, row := range rows {
+		p[i] = dense(n, row)
+	}
+	lab.Chain, err = markov.NewWithStationary(p, dense(n, pi))
 	if err != nil {
 		return nil, fmt.Errorf("figures: decoding lab: %w", err)
 	}
 	lab.Quantizer, err = geo.NewQuantizer(towers)
 	if err != nil {
 		return nil, fmt.Errorf("figures: decoding lab: %w", err)
-	}
-	if lab.Quantizer.NumCells() != n {
-		return nil, fmt.Errorf("figures: decoding lab: %d towers for %d chain states", lab.Quantizer.NumCells(), n)
 	}
 	return lab, nil
 }
@@ -265,18 +277,25 @@ func (d *labDecoder) string() string {
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	b := make([]byte, n)
-	d.read(b)
-	return string(b)
+	var b bytes.Buffer // grows as bytes arrive, not to a claimed length
+	if m, err := b.ReadFrom(io.LimitReader(d.r, int64(n))); err != nil || m < int64(n) {
+		d.err = cmp.Or(err, io.ErrUnexpectedEOF)
+		return ""
+	}
+	return b.String()
 }
 
-// sparse reads one sparse vector back to dense length n.
-func (d *labDecoder) sparse(n int) []float64 {
-	if d.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
+// sparseEntry is one stored element of a sparse vector.
+type sparseEntry struct {
+	j int
+	x float64
+}
+
+// sparse reads one sparse vector of length n, keeping its entries in
+// stream order.
+func (d *labDecoder) sparse(n int) []sparseEntry {
 	nnz := d.length("sparse entries")
+	out := make([]sparseEntry, 0, min(nnz, labPrealloc))
 	prev := int64(0)
 	for k := 0; k < nnz && d.err == nil; k++ {
 		j := prev + d.varint()
@@ -285,7 +304,17 @@ func (d *labDecoder) sparse(n int) []float64 {
 			return nil
 		}
 		prev = j
-		out[j] = d.float()
+		out = append(out, sparseEntry{j: int(j), x: d.float()})
+	}
+	return out
+}
+
+// dense expands sparse entries to a length-n vector; a later entry for
+// the same column overwrites an earlier one.
+func dense(n int, es []sparseEntry) []float64 {
+	out := make([]float64, n)
+	for _, e := range es {
+		out[e.j] = e.x
 	}
 	return out
 }

@@ -2,11 +2,17 @@ package figures
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"reflect"
+	"runtime"
 	"testing"
+
+	"chaffmec/internal/geo"
+	"chaffmec/internal/markov"
 )
 
-func encodeLab(t *testing.T, lab *TraceLab) []byte {
+func encodeLab(t testing.TB, lab *TraceLab) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := lab.Encode(&buf); err != nil {
@@ -99,4 +105,120 @@ func TestTraceLabCodecCorruption(t *testing.T) {
 	if _, err := DecodeTraceLab(bytes.NewReader([]byte("not a lab"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// inflatedLab is a 35-byte CMTL1 blob whose header announces 2²⁶−1
+// chain states and then ends: only a decoder that sizes its slices from
+// the bytes that arrive, not from the counts it is told, refuses it
+// without allocating gigabytes.
+func inflatedLab(t testing.TB) []byte {
+	return gzipFrame(t, []byte{'C', 'M', 'T', 'L', '1',
+		1,                      // horizon
+		0,                      // filtered nodes
+		0xff, 0xff, 0xff, 0x1f, // state count 2²⁶−1
+	})
+}
+
+func gzipFrame(t testing.TB, raw []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := gzip.NewWriter(&buf)
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeTraceLabRejectsInflatedCounts: the inflated blob is refused
+// with allocation bounded by a small constant.
+func TestDecodeTraceLabRejectsInflatedCounts(t *testing.T) {
+	blob := inflatedLab(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTraceLab(bytes.NewReader(blob))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("inflated lab accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte blob", alloc, len(blob))
+	}
+}
+
+// smallLab is a hand-built three-state lab: small enough to fuzz from.
+func smallLab(t testing.TB) *TraceLab {
+	t.Helper()
+	chain, err := markov.NewWithStationary(
+		[][]float64{{0.5, 0.5, 0}, {0, 0.25, 0.75}, {1, 0, 0}},
+		[]float64{0.5, 0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := geo.NewQuantizer([]geo.Point{{X: 0, Y: 0}, {X: 3, Y: 1}, {X: 1, Y: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &TraceLab{
+		Nodes:        []string{"a", "node-b"},
+		Trajectories: []markov.Trajectory{{0, 1, 2, 0}, {2, 2, 0}},
+		Chain:        chain, Quantizer: q,
+		Horizon: 4, FilteredNodes: 1,
+	}
+}
+
+// FuzzDecodeTraceLab: no input panics the CMTL1 decoder, and a lab it
+// accepts re-encodes and decodes to the same chain, towers and
+// trajectories. Input that is not a gzip frame is framed first, so
+// mutations reach the CMTL1 parser instead of dying at the gzip header.
+// The seeds are an encoded small lab, its truncations, its unframed
+// payload and the inflated blob.
+func FuzzDecodeTraceLab(f *testing.F) {
+	blob := encodeLab(f, smallLab(f))
+	for _, cut := range []int{len(blob), 1, 10, len(blob) / 2, len(blob) - 3} {
+		f.Add(blob[:cut])
+	}
+	gz, err := gzip.NewReader(bytes.NewReader(blob))
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := io.ReadAll(gz)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	f.Add(inflatedLab(f))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			data = gzipFrame(t, data)
+		}
+		lab, err := DecodeTraceLab(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		back, err := DecodeTraceLab(bytes.NewReader(encodeLab(t, lab)))
+		if err != nil {
+			t.Fatalf("re-encoded lab rejected: %v", err)
+		}
+		if back.Horizon != lab.Horizon || back.FilteredNodes != lab.FilteredNodes ||
+			!reflect.DeepEqual(back.Nodes, lab.Nodes) {
+			t.Fatal("header or node ids changed")
+		}
+		if !reflect.DeepEqual(back.Trajectories, lab.Trajectories) {
+			t.Fatal("trajectories changed")
+		}
+		if !reflect.DeepEqual(back.Quantizer.Towers(), lab.Quantizer.Towers()) {
+			t.Fatal("towers changed")
+		}
+		if !reflect.DeepEqual(back.Chain.Matrix(), lab.Chain.Matrix()) {
+			t.Fatal("transition matrix changed")
+		}
+		wantPi, _ := lab.Chain.SteadyState()
+		gotPi, _ := back.Chain.SteadyState()
+		if !reflect.DeepEqual(gotPi, wantPi) {
+			t.Fatal("steady state changed")
+		}
+	})
 }

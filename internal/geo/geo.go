@@ -162,11 +162,21 @@ func NewQuantizer(towers []Point) (*Quantizer, error) {
 	if b.MaxY == b.MinY {
 		b.MaxY += 1
 	}
-	// Aim for O(1) towers per bucket.
-	n := float64(len(towers))
-	cell := math.Sqrt(b.Width() * b.Height() / n)
-	cols := int(math.Ceil(b.Width()/cell)) + 1
-	rows := int(math.Ceil(b.Height()/cell)) + 1
+	// Aim for O(1) towers per bucket. A needle-thin field would ask for
+	// far more buckets than towers, or for a grid size that overflows
+	// int: coarsen its cells to about 2n+4 buckets (Nearest is exact at
+	// any cell size). Non-finite towers fail the same bound.
+	w, h, n := b.Width(), b.Height(), float64(len(towers))
+	buckets := func(cell float64) float64 { return (w/cell + 2) * (h/cell + 2) }
+	cell := math.Sqrt(w * h / n)
+	if !(buckets(cell) <= 4*n+16) {
+		cell = 2 * (w + h) / n
+	}
+	if !(buckets(cell) <= 4*n+16) {
+		return nil, errors.New("geo: quantizer needs finite towers with an extent the grid can index")
+	}
+	cols := int(math.Ceil(w/cell)) + 1
+	rows := int(math.Ceil(h/cell)) + 1
 	q := &Quantizer{
 		towers:   append([]Point(nil), towers...),
 		bounds:   b,

@@ -163,3 +163,28 @@ func TestQuantizeAll(t *testing.T) {
 		t.Fatal("Towers() aliases internal state")
 	}
 }
+
+// TestQuantizerDegenerateFields: a needle-thin tower field is indexed
+// on a coarsened grid and still answers exact nearest towers, and a
+// non-finite tower is refused — neither may panic or size a grid from
+// an overflowed extent.
+func TestQuantizerDegenerateFields(t *testing.T) {
+	needle := []Point{{0, 0}, {1e20, 1e-20}, {5e19, 0}}
+	q, err := NewQuantizer(needle)
+	if err != nil {
+		t.Fatalf("needle field refused: %v", err)
+	}
+	for _, c := range []struct {
+		p    Point
+		want int
+	}{{Point{1, 0}, 0}, {Point{9e19, 0}, 1}, {Point{4e19, 1}, 2}} {
+		if got := q.Nearest(c.p); got != c.want {
+			t.Fatalf("Nearest(%v) = %d, want %d", c.p, got, c.want)
+		}
+	}
+	for _, bad := range []Point{{math.NaN(), 0}, {math.Inf(1), 0}, {0, math.Inf(-1)}} {
+		if _, err := NewQuantizer([]Point{{0, 0}, bad}); err == nil {
+			t.Fatalf("tower %v accepted", bad)
+		}
+	}
+}

@@ -11,15 +11,41 @@ import (
 	"chaffmec/internal/engine"
 )
 
-// DecodeReports decodes a report envelope held wholly in memory — the
-// in-memory counterpart of ReadReports, detecting the same three
-// formats (indented JSON, the CMR1 binary codec, its gzip frame) from
-// the leading bytes. It exists for the large banked envelopes the
-// coordinator replays from the artifact store: where ReadReports pulls
-// every float64 through a bufio read, DecodeReports walks the buffer in
-// place and, on little-endian platforms, returns series blocks that
-// ALIAS data instead of copying them (see floats in decode_zerocopy.go;
-// build with the chaffmec_purego tag to force the copying fallback).
+// ReadReports decodes a report envelope from r in any of the formats
+// this package writes — the indented JSON array, the CMR1 binary codec,
+// or its gzip frame. It reads r to EOF, refusing more than maxDecodeLen
+// bytes, and hands the bytes to DecodeReports. The reports may alias
+// that buffer, but nothing else holds it, so the caller owns them
+// outright.
+func ReadReports(r io.Reader) ([]*Report, error) {
+	data, err := readBounded(r)
+	if err != nil {
+		return nil, fmt.Errorf("report: reading: %w", err)
+	}
+	return DecodeReports(data)
+}
+
+// readBounded reads r to EOF, refusing input longer than maxDecodeLen.
+func readBounded(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxDecodeLen+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxDecodeLen {
+		return nil, fmt.Errorf("input exceeds %d bytes", maxDecodeLen)
+	}
+	return data, nil
+}
+
+// DecodeReports decodes a report envelope held wholly in memory,
+// detecting the three formats (indented JSON, the CMR1 binary codec,
+// its gzip frame) from the leading bytes. It is the package's one
+// binary decoder: it walks the buffer in place and, on little-endian
+// platforms, returns series blocks that ALIAS data instead of copying
+// them (see decodeFloats in decode_zerocopy.go; build with the
+// chaffmec_purego tag to force the copying fallback). A gzip frame is
+// inflated, up to maxDecodeLen bytes, into a fresh buffer that only the
+// returned reports hold.
 //
 // The aliasing makes the contract explicit: the returned reports may
 // share memory with data, so the caller must keep data live and
@@ -28,7 +54,7 @@ import (
 // read-only — writing through an aliased series would fault). Consumers
 // that deep-copy on use — engine.SeriesFromSnapshot, report.Merge — are
 // safe by construction. Callers that cannot honor the lifetime rule
-// should use ReadReports, which always returns owned memory.
+// should use ReadReports, whose buffer is private to its result.
 func DecodeReports(data []byte) ([]*Report, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b { // gzip frame
 		gz, err := gzip.NewReader(bytes.NewReader(data))
@@ -37,8 +63,8 @@ func DecodeReports(data []byte) ([]*Report, error) {
 		}
 		// Inflate to a fresh buffer and decode that: the aliased series
 		// then point into heap memory the reports keep alive, and the
-		// frame's CRC/length trailer is verified by ReadAll reaching EOF.
-		raw, err := io.ReadAll(gz)
+		// frame's CRC/length trailer is verified by reading to EOF.
+		raw, err := readBounded(gz)
 		if err != nil {
 			return nil, fmt.Errorf("report: gzip frame: %w", err)
 		}
@@ -59,7 +85,7 @@ func decodeBinary(data []byte) ([]*Report, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("report: parsing binary: %w", d.err)
 	}
-	reps := make([]*Report, 0, min(n, maxPrealloc))
+	reps := make([]*Report, 0, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		reps = append(reps, d.report())
 	}
@@ -69,7 +95,7 @@ func decodeBinary(data []byte) ([]*Report, error) {
 	return reps, nil
 }
 
-// byteDecoder mirrors binDecoder over an in-memory buffer, latching the
+// byteDecoder mirrors binEncoder over an in-memory buffer, latching the
 // first error. Strings and spec blobs are copied (they are small and
 // outliving data matters more than saving the bytes); float blocks go
 // through the platform floats path, which aliases when it can.

@@ -10,7 +10,7 @@ import (
 // decodeFloats is the portable fallback for platforms whose in-memory
 // float layout is not the wire's little-endian order (or any build with
 // -tags chaffmec_purego): each element is decoded explicitly, exactly
-// as the streaming binDecoder does. The returned slice never aliases b.
+// as binEncoder wrote it. The returned slice never aliases b.
 func decodeFloats(b []byte, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {

@@ -37,9 +37,9 @@ func decodeCorpus(t testing.TB) [][]*Report {
 }
 
 // TestDecodeReportsMatchesReadReports is the zero-copy decoder's hard
-// guarantee: over the full codec corpus and every wire encoding, the
-// in-memory decode is byte-identical (via the canonical JSON wire) to
-// the streaming decode — at the blob's natural alignment AND with the
+// guarantee: over the full codec corpus and every wire encoding, both
+// DecodeReports and ReadReports reproduce the source reports' canonical
+// JSON wire — DecodeReports at the blob's natural alignment AND with the
 // blob shifted one byte, which flips every float block between the
 // aliasing and the copying path.
 func TestDecodeReportsMatchesReadReports(t *testing.T) {
@@ -54,10 +54,10 @@ func TestDecodeReportsMatchesReadReports(t *testing.T) {
 
 			streamed, err := ReadReports(bytes.NewReader(blob))
 			if err != nil {
-				t.Fatalf("%s: streaming decode: %v", enc, err)
+				t.Fatalf("%s: ReadReports: %v", enc, err)
 			}
 			if got := jsonWire(t, streamed); !bytes.Equal(got, want) {
-				t.Fatalf("%s: streaming decode changed the JSON wire", enc)
+				t.Fatalf("%s: ReadReports changed the JSON wire", enc)
 			}
 
 			shifted := make([]byte, len(blob)+1)
@@ -71,17 +71,16 @@ func TestDecodeReportsMatchesReadReports(t *testing.T) {
 					t.Fatalf("%s/%s: %d reports decoded, want %d", enc, name, len(decoded), len(reps))
 				}
 				if got := jsonWire(t, decoded); !bytes.Equal(got, want) {
-					t.Fatalf("%s/%s: zero-copy decode differs from streaming decode:\n got %s\nwant %s", enc, name, got, want)
+					t.Fatalf("%s/%s: zero-copy decode changed the JSON wire:\n got %s\nwant %s", enc, name, got, want)
 				}
 			}
 		}
 	}
 }
 
-// TestDecodeReportsCorruption mirrors the streaming decoder's
-// corruption suite: every damaged blob the streaming path rejects, the
-// in-memory path must reject too — never decode to a
-// plausible-but-wrong envelope, never panic on truncation.
+// TestDecodeReportsCorruption: every damaged blob is rejected through
+// both entry points — never decoded to a plausible-but-wrong envelope,
+// never a panic on truncation.
 func TestDecodeReportsCorruption(t *testing.T) {
 	reps := []*Report{buildPart(t, 0, 9, 9)}
 	var buf bytes.Buffer
@@ -92,7 +91,7 @@ func TestDecodeReportsCorruption(t *testing.T) {
 
 	for _, cut := range []int{0, 1, 3, 5, len(whole) / 2, len(whole) - 1} {
 		if _, serr := ReadReports(bytes.NewReader(whole[:cut])); serr == nil {
-			t.Fatalf("streaming accepted truncation at %d", cut)
+			t.Fatalf("ReadReports accepted truncation at %d", cut)
 		}
 		if _, err := DecodeReports(whole[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
@@ -175,7 +174,7 @@ func inflatedEnvelopes() map[string][]byte {
 	return map[string][]byte{"nodes": nodes, "series": series}
 }
 
-// decoders names both envelope decoders by a common signature.
+// decoders names both decoding entry points by a common signature.
 var decoders = map[string]func([]byte) ([]*Report, error){
 	"DecodeReports": DecodeReports,
 	"ReadReports": func(b []byte) ([]*Report, error) {
@@ -194,7 +193,7 @@ func decodeMeasured(decode func([]byte) ([]*Report, error), data []byte) ([]*Rep
 }
 
 // TestDecodersRejectInflatedCounts feeds both inflated envelopes, raw
-// and gzip-framed, to both decoders: each must return an error without
+// and gzip-framed, to both entry points: each must return an error without
 // allocating ahead of the input.
 func TestDecodersRejectInflatedCounts(t *testing.T) {
 	for name, raw := range inflatedEnvelopes() {
@@ -220,12 +219,51 @@ func TestDecodersRejectInflatedCounts(t *testing.T) {
 	}
 }
 
-// FuzzDecodeReports is the decoder differential over arbitrary bytes:
-// neither decoder panics, neither allocates more than a fixed multiple
-// of the input (of the inflated input, for a gzip frame) plus a constant
-// for reader buffers and capped preallocations, and whenever both accept
-// an input they agree on its JSON wire. The seeds are the codec corpus
-// in every encoding plus the inflated envelopes.
+// TestDecodeRefusesOversizedFrame: a gzip frame inflating past
+// maxDecodeLen is refused through both entry points, even when a valid
+// envelope precedes the excess — a small frame of trailing zeros must
+// not make a reader buffer gigabytes.
+func TestDecodeRefusesOversizedFrame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inflates a frame past the 256 MiB decode limit")
+	}
+	var env bytes.Buffer
+	if err := WriteReportsBinary(&env, []*Report{buildPart(t, 0, 5, 5)}, false); err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	w, err := gzip.NewWriterLevel(&frame, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(env.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for n := env.Len(); n <= maxDecodeLen; n += len(zeros) {
+		if _, err := w.Write(zeros); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for dec, decode := range decoders {
+		if _, err := decode(frame.Bytes()); err == nil {
+			t.Fatalf("%s accepted a %d-byte frame inflating past %d bytes", dec, frame.Len(), maxDecodeLen)
+		}
+	}
+}
+
+// FuzzDecodeReports feeds arbitrary bytes to both entry points: neither
+// panics, and neither allocates more than a fixed multiple of the input
+// (of the inflated input, for a gzip frame) plus a constant for reader
+// buffers. A binary envelope DecodeReports accepts must survive a
+// round trip: re-encoded with WriteReportsBinary, it decodes to the
+// same JSON wire. (A JSON envelope may spell a zero-length float block
+// as null, which the binary codec writes back as [], so JSON inputs are
+// held to the first two properties only.) The seeds are the codec
+// corpus in every encoding plus the inflated envelopes.
 func FuzzDecodeReports(f *testing.F) {
 	for _, reps := range decodeCorpus(f) {
 		for _, enc := range []Encoding{EncodingJSON, EncodingBinary, EncodingBinaryGzip} {
@@ -241,27 +279,48 @@ func FuzzDecodeReports(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := len(data)
+		isBinary := bytes.HasPrefix(data, binaryMagic[:])
 		if gz, err := gzip.NewReader(bytes.NewReader(data)); err == nil {
+			var head [4]byte
+			k, _ := io.ReadFull(gz, head[:])
 			n, _ := io.Copy(io.Discard, gz)
-			size = max(size, int(n))
+			size = max(size, k+int(n))
+			isBinary = head == binaryMagic
 		}
-		wires := make(map[string][]byte, len(decoders))
+		var decoded []*Report
+		accepted := false
 		for dec, decode := range decoders {
 			reps, alloc, err := decodeMeasured(decode, data)
 			if alloc > uint64(4<<20+128*size) {
 				t.Fatalf("%s allocated %d bytes for a %d-byte input", dec, alloc, size)
 			}
-			if err != nil {
-				continue
+			if dec == "DecodeReports" && err == nil {
+				decoded, accepted = reps, true
 			}
-			var wire bytes.Buffer
-			if err := Write(&wire, reps); err != nil {
-				wire.WriteString("unwritable: " + err.Error())
-			}
-			wires[dec] = wire.Bytes()
 		}
-		if len(wires) == len(decoders) && !bytes.Equal(wires["DecodeReports"], wires["ReadReports"]) {
-			t.Fatalf("decoders disagree:\nDecodeReports %s\nReadReports   %s", wires["DecodeReports"], wires["ReadReports"])
+		if !accepted || !isBinary {
+			return
+		}
+		var bin bytes.Buffer
+		if err := WriteReportsBinary(&bin, decoded, false); err != nil {
+			return
+		}
+		back, err := DecodeReports(bin.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded envelope rejected: %v", err)
+		}
+		if a, b := wireOrErr(decoded), wireOrErr(back); !bytes.Equal(a, b) {
+			t.Fatalf("binary round trip changed the JSON wire:\n got %s\nwant %s", b, a)
 		}
 	})
+}
+
+// wireOrErr renders reports as Write does, or names why it cannot (a
+// decoded float may be NaN, a decoded spec may not be JSON).
+func wireOrErr(reps []*Report) []byte {
+	var wire bytes.Buffer
+	if err := Write(&wire, reps); err != nil {
+		return []byte("unwritable: " + err.Error())
+	}
+	return wire.Bytes()
 }
