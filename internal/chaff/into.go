@@ -46,22 +46,22 @@ func GenerateInto(s Strategy, rng *rand.Rand, user markov.Trajectory, dst []mark
 	return nil
 }
 
-// growTraj resizes dst to n entries, reusing its backing array when
-// large enough.
+// grow resizes s to n entries, reusing its backing array when large
+// enough.
 //
 //chaffmec:hotpath
-func growTraj(dst markov.Trajectory, n int) markov.Trajectory {
-	if cap(dst) < n {
-		return make(markov.Trajectory, n)
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
 	}
-	return dst[:n]
+	return s[:n]
 }
 
 // copyInto copies src into dst, growing dst as needed.
 //
 //chaffmec:hotpath
 func copyInto(dst, src markov.Trajectory) markov.Trajectory {
-	dst = growTraj(dst, len(src))
+	dst = grow(dst, len(src))
 	copy(dst, src)
 	return dst
 }
@@ -71,6 +71,7 @@ var (
 	_ BlockGenerator = (*ML)(nil)
 	_ BlockGenerator = (*CML)(nil)
 	_ BlockGenerator = (*MO)(nil)
+	_ BlockGenerator = (*OO)(nil)
 )
 
 // GenerateChaffsInto implements BlockGenerator: each chaff is sampled
@@ -82,7 +83,7 @@ func (s *IM) GenerateChaffsInto(rng *rand.Rand, user markov.Trajectory, dst []ma
 		return err
 	}
 	for i := range dst {
-		dst[i] = growTraj(dst[i], len(user))
+		dst[i] = grow(dst[i], len(user))
 		if err := s.chain.SampleInto(rng, dst[i]); err != nil {
 			return fmt.Errorf("chaff: IM sampling: %w", err)
 		}
@@ -122,7 +123,7 @@ func (s *CML) GenerateChaffsInto(_ *rand.Rand, user markov.Trajectory, dst []mar
 	if err := validateGenerate(user, len(dst), s.chain.NumStates()); err != nil {
 		return err
 	}
-	dst[0] = growTraj(dst[0], len(user))
+	dst[0] = grow(dst[0], len(user))
 	if err := s.gammaInto(user, dst[0]); err != nil {
 		return err
 	}
@@ -140,8 +141,26 @@ func (s *MO) GenerateChaffsInto(_ *rand.Rand, user markov.Trajectory, dst []mark
 	if err := validateGenerate(user, len(dst), s.chain.NumStates()); err != nil {
 		return err
 	}
-	dst[0] = growTraj(dst[0], len(user))
+	dst[0] = grow(dst[0], len(user))
 	if err := s.gammaInto(user, dst[0]); err != nil {
+		return err
+	}
+	for i := 1; i < len(dst); i++ {
+		dst[i] = copyInto(dst[i], dst[0])
+	}
+	return nil
+}
+
+// GenerateChaffsInto implements BlockGenerator: the optimal trajectory
+// is planned into dst[0] and replicated. It draws no randomness.
+//
+//chaffmec:hotpath
+func (s *OO) GenerateChaffsInto(_ *rand.Rand, user markov.Trajectory, dst []markov.Trajectory) error {
+	if err := validateGenerate(user, len(dst), s.chain.NumStates()); err != nil {
+		return err
+	}
+	dst[0] = grow(dst[0], len(user))
+	if _, err := s.plan(user, dst[0]); err != nil {
 		return err
 	}
 	for i := 1; i < len(dst); i++ {

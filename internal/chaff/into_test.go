@@ -60,7 +60,7 @@ func TestGenerateIntoMatchesGenerateChaffs(t *testing.T) {
 func TestGenerateIntoReuse(t *testing.T) {
 	c := modelChain(t, mobility.ModelNonSkewed)
 	const T, numChaffs = 30, 2
-	for _, name := range []string{"IM", "ML", "CML", "MO"} {
+	for _, name := range []string{"IM", "ML", "CML", "MO", "OO"} {
 		t.Run(name, func(t *testing.T) {
 			s, err := NewByName(name, c)
 			if err != nil {

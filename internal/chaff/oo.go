@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"chaffmec/internal/markov"
 	"chaffmec/internal/trellis"
@@ -19,10 +21,12 @@ import (
 // into a coin flip, exactly as the paper prescribes.
 //
 // The implementation is the paper's dynamic program over the Fig. 2
-// trellis with state (slot, cell, remaining co-location budget). The
-// budget axis is grown adaptively (the optimum i* is almost always tiny),
-// so the common-case complexity is O(T·E·i*) instead of the paper's
-// worst-case O(T²L²).
+// trellis with state (slot, cell, remaining co-location budget), filled
+// budget-major: one unconstrained Viterbi pass, then budget columns
+// 0..i*, one at a time and stopping at the optimum i*, with the slots a
+// column's budget cannot bind copied from the Viterbi pass. That costs
+// O(T·E·(i*+1)) instead of the paper's worst-case O(T²L²). Plan is safe
+// for concurrent use; its scratch comes from a shared pool.
 type OO struct {
 	chain *markov.Chain
 	// excl restricts the chaff's trellis (used by the robust ROO variant);
@@ -55,199 +59,241 @@ type OOResult struct {
 	ChaffCost, UserCost float64
 }
 
-// initialBudgetCap is the starting size of the adaptive co-location budget
-// axis; it doubles until i* fits (bounded by T).
-const initialBudgetCap = 8
+// ooWork is Plan's scratch, pooled so a warm Plan allocates only its
+// result. Every column is flat, indexed [t*L+x].
+type ooWork struct {
+	v     []float64 // V_t(x): unconstrained cost-to-go
+	vBack []int32   // V's successor backpointers
+	prev  []float64 // K_t(x,i−1)
+	cur   []float64 // K_t(x,i)
+	// back holds the backpointers of columns 0..i, column after column:
+	// back[i*T*L + t*L + x] is the successor of (t,x) under budget i.
+	back []int32
+}
+
+// ooPool shares workspaces across goroutines: one OO is used at once by
+// every engine worker and by the advanced detector's Γ.
+var ooPool = sync.Pool{New: func() any { return new(ooWork) }}
 
 // Plan computes the optimal chaff trajectory for the given user trajectory.
 func (s *OO) Plan(user markov.Trajectory) (*OOResult, error) {
-	T := len(user)
-	if T == 0 {
-		return nil, fmt.Errorf("chaff: empty user trajectory")
-	}
-	if err := user.Validate(s.chain.NumStates()); err != nil {
-		return nil, err
-	}
-	userLL, err := s.chain.LogLikelihood(user)
+	res, err := s.plan(user, make(markov.Trajectory, len(user)))
 	if err != nil {
 		return nil, err
 	}
-	userCost := -userLL
-	cap0 := initialBudgetCap
-	if cap0 > T {
-		cap0 = T
+	return &res, nil
+}
+
+// plan is Plan writing the chaff into tr (len(tr) = len(user)).
+//
+// K_t(x,i) is the min cost from (slot t, cell x) to the sink visiting
+// the user's path at most i times, counting slot t itself. Column i of K
+// reads only column i (off the user's cell) and column i−1 (on it), so
+// the DP fills one budget column over all slots at a time and stops at
+// the first column that meets the stop test. The unconstrained Viterbi
+// column V gives the stop test's target up front: budget T never binds,
+// so k0[T] = min_x −log π(x) + V_0(x). Budget i cannot bind at slots
+// t ≥ T−i either, so there K_t(·,i) and its backpointers are V's,
+// copied rather than recomputed.
+func (s *OO) plan(user, tr markov.Trajectory) (OOResult, error) {
+	c := s.chain
+	T := len(user)
+	if T == 0 {
+		return OOResult{}, fmt.Errorf("chaff: empty user trajectory")
 	}
-	for budgetCap := cap0; ; budgetCap *= 2 {
-		if budgetCap > T {
-			budgetCap = T
+	if err := user.Validate(c.NumStates()); err != nil {
+		return OOResult{}, err
+	}
+	userLL, err := c.LogLikelihood(user)
+	if err != nil {
+		return OOResult{}, err
+	}
+	logPi, err := c.LogSteadyState()
+	if err != nil {
+		return OOResult{}, err
+	}
+	userCost := -userLL
+	L := c.NumStates()
+	TL := T * L
+
+	w := ooPool.Get().(*ooWork)
+	defer ooPool.Put(w)
+	w.v, w.prev, w.cur = grow(w.v, TL), grow(w.prev, TL), grow(w.cur, TL)
+	w.vBack = grow(w.vBack, TL)
+	w.back = w.back[:0]
+
+	s.viterbi(w.v, w.vBack, T)
+	minCost, _ := sourceFold(logPi, w.v[:L])
+	tol := 1e-9 * (1 + math.Abs(userCost))
+	strict := minCost < userCost-tol
+
+	// Column T equals V, so the stop test passes by i = T at the latest.
+	for i := 0; i <= T; i++ {
+		w.prev, w.cur = w.cur, w.prev
+		w.back = slices.Grow(w.back, TL)[:(i+1)*TL]
+		s.column(w, user, i)
+		k, x0 := sourceFold(logPi, w.cur[:L])
+		// The strict test (5), or else the equality fallback (detector
+		// coin flip) — or, under exclusions that sever every path at
+		// least as likely as the user's, the best-achievable-likelihood
+		// fallback.
+		stop := k <= minCost+tol
+		if strict {
+			stop = k < userCost-tol
 		}
-		res, ok, err := s.planWithCap(user, userCost, budgetCap)
-		if err != nil {
-			return nil, err
+		if !stop {
+			continue
 		}
-		if ok {
-			return res, nil
+		if x0 < 0 {
+			// The stopping column has no path: exclusions sever the
+			// whole trellis.
+			return OOResult{}, fmt.Errorf("chaff: OO on a length-%d trajectory: %w", T, trellis.ErrInfeasible)
 		}
-		if budgetCap == T {
-			return nil, fmt.Errorf("chaff: OO found no feasible chaff trajectory (horizon %d)", T)
+		if err := w.reconstruct(user, tr, i, x0, L); err != nil {
+			return OOResult{}, err
+		}
+		return OOResult{Chaff: tr, Intersections: i, Strict: strict, ChaffCost: k, UserCost: userCost}, nil
+	}
+	return OOResult{}, fmt.Errorf("chaff: OO found no feasible chaff trajectory (horizon %d)", T)
+}
+
+// viterbi fills the unconstrained column V_t(x) and its backpointers:
+// the min cost from (t,x) to the sink on the chaff's trellis.
+//
+//chaffmec:hotpath
+func (s *OO) viterbi(v []float64, back []int32, T int) {
+	c := s.chain
+	L := c.NumStates()
+	inf := math.Inf(1)
+	base := (T - 1) * L
+	for x := 0; x < L; x++ {
+		v[base+x] = 0
+		if s.excl.Excluded(x, T-1) {
+			v[base+x] = inf
+		}
+		back[base+x] = -1
+	}
+	for t := T - 2; t >= 0; t-- {
+		row, next := v[t*L:(t+1)*L], v[(t+1)*L:(t+2)*L]
+		brow := back[t*L : (t+1)*L]
+		for x := 0; x < L; x++ {
+			row[x], brow[x] = inf, -1
+			if s.excl.Excluded(x, t) {
+				continue
+			}
+			row[x], brow[x] = bestSuccessor(c, x, next)
 		}
 	}
 }
 
-// planWithCap runs the DP with co-location budgets 0..budgetCap. It
-// reports ok=false when a larger budget axis is needed.
-func (s *OO) planWithCap(user markov.Trajectory, userCost float64, budgetCap int) (*OOResult, bool, error) {
+// column fills K_t(·,i) into w.cur and its backpointers into the last
+// column of w.back, reading column i−1 from w.prev.
+//
+//chaffmec:hotpath
+func (s *OO) column(w *ooWork, user markov.Trajectory, i int) {
 	c := s.chain
-	T := len(user)
 	L := c.NumStates()
-	nb := budgetCap + 1
+	T := len(user)
 	inf := math.Inf(1)
-	pi, err := c.SteadyState()
-	if err != nil {
-		return nil, false, err
-	}
-
-	// K_t(x,i): min cost from (slot t, cell x) to the sink visiting the
-	// user's path at most i times, counting slot t itself. Two rolling
-	// value layers; backpointers kept for every slot.
-	cur := make([]float64, L*nb)  // layer t
-	next := make([]float64, L*nb) // layer t+1
-	back := make([][]int32, T)    // back[t][x*nb+i] = successor cell at t+1
-	for t := range back {
-		back[t] = make([]int32, L*nb)
-	}
-	at := func(x, i int) int { return x*nb + i }
-
-	// Base layer t = T-1.
-	for x := 0; x < L; x++ {
-		for i := 0; i < nb; i++ {
-			v := 0.0
-			if s.excl.Excluded(x, T-1) || (x == user[T-1] && i == 0) {
-				v = inf
-			}
-			cur[at(x, i)] = v
-			back[T-1][at(x, i)] = -1
-		}
-	}
-
-	// Backward induction t = T-2 .. 0.
-	for t := T - 2; t >= 0; t-- {
-		cur, next = next, cur // cur becomes the layer being filled
+	cur, prev := w.cur, w.prev
+	back := w.back[i*T*L:]
+	// Slots t ≥ T−i: the budget cannot bind.
+	free := max(T-i, 0)
+	copy(cur[free*L:], w.v[free*L:])
+	copy(back[free*L:], w.vBack[free*L:])
+	top := free - 1
+	if i == 0 {
+		// Base slot T−1: the user's cell needs budget 1.
+		base := (T - 1) * L
 		for x := 0; x < L; x++ {
-			excluded := s.excl.Excluded(x, t)
-			hit := x == user[t]
-			for i := 0; i < nb; i++ {
-				idx := at(x, i)
-				back[t][idx] = -1
-				if excluded {
-					cur[idx] = inf
-					continue
-				}
-				j := i
-				if hit {
-					j = i - 1
-				}
-				if j < 0 {
-					cur[idx] = inf
-					continue
-				}
-				best, bestX := inf, int32(-1)
-				for _, xn := range c.Successors(x) {
-					nv := next[at(xn, j)]
-					if math.IsInf(nv, 1) {
-						continue
-					}
-					// Successors ascend, strict < keeps lowest index on tie.
-					if v := -c.LogProb(x, xn) + nv; v < best {
-						best, bestX = v, int32(xn)
-					}
-				}
-				cur[idx] = best
-				back[t][idx] = bestX
+			cur[base+x] = w.v[base+x]
+			if x == user[T-1] {
+				cur[base+x] = inf
 			}
+			back[base+x] = -1
 		}
+		top = T - 2
 	}
-
-	// Virtual source: K0[i] = min_x −log π(x) + K_0layer(x,i).
-	k0 := make([]float64, nb)
-	n0 := make([]int32, nb)
-	for i := 0; i < nb; i++ {
-		best, bestX := inf, int32(-1)
+	for t := top; t >= 0; t-- {
+		row, brow := cur[t*L:(t+1)*L], back[t*L:(t+1)*L]
+		vrow := w.v[t*L : (t+1)*L]
+		curNext, prevNext := cur[(t+1)*L:(t+2)*L], prev[(t+1)*L:(t+2)*L]
 		for x := 0; x < L; x++ {
-			if pi[x] <= 0 || math.IsInf(cur[at(x, i)], 1) {
-				continue
-			}
-			if v := -math.Log(pi[x]) + cur[at(x, i)]; v < best {
-				best, bestX = v, int32(x)
-			}
-		}
-		k0[i] = best
-		n0[i] = bestX
-	}
-
-	tol := 1e-9 * (1 + math.Abs(userCost))
-	minCost := k0[budgetCap] // k0 is non-increasing in i
-	strict := minCost < userCost-tol
-
-	iStar := -1
-	if strict {
-		for i := 0; i < nb; i++ {
-			if k0[i] < userCost-tol {
-				iStar = i
-				break
-			}
-		}
-	} else {
-		if budgetCap < T {
-			// A larger budget might still unlock a strictly better path.
-			return nil, false, nil
-		}
-		// Equality fallback (detector coin flip), or — under exclusions
-		// that sever every path at least as likely as the user's — the
-		// best-achievable-likelihood fallback.
-		for i := 0; i < nb; i++ {
-			if k0[i] <= minCost+tol {
-				iStar = i
-				break
+			row[x], brow[x] = inf, -1
+			switch {
+			case math.IsInf(vrow[x], 1):
+				// Excluded, or no path to the sink under any budget.
+			case x != user[t]:
+				row[x], brow[x] = bestSuccessor(c, x, curNext)
+			case i > 0:
+				row[x], brow[x] = bestSuccessor(c, x, prevNext)
 			}
 		}
 	}
-	if iStar < 0 {
-		return nil, false, nil
-	}
+}
 
-	// Reconstruction (paper steps 1–2 after Algorithm 1, 0-indexed).
-	tr := make(markov.Trajectory, T)
-	tr[0] = int(n0[iStar])
+// bestSuccessor returns min over successors x′ of −log P(x′|x) + next[x′]
+// and its argmin, or (+Inf, −1) when every successor is +Inf: a
+// successor's −log P is finite, so an infinite next[x′] never wins the
+// strict <. Successors ascend, so a tie keeps the lowest index.
+//
+//chaffmec:hotpath
+func bestSuccessor(c *markov.Chain, x int, next []float64) (float64, int32) {
+	L := len(next)
+	lp := c.LogProbs()[x*L : (x+1)*L]
+	best, bestX := math.Inf(1), int32(-1)
+	for _, xn := range c.Successors(x) {
+		if v := -lp[xn] + next[xn]; v < best {
+			best, bestX = v, int32(xn)
+		}
+	}
+	return best, bestX
+}
+
+// sourceFold is the virtual source: min_x −log π(x) + k[x] over cells
+// with π(x) > 0 and a finite k[x], and its argmin (−1 if none).
+//
+//chaffmec:hotpath
+func sourceFold(logPi, k []float64) (float64, int) {
+	best, bestX := math.Inf(1), -1
+	for x, kx := range k {
+		if math.IsInf(logPi[x], -1) || math.IsInf(kx, 1) {
+			continue
+		}
+		if v := -logPi[x] + kx; v < best {
+			best, bestX = v, x
+		}
+	}
+	return best, bestX
+}
+
+// reconstruct walks budget column iStar's backpointers from the source
+// cell x0 into tr (paper steps 1–2 after Algorithm 1, 0-indexed): each
+// slot on the user's cell spends one unit of budget.
+func (w *ooWork) reconstruct(user, tr markov.Trajectory, iStar, x0, L int) error {
+	T := len(user)
+	tr[0] = x0
 	budget := iStar
-	// Replay the DP's layer values are gone, but backpointers suffice:
-	// back[t] was filled for layer t with the budget held at slot t.
 	for t := 1; t < T; t++ {
-		nh := back[t-1][at(tr[t-1], budget)]
+		nh := w.back[budget*T*L+(t-1)*L+tr[t-1]]
 		if nh < 0 {
-			return nil, false, fmt.Errorf("chaff: OO reconstruction hit a dead end at slot %d", t)
+			return fmt.Errorf("chaff: OO reconstruction hit a dead end at slot %d", t)
 		}
 		if tr[t-1] == user[t-1] {
 			budget--
 		}
 		tr[t] = int(nh)
 	}
-	return &OOResult{
-		Chaff:         tr,
-		Intersections: iStar,
-		Strict:        strict,
-		ChaffCost:     k0[iStar],
-		UserCost:      userCost,
-	}, true, nil
+	return nil
 }
 
 // Gamma implements TrajectoryMapper.
 func (s *OO) Gamma(user markov.Trajectory) (markov.Trajectory, error) {
-	res, err := s.Plan(user)
-	if err != nil {
+	tr := make(markov.Trajectory, len(user))
+	if _, err := s.plan(user, tr); err != nil {
 		return nil, err
 	}
-	return res.Chaff, nil
+	return tr, nil
 }
 
 // GenerateChaffs implements Strategy; extra chaffs duplicate the optimal

@@ -3,9 +3,11 @@ package chaff
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"chaffmec/internal/markov"
+	"chaffmec/internal/mobility"
 	"chaffmec/internal/rng"
 	"chaffmec/internal/trellis"
 )
@@ -137,16 +139,16 @@ func TestOOEqualityFallbackOnMLUser(t *testing.T) {
 }
 
 func TestOOBudgetGrowth(t *testing.T) {
-	// Force the adaptive budget axis to grow: a near-deterministic chain
-	// where the user sits on the dominant cycle, so any competitive chaff
-	// must intersect many times (> initialBudgetCap).
+	// Force a deep budget axis: a near-deterministic chain where the user
+	// sits on the dominant cycle, so any competitive chaff must intersect
+	// at every slot and the planner fills all T+1 budget columns.
 	p := [][]float64{
 		{0.998, 0.001, 0.001},
 		{0.998, 0.001, 0.001},
 		{0.998, 0.001, 0.001},
 	}
 	c := markov.MustNew(p)
-	T := initialBudgetCap + 6
+	T := 14
 	user := make(markov.Trajectory, T)
 	for i := range user {
 		user[i] = 0 // the user parks on the dominant state
@@ -208,4 +210,98 @@ func TestOOGenerateChaffsReplicates(t *testing.T) {
 	if !chaffs[0].Equal(chaffs[1]) || !chaffs[1].Equal(chaffs[2]) {
 		t.Fatal("deterministic strategy chaffs differ")
 	}
+}
+
+// ooWorkloadPair returns OO on the advanced eavesdropper workload's chain
+// (spatially skewed, L=10, model seed 2017) with a sampled T=100 user and
+// its chaff: the two trajectories that workload's Γ filter plans against
+// on every run.
+func ooWorkloadPair(tb testing.TB) (*OO, markov.Trajectory, markov.Trajectory) {
+	tb.Helper()
+	c, err := mobility.Build(mobility.ModelSpatiallySkewed, rng.New(2017), 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	user, err := c.Sample(rng.New(1), 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := NewOO(c)
+	chaff, err := s.Gamma(user)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s, user, chaff
+}
+
+// TestOOPlanAllocs pins a warm Plan to its result: the OOResult and its
+// trajectory. The DP's columns and backpointers come from the pooled
+// workspace.
+func TestOOPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	s, user, chaff := ooWorkloadPair(t)
+	plan := func() {
+		for _, u := range []markov.Trajectory{user, chaff} {
+			if _, err := s.Plan(u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plan() // grow the workspace
+	if allocs := testing.AllocsPerRun(20, plan); allocs > 4 {
+		t.Fatalf("warm Γ(user)+Γ(chaff) allocates %v times, want at most 4", allocs)
+	}
+}
+
+// BenchmarkOOPlan times Γ(user)+Γ(chaff) at the advanced eavesdropper
+// workload's shape (L=10, T=100).
+func BenchmarkOOPlan(b *testing.B) {
+	s, user, chaff := ooWorkloadPair(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, u := range []markov.Trajectory{user, chaff} {
+			if _, err := s.Plan(u); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestOOPlanConcurrent shares one OO between goroutines, as the engine
+// workers and the advanced detector's Γ do: every plan must equal the
+// sequential one while the pooled workspaces change hands.
+func TestOOPlanConcurrent(t *testing.T) {
+	s, user, chaff := ooWorkloadPair(t)
+	short := user[:37]
+	inputs := []markov.Trajectory{user, chaff, short}
+	want := make([]markov.Trajectory, len(inputs))
+	for i, u := range inputs {
+		res, err := s.Plan(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res.Chaff
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := (g + k) % len(inputs)
+				got, err := s.Gamma(inputs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !got.Equal(want[i]) {
+					t.Errorf("goroutine %d: plan %d differs from the sequential one", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
