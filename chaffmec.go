@@ -141,6 +141,9 @@ type (
 	// GammaFunc is the deterministic strategy map used by the advanced
 	// eavesdropper.
 	GammaFunc = detect.GammaFunc
+	// CappedGammaFunc is GammaFunc with a co-location cap, the form the
+	// advanced eavesdropper calls and ScenarioSpec.Gamma takes.
+	CappedGammaFunc = detect.CappedGammaFunc
 )
 
 // The paper's four synthetic mobility models (Section VII-A.1).
@@ -251,9 +254,10 @@ func Evaluate(e Evaluation) (*Result, error) {
 		// Only a genuinely missing Γ (IM, Rollout) falls back to the
 		// basic detector; a failing Γ construction (e.g. the ApproxDP
 		// solver rejecting the chain) or an unknown strategy surfaces
-		// instead of being silently swallowed. The probed Γ is injected
-		// into the spec so the runner does not construct it twice.
-		switch gamma, err := Gamma(e.Strategy, e.Chain); {
+		// instead of being silently swallowed. The probed Γ, in its
+		// capped form, is injected into the spec so the runner does not
+		// construct it twice.
+		switch gamma, err := chaff.CappedGammaByName(e.Strategy, e.Chain); {
 		case err == nil:
 			spec.Advanced = true
 			spec.Gamma = gamma

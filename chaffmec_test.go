@@ -208,6 +208,39 @@ func TestEvaluateAdvancedGammaFallback(t *testing.T) {
 	}
 }
 
+// TestEvaluateAdvancedOOCappedGamma: Evaluate injects OO's capped Γ.
+// Its result must equal, bit for bit, a Job with the full Γ injected.
+func TestEvaluateAdvancedOOCappedGamma(t *testing.T) {
+	model, err := BuildModel(ModelSpatiallySkewed, 10, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Evaluate(Evaluation{
+		Chain: model, Strategy: "OO", NumChaffs: 1, Horizon: 60, Runs: 40, Seed: 5, Advanced: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Gamma("OO", model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunJob(context.Background(), Job{Spec: ScenarioSpec{
+		Kind: "single", Chain: model, Strategy: "OO", NumChaffs: 1, Horizon: 60, Runs: 40, Seed: 5,
+		Advanced: true, Gamma: func(u Trajectory, _ int) (Trajectory, error) { return full(u) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rep.Summary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.PerSlot, want.PerSlot) || got.Overall != want.Overall {
+		t.Fatalf("capped Γ Evaluate %v, full Γ job %v", got.PerSlot, want.PerSlot)
+	}
+}
+
 func mustGammaErr(t *testing.T, name string, chain *Chain) error {
 	t.Helper()
 	_, err := Gamma(name, chain)

@@ -160,7 +160,7 @@ func (s *OO) GenerateChaffsInto(_ *rand.Rand, user markov.Trajectory, dst []mark
 		return err
 	}
 	dst[0] = grow(dst[0], len(user))
-	if _, err := s.plan(user, dst[0]); err != nil {
+	if _, err := s.plan(user, dst[0], len(user)); err != nil {
 		return err
 	}
 	for i := 1; i < len(dst); i++ {

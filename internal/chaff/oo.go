@@ -77,14 +77,17 @@ var ooPool = sync.Pool{New: func() any { return new(ooWork) }}
 
 // Plan computes the optimal chaff trajectory for the given user trajectory.
 func (s *OO) Plan(user markov.Trajectory) (*OOResult, error) {
-	res, err := s.plan(user, make(markov.Trajectory, len(user)))
+	res, err := s.plan(user, nil, len(user))
 	if err != nil {
 		return nil, err
 	}
 	return &res, nil
 }
 
-// plan is Plan writing the chaff into tr (len(tr) = len(user)).
+// plan is Plan writing the chaff into tr (len(tr) = len(user)), or into
+// a fresh trajectory when tr is nil. It fills budget columns 0..within
+// at most: when i* > within it returns a zero OOResult (nil Chaff) and
+// allocates nothing (see GammaWithin). A cap of len(user) never binds.
 //
 // K_t(x,i) is the min cost from (slot t, cell x) to the sink visiting
 // the user's path at most i times, counting slot t itself. Column i of K
@@ -95,7 +98,7 @@ func (s *OO) Plan(user markov.Trajectory) (*OOResult, error) {
 // so k0[T] = min_x −log π(x) + V_0(x). Budget i cannot bind at slots
 // t ≥ T−i either, so there K_t(·,i) and its backpointers are V's,
 // copied rather than recomputed.
-func (s *OO) plan(user, tr markov.Trajectory) (OOResult, error) {
+func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 	c := s.chain
 	T := len(user)
 	if T == 0 {
@@ -124,11 +127,22 @@ func (s *OO) plan(user, tr markov.Trajectory) (OOResult, error) {
 
 	s.viterbi(w.v, w.vBack, T)
 	minCost, _ := sourceFold(logPi, w.v[:L])
+	if math.IsInf(minCost, 1) {
+		// No path at all: exclusions sever the whole trellis.
+		return OOResult{}, infeasible(T)
+	}
 	tol := 1e-9 * (1 + math.Abs(userCost))
 	strict := minCost < userCost-tol
 
 	// Column T equals V, so the stop test passes by i = T at the latest.
 	for i := 0; i <= T; i++ {
+		// Past the cap a miss is proved, unless the user trajectory is
+		// impossible: then tol is +Inf, the stop test passes at column 0
+		// whatever k is, and only that column tells a chaff from
+		// ErrInfeasible.
+		if i > within && !math.IsInf(userCost, 1) {
+			return OOResult{}, nil
+		}
 		w.prev, w.cur = w.cur, w.prev
 		w.back = slices.Grow(w.back, TL)[:(i+1)*TL]
 		s.column(w, user, i)
@@ -145,9 +159,11 @@ func (s *OO) plan(user, tr markov.Trajectory) (OOResult, error) {
 			continue
 		}
 		if x0 < 0 {
-			// The stopping column has no path: exclusions sever the
-			// whole trellis.
-			return OOResult{}, fmt.Errorf("chaff: OO on a length-%d trajectory: %w", T, trellis.ErrInfeasible)
+			// An impossible user, and no path that avoids it.
+			return OOResult{}, infeasible(T)
+		}
+		if tr == nil {
+			tr = make(markov.Trajectory, T)
 		}
 		if err := w.reconstruct(user, tr, i, x0, L); err != nil {
 			return OOResult{}, err
@@ -155,6 +171,11 @@ func (s *OO) plan(user, tr markov.Trajectory) (OOResult, error) {
 		return OOResult{Chaff: tr, Intersections: i, Strict: strict, ChaffCost: k, UserCost: userCost}, nil
 	}
 	return OOResult{}, fmt.Errorf("chaff: OO found no feasible chaff trajectory (horizon %d)", T)
+}
+
+// infeasible is plan's error when the chaff has no trajectory at all.
+func infeasible(T int) error {
+	return fmt.Errorf("chaff: OO on a length-%d trajectory: %w", T, trellis.ErrInfeasible)
 }
 
 // viterbi fills the unconstrained column V_t(x) and its backpointers:
@@ -289,11 +310,31 @@ func (w *ooWork) reconstruct(user, tr markov.Trajectory, iStar, x0, L int) error
 
 // Gamma implements TrajectoryMapper.
 func (s *OO) Gamma(user markov.Trajectory) (markov.Trajectory, error) {
-	tr := make(markov.Trajectory, len(user))
-	if _, err := s.plan(user, tr); err != nil {
+	return s.GammaWithin(user, len(user))
+}
+
+// GammaWithin is Γ with a co-location cap, for the advanced eavesdropper
+// (a detect.CappedGammaFunc). It returns Γ(user), or nil once it has
+// proved that Γ(user) co-locates with user more than within times; a
+// miss allocates nothing. The proof is to stop the budget-major DP after
+// column within, and it is exact because Γ(user) shares exactly i* =
+// Intersections slots with user. More is impossible: reconstruction
+// spends one unit of budget per shared slot. Fewer is impossible too: a
+// path sharing j < i* slots is feasible in column j, and floating-point
+// + is monotone, so column j's k would be ≤ k_{i*} and its stop test
+// would already have passed. Hence when i* > within, Γ(user) equals no
+// trajectory that co-locates with user at most within times. Errors
+// (invalid input, trellis.ErrInfeasible) are Gamma's whatever the cap.
+//
+// The cap saves the columns within+1..i*. A chaff co-locating with its
+// planned-for user few times is cut short, but replicated chaffs
+// (overlap T with each other) cap each other at T: no speed-up.
+func (s *OO) GammaWithin(user markov.Trajectory, within int) (markov.Trajectory, error) {
+	res, err := s.plan(user, nil, within)
+	if err != nil {
 		return nil, err
 	}
-	return tr, nil
+	return res.Chaff, nil
 }
 
 // GenerateChaffs implements Strategy; extra chaffs duplicate the optimal

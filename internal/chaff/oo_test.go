@@ -236,7 +236,7 @@ func ooWorkloadPair(tb testing.TB) (*OO, markov.Trajectory, markov.Trajectory) {
 
 // TestOOPlanAllocs pins a warm Plan to its result: the OOResult and its
 // trajectory. The DP's columns and backpointers come from the pooled
-// workspace.
+// workspace, so a capped Γ that proves a miss allocates nothing.
 func TestOOPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -252,6 +252,17 @@ func TestOOPlanAllocs(t *testing.T) {
 	plan() // grow the workspace
 	if allocs := testing.AllocsPerRun(20, plan); allocs > 4 {
 		t.Fatalf("warm Γ(user)+Γ(chaff) allocates %v times, want at most 4", allocs)
+	}
+	// The advanced eavesdropper's Γ(chaff): capped at the chaff's
+	// overlap with the user, far below its i*.
+	within := chaff.Intersections(user)
+	miss := func() {
+		if g, err := s.GammaWithin(chaff, within); err != nil || g != nil {
+			t.Fatalf("GammaWithin(chaff, %d) = (%v, %v), want a miss", within, g, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, miss); allocs != 0 {
+		t.Fatalf("warm capped miss allocates %v times, want 0", allocs)
 	}
 }
 
@@ -271,11 +282,13 @@ func BenchmarkOOPlan(b *testing.B) {
 
 // TestOOPlanConcurrent shares one OO between goroutines, as the engine
 // workers and the advanced detector's Γ do: every plan must equal the
-// sequential one while the pooled workspaces change hands.
+// sequential one, and every capped Γ(chaff) must miss, while the pooled
+// workspaces change hands.
 func TestOOPlanConcurrent(t *testing.T) {
 	s, user, chaff := ooWorkloadPair(t)
 	short := user[:37]
 	inputs := []markov.Trajectory{user, chaff, short}
+	within := chaff.Intersections(user)
 	want := make([]markov.Trajectory, len(inputs))
 	for i, u := range inputs {
 		res, err := s.Plan(u)
@@ -298,6 +311,10 @@ func TestOOPlanConcurrent(t *testing.T) {
 				}
 				if !got.Equal(want[i]) {
 					t.Errorf("goroutine %d: plan %d differs from the sequential one", g, i)
+					return
+				}
+				if miss, err := s.GammaWithin(chaff, within); err != nil || miss != nil {
+					t.Errorf("goroutine %d: capped Γ(chaff) = (%v, %v), want a miss", g, miss, err)
 					return
 				}
 			}

@@ -84,3 +84,19 @@ func GammaByName(name string, chain *markov.Chain) (func(markov.Trajectory) (mar
 		return nil, fmt.Errorf("chaff: strategy %q %w", name, ErrNoGamma)
 	}
 }
+
+// CappedGammaByName is GammaByName with a co-location cap, the form the
+// advanced eavesdropper calls (it satisfies detect.CappedGammaFunc): OO
+// and ROO map to OO.GammaWithin, which stops its DP at the cap; every
+// other Γ has no cheap bound and ignores the cap.
+func CappedGammaByName(name string, chain *markov.Chain) (func(markov.Trajectory, int) (markov.Trajectory, error), error) {
+	switch strings.ToUpper(strings.TrimSpace(name)) {
+	case "OO", "ROO":
+		return NewOO(chain).GammaWithin, nil
+	}
+	gamma, err := GammaByName(name, chain)
+	if err != nil {
+		return nil, err
+	}
+	return func(user markov.Trajectory, _ int) (markov.Trajectory, error) { return gamma(user) }, nil
+}

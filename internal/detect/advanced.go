@@ -11,6 +11,13 @@ import (
 // VI-A.3). For the ML strategy Γ is constant in its argument.
 type GammaFunc func(user markov.Trajectory) (markov.Trajectory, error)
 
+// CappedGammaFunc is Γ with a co-location cap: it returns Γ(user), or
+// nil once it has proved that Γ(user) co-locates with user more than
+// within times, and so equals no trajectory that co-locates with user at
+// most within times. Returning the full Γ(user) is always correct, and a
+// cap ≥ len(user) never binds. Errors are Γ's own, whatever the cap.
+type CappedGammaFunc func(user markov.Trajectory, within int) (markov.Trajectory, error)
+
 // AdvancedDetector is the strategy-aware eavesdropper of Section VI-A: it
 // knows the user's chaff-control strategy (including its deterministic
 // tie-breaking) and first filters out every observed trajectory that the
@@ -18,14 +25,35 @@ type GammaFunc func(user markov.Trajectory) (markov.Trajectory, error)
 // trajectories; it then runs ML detection on the remainder. If every
 // trajectory is filtered out, it falls back to a uniform random guess
 // (expected value reported by the metrics).
+//
+// The filter only asks whether some other x_u equals Γ(x_v), and x_u can
+// equal Γ(x_v) only if it co-locates with x_v as often as Γ(x_v) does.
+// So Γ(x_v) is computed with the cap within = max over u≠v of the slots
+// x_u shares with x_v. OO proves a miss after budget column within of
+// its DP (chaff.OO.GammaWithin), instead of filling columns up to i*.
+// The cap cannot help when two observed trajectories coincide, as the
+// replicated chaffs of N−1 > 1 deterministic chaffs do: their cap is T.
+// Strategies with no cheap bound (ML, CML, MO, ApproxDP) ignore it.
 type AdvancedDetector struct {
 	ml    *MLDetector
-	gamma GammaFunc
+	gamma CappedGammaFunc
 }
 
 // NewAdvancedDetector builds an advanced eavesdropper from the mobility
-// model and the strategy's trajectory map. gamma must never be nil.
+// model and the strategy's trajectory map. gamma must never be nil. The
+// detector computes the full Γ: it drops the co-location cap.
 func NewAdvancedDetector(chain *markov.Chain, gamma GammaFunc) (*AdvancedDetector, error) {
+	if gamma == nil {
+		return nil, fmt.Errorf("detect: advanced detector needs a strategy map Γ")
+	}
+	return NewCappedAdvancedDetector(chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
+		return gamma(user)
+	})
+}
+
+// NewCappedAdvancedDetector is NewAdvancedDetector over a Γ that takes
+// the co-location cap. Its survivors are the same bits.
+func NewCappedAdvancedDetector(chain *markov.Chain, gamma CappedGammaFunc) (*AdvancedDetector, error) {
 	if gamma == nil {
 		return nil, fmt.Errorf("detect: advanced detector needs a strategy map Γ")
 	}
@@ -45,9 +73,12 @@ func (d *AdvancedDetector) survivorsInto(include []bool, trs []markov.Trajectory
 		include[u] = true
 	}
 	for v, tr := range trs {
-		ch, err := d.gamma(tr)
+		ch, err := d.gamma(tr, colocationCap(trs, v))
 		if err != nil {
 			return nil, fmt.Errorf("detect: evaluating Γ on trajectory %d: %w", v, err)
+		}
+		if ch == nil {
+			continue // proved to match no other trajectory
 		}
 		for u, cand := range trs {
 			if u == v {
@@ -59,6 +90,19 @@ func (d *AdvancedDetector) survivorsInto(include []bool, trs []markov.Trajectory
 		}
 	}
 	return include, nil
+}
+
+// colocationCap is the cap for Γ(trs[v]): the most slots any other
+// observed trajectory of the same length shares with trs[v], or −1 when
+// there is none.
+func colocationCap(trs []markov.Trajectory, v int) int {
+	within := -1
+	for u, cand := range trs {
+		if u != v && len(cand) == len(trs[v]) {
+			within = max(within, cand.Intersections(trs[v]))
+		}
+	}
+	return within
 }
 
 // PrefixDetections returns, for every slot, the detector's tie set after

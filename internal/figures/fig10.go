@@ -6,6 +6,7 @@ import (
 
 	"chaffmec/internal/chaff"
 	"chaffmec/internal/detect"
+	"chaffmec/internal/markov"
 )
 
 // Fig10 reproduces Fig. 10: tracking accuracy of the advanced
@@ -18,6 +19,12 @@ import (
 // error bars in StdErr; the output is deterministic for any worker
 // count.
 func Fig10(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResult, error) {
+	return fig10(lab, topK, seed, opts, chaff.CappedGammaByName)
+}
+
+// fig10 is Fig10 with the family → Γ map as a parameter.
+func fig10(lab *TraceLab, topK int, seed int64, opts GridOptions,
+	gammaOf func(string, *markov.Chain) (func(markov.Trajectory, int) (markov.Trajectory, error), error)) (*TraceBarResult, error) {
 	top, _, err := lab.TopUsers(topK)
 	if err != nil {
 		return nil, err
@@ -26,29 +33,32 @@ func Fig10(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResu
 	// deterministic core. IM has no deterministic map (nil ⇒ plain ML
 	// detection, Section VI-A.1); the robust variants are recognized via
 	// their deterministic originals.
-	mlGamma := chaff.NewML(lab.Chain).Gamma
-	ooGamma := chaff.NewOO(lab.Chain).Gamma
-	moGamma := chaff.NewMO(lab.Chain).Gamma
+	gammas := map[string]detect.CappedGammaFunc{}
+	for _, family := range []string{"ML", "OO", "MO"} {
+		if gammas[family], err = gammaOf(family, lab.Chain); err != nil {
+			return nil, err
+		}
+	}
 	strategies := []struct {
 		label string
 		build func() chaff.Strategy
-		gamma detect.GammaFunc
+		gamma detect.CappedGammaFunc
 	}{
 		{"IM", func() chaff.Strategy { return chaff.NewIM(lab.Chain) }, nil},
-		{"ML", func() chaff.Strategy { return chaff.NewML(lab.Chain) }, mlGamma},
-		{"OO", func() chaff.Strategy { return chaff.NewOO(lab.Chain) }, ooGamma},
-		{"MO", func() chaff.Strategy { return chaff.NewMO(lab.Chain) }, moGamma},
-		{"RMO", func() chaff.Strategy { return chaff.NewRMO(lab.Chain) }, moGamma},
-		{"RML", func() chaff.Strategy { return chaff.NewRML(lab.Chain) }, mlGamma},
-		{"ROO", func() chaff.Strategy { return chaff.NewROO(lab.Chain) }, ooGamma},
+		{"ML", func() chaff.Strategy { return chaff.NewML(lab.Chain) }, gammas["ML"]},
+		{"OO", func() chaff.Strategy { return chaff.NewOO(lab.Chain) }, gammas["OO"]},
+		{"MO", func() chaff.Strategy { return chaff.NewMO(lab.Chain) }, gammas["MO"]},
+		{"RMO", func() chaff.Strategy { return chaff.NewRMO(lab.Chain) }, gammas["MO"]},
+		{"RML", func() chaff.Strategy { return chaff.NewRML(lab.Chain) }, gammas["ML"]},
+		{"ROO", func() chaff.Strategy { return chaff.NewROO(lab.Chain) }, gammas["OO"]},
 		// k=4 variants probe whether deeper perturbation escapes the
 		// advanced filter. On low-entropy empirical chains it often does
 		// not: the filter's reference family {Γ(x_v)} over all observed
 		// trajectories enumerates the few high-likelihood corridor paths
 		// that any perturbed variant lands on (see EXPERIMENTS.md for the
 		// analysis; RML is immune because Γ_ML has a one-element image).
-		{"RML4", func() chaff.Strategy { s := chaff.NewRML(lab.Chain); s.Pairs = 4; return s }, mlGamma},
-		{"ROO4", func() chaff.Strategy { s := chaff.NewROO(lab.Chain); s.Pairs = 4; return s }, ooGamma},
+		{"RML4", func() chaff.Strategy { s := chaff.NewRML(lab.Chain); s.Pairs = 4; return s }, gammas["ML"]},
+		{"ROO4", func() chaff.Strategy { s := chaff.NewROO(lab.Chain); s.Pairs = 4; return s }, gammas["OO"]},
 	}
 	const numChaffs = 2
 	labels := make([]string, len(strategies))

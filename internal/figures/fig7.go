@@ -2,12 +2,11 @@ package figures
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"chaffmec/internal/chaff"
-	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
-	"chaffmec/internal/markov"
 	"chaffmec/internal/mobility"
 	"chaffmec/internal/sim"
 )
@@ -20,26 +19,12 @@ type Fig7Panel struct {
 	Curves []Fig5Curve
 }
 
-// fig7Entries pairs each evaluated strategy with the deterministic Γ the
-// advanced eavesdropper uses to recognize chaffs. IM has no deterministic
-// map — the strategy-aware eavesdropper degenerates to the basic ML
-// detector (Section VI-A.1).
-func fig7Entries(chain *markov.Chain) []struct {
-	label    string
-	strategy chaff.Strategy
-	gamma    detect.GammaFunc
-} {
-	return []struct {
-		label    string
-		strategy chaff.Strategy
-		gamma    detect.GammaFunc
-	}{
-		{"IM", chaff.NewIM(chain), nil},
-		{"RML", chaff.NewRML(chain), chaff.NewML(chain).Gamma},
-		{"ROO", chaff.NewROO(chain), chaff.NewOO(chain).Gamma},
-		{"RMO", chaff.NewRMO(chain), chaff.NewMO(chain).Gamma},
-	}
-}
+// fig7Strategies are the strategies Fig. 7 evaluates. The advanced
+// eavesdropper recognizes each through its deterministic original's Γ
+// (chaff.CappedGammaByName). IM has no deterministic map, so there the
+// strategy-aware eavesdropper degenerates to the basic ML detector
+// (Section VI-A.1).
+var fig7Strategies = []string{"IM", "RML", "ROO", "RMO"}
 
 // Fig7 reproduces Fig. 7 with N=10 (nine chaffs).
 func Fig7(cfg Config) ([]Fig7Panel, error) {
@@ -52,23 +37,29 @@ func Fig7(cfg Config) ([]Fig7Panel, error) {
 			return nil, err
 		}
 		panel := Fig7Panel{Model: id}
-		for _, entry := range fig7Entries(chain) {
+		for _, name := range fig7Strategies {
+			strategy, err := chaff.NewByName(name, chain)
+			if err != nil {
+				return nil, err
+			}
 			sc := sim.Scenario{
 				Chain:     chain,
-				Strategy:  entry.strategy,
+				Strategy:  strategy,
 				NumChaffs: numChaffs,
 				Horizon:   cfg.Horizon,
 			}
-			if entry.gamma != nil {
-				sc.Detector = sim.AdvancedDetector
-				sc.Gamma = entry.gamma
+			switch gamma, err := chaff.CappedGammaByName(name, chain); {
+			case err == nil:
+				sc.Detector, sc.CappedGamma = sim.AdvancedDetector, gamma
+			case !errors.Is(err, chaff.ErrNoGamma):
+				return nil, err
 			}
 			res, err := sim.Run(context.Background(), sc, engine.Options{Runs: cfg.Runs, Seed: cfg.Seed, Workers: cfg.Workers})
 			if err != nil {
-				return nil, fmt.Errorf("figures: fig7 %v/%s: %w", id, entry.label, err)
+				return nil, fmt.Errorf("figures: fig7 %v/%s: %w", id, name, err)
 			}
 			panel.Curves = append(panel.Curves, Fig5Curve{
-				Label:   entry.label,
+				Label:   name,
 				PerSlot: res.PerSlot,
 				Overall: res.Overall,
 			})

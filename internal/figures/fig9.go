@@ -252,7 +252,7 @@ func Fig9b(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResu
 // after adding numChaffs chaff trajectories generated for u. A nil gamma
 // uses the basic ML detector; otherwise the advanced strategy-aware
 // detector of Section VI-A filters with Γ before detecting.
-func (lab *TraceLab) userAccuracyWithChaffs(u int, strategy chaff.Strategy, numChaffs int, rng *rand.Rand, gamma detect.GammaFunc) (float64, error) {
+func (lab *TraceLab) userAccuracyWithChaffs(u int, strategy chaff.Strategy, numChaffs int, rng *rand.Rand, gamma detect.CappedGammaFunc) (float64, error) {
 	chaffs, err := strategy.GenerateChaffs(rng, lab.Trajectories[u], numChaffs)
 	if err != nil {
 		return 0, err
@@ -263,7 +263,7 @@ func (lab *TraceLab) userAccuracyWithChaffs(u int, strategy chaff.Strategy, numC
 		dets, err = detect.NewMLDetector(lab.Chain).PrefixDetections(trs)
 	} else {
 		var adv *detect.AdvancedDetector
-		adv, err = detect.NewAdvancedDetector(lab.Chain, gamma)
+		adv, err = detect.NewCappedAdvancedDetector(lab.Chain, gamma)
 		if err == nil {
 			dets, err = adv.PrefixDetections(trs)
 		}

@@ -1,7 +1,11 @@
 package figures
 
 import (
+	"reflect"
 	"testing"
+
+	"chaffmec/internal/chaff"
+	"chaffmec/internal/markov"
 )
 
 // testLab caches one reduced-size trace lab across trace-driven tests
@@ -220,6 +224,32 @@ func TestFig10(t *testing.T) {
 	}
 	if mean(roo4) > mean(roo)+0.02 {
 		t.Fatalf("ROO4 mean %v not better than ROO mean %v", mean(roo4), mean(roo))
+	}
+}
+
+// TestFig10CappedGammaMatchesPlain: Fig. 10's advanced eavesdropper
+// takes the capped Γ, whose cap is a max over every trace trajectory.
+// Every cell, OO and ROO included, must equal the grid computed with the
+// full Γ.
+func TestFig10CappedGammaMatchesPlain(t *testing.T) {
+	lab := getLab(t)
+	got, err := Fig10(lab, 2, 13, GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := func(family string, c *markov.Chain) (func(markov.Trajectory, int) (markov.Trajectory, error), error) {
+		g, err := chaff.GammaByName(family, c)
+		if err != nil {
+			return nil, err
+		}
+		return func(u markov.Trajectory, _ int) (markov.Trajectory, error) { return g(u) }, nil
+	}
+	want, err := fig10(lab, 2, 13, GridOptions{}, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("capped Γ grid %v differs from the full Γ grid %v", got.Acc, want.Acc)
 	}
 }
 

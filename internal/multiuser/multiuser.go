@@ -50,6 +50,10 @@ type Config struct {
 	// Γ-chaffs of another observed trajectory are filtered before ML
 	// detection. Leave nil for the basic Eq. 1 detector.
 	Gamma detect.GammaFunc
+	// CappedGamma, when non-nil, replaces Gamma: the same map taking the
+	// co-location cap, which lets OO's Γ stop early (see
+	// detect.AdvancedDetector). Results are the same bits.
+	CappedGamma detect.CappedGammaFunc
 }
 
 func (c *Config) validate() error {
@@ -164,8 +168,12 @@ func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) 
 }
 
 // newDetector builds the eavesdropper: the strategy-aware advanced
-// detector when Gamma is set, the basic Eq. 1 detector otherwise.
+// detector when CappedGamma or Gamma is set, the basic Eq. 1 detector
+// otherwise.
 func newDetector(cfg *Config) (detect.BlockScorer, error) {
+	if cfg.CappedGamma != nil {
+		return detect.NewCappedAdvancedDetector(cfg.TargetChain, cfg.CappedGamma)
+	}
 	if cfg.Gamma != nil {
 		return detect.NewAdvancedDetector(cfg.TargetChain, cfg.Gamma)
 	}

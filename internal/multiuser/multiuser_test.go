@@ -2,6 +2,7 @@ package multiuser
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"chaffmec/internal/chaff"
@@ -181,5 +182,39 @@ func TestProtectedOtherUsers(t *testing.T) {
 	budget.OtherNumChaffs = []int{0, 0, 0}
 	if _, err := Run(context.Background(), budget, engine.Options{Runs: 1}); err == nil {
 		t.Fatal("zero chaff budget for a protected other user accepted")
+	}
+}
+
+// TestCappedGammaMatchesPlain runs the advanced eavesdropper against OO
+// with coexisting users, so each Γ's co-location cap is a max over many
+// candidates: the capped Γ must give the plain Γ's result bit for bit.
+// The cases cover other users unprotected, protected by OO themselves,
+// and the target's replicated chaffs (which cap each other at T).
+func TestCappedGammaMatchesPlain(t *testing.T) {
+	c := modelChain(t, mobility.ModelSpatiallySkewed, 2017)
+	oo := chaff.NewOO(c)
+	others := []*markov.Chain{c, c, c}
+	cases := map[string]Config{
+		"unprotected others": {TargetChain: c, OtherChains: others, Strategy: oo, NumChaffs: 1, Horizon: 40},
+		"OO-protected others": {TargetChain: c, OtherChains: others, Strategy: oo, NumChaffs: 1, Horizon: 40,
+			OtherStrategies: []chaff.Strategy{oo, oo, oo}, OtherNumChaffs: []int{1, 1, 1}},
+		"replicated chaffs": {TargetChain: c, OtherChains: others, Strategy: oo, NumChaffs: 2, Horizon: 40},
+	}
+	for name, cfg := range cases {
+		plain, capped := cfg, cfg
+		plain.Gamma = oo.Gamma
+		capped.CappedGamma = oo.GammaWithin
+		opts := engine.Options{Runs: 48, Seed: 17, Workers: 2}
+		want, err := Run(context.Background(), plain, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), capped, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: capped Γ result %+v, plain Γ %+v", name, got, want)
+		}
 	}
 }

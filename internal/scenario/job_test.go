@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"chaffmec/internal/chaff"
 	"chaffmec/internal/engine"
+	"chaffmec/internal/markov"
 	"chaffmec/internal/report"
 )
 
@@ -120,6 +122,43 @@ func TestJobMatchesSimPins(t *testing.T) {
 	}
 	if sum.Runs != 32 || rep.TotalRuns != 32 || !rep.Complete() {
 		t.Fatalf("coverage: runs %d, total %d", sum.Runs, rep.TotalRuns)
+	}
+}
+
+// TestJobCappedGammaMatchesPlain: the runner derives OO's capped Γ for
+// the advanced eavesdropper. Its reports must equal, bit for bit, those
+// of the same specs with the full Γ injected through Spec.Gamma: the
+// advanced-oo benchmark shape (single kind), ROO, and the multiuser kind
+// where each cap is a max over several users.
+func TestJobCappedGammaMatchesPlain(t *testing.T) {
+	single := Spec{Kind: "single", Model: "spatially-skewed", Cells: 10, ModelSeed: 2017,
+		Strategy: "OO", NumChaffs: 1, Advanced: true, Horizon: 100, Runs: 64, Seed: 3, Workers: 2}
+	roo := single
+	roo.Strategy, roo.NumChaffs = "ROO", 2
+	multi := single
+	multi.Kind, multi.OtherUsers, multi.Horizon = "multiuser", 3, 40
+	for _, sp := range []Spec{single, roo, multi} {
+		chain, err := buildChain(sp.Model, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := chaff.GammaByName(sp.Strategy, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped, err := RunJob(context.Background(), Job{Spec: sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := sp
+		plain.Gamma = func(u markov.Trajectory, _ int) (markov.Trajectory, error) { return full(u) }
+		want, err := RunJob(context.Background(), Job{Spec: plain})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(marshalStable(t, capped)) != string(marshalStable(t, want)) {
+			t.Fatalf("%s/%s: capped Γ report differs from the full Γ's", sp.Kind, sp.Strategy)
+		}
 	}
 }
 

@@ -40,7 +40,7 @@ func runSingle(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report
 			return nil, err
 		}
 		sc.Detector = sim.AdvancedDetector
-		sc.Gamma = gamma
+		sc.CappedGamma = gamma
 	}
 	res, err := sim.Run(ctx, sc, sp.options(shard))
 	if err != nil {
@@ -87,7 +87,7 @@ func runMultiuser(ctx context.Context, sp Spec, shard engine.Shard) (*report.Rep
 		if sp.Strategy == "" {
 			return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
 		}
-		if cfg.Gamma, err = specGamma(sp, chain); err != nil {
+		if cfg.CappedGamma, err = specGamma(sp, chain); err != nil {
 			return nil, err
 		}
 	}
@@ -103,12 +103,12 @@ func runMultiuser(ctx context.Context, sp Spec, shard engine.Shard) (*report.Rep
 }
 
 // specGamma resolves the advanced eavesdropper's strategy map: the
-// injected Spec.Gamma when present, else the Γ of Spec.Strategy.
-func specGamma(sp Spec, chain *markov.Chain) (detect.GammaFunc, error) {
+// injected Spec.Gamma when present, else the capped Γ of Spec.Strategy.
+func specGamma(sp Spec, chain *markov.Chain) (detect.CappedGammaFunc, error) {
 	if sp.Gamma != nil {
 		return sp.Gamma, nil
 	}
-	return chaff.GammaByName(sp.Strategy, chain)
+	return chaff.CappedGammaByName(sp.Strategy, chain)
 }
 
 // unionStrategy composes several chaff strategies into one population:
@@ -198,7 +198,7 @@ func runHetero(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report
 		if sp.Strategy == "" {
 			return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
 		}
-		if cfg.Gamma, err = specGamma(sp, chain); err != nil {
+		if cfg.CappedGamma, err = specGamma(sp, chain); err != nil {
 			return nil, err
 		}
 	}

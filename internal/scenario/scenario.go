@@ -116,8 +116,9 @@ type Spec struct {
 	// Gamma, when non-nil and Advanced is set, is the strategy map the
 	// advanced eavesdropper assumes, instead of deriving it from
 	// Strategy — the injection hook paired with Chain (the facade's
-	// Evaluate passes the Γ it already probed). Not expressible in JSON.
-	Gamma detect.GammaFunc `json:"-"`
+	// Evaluate passes the Γ it already probed). It takes the
+	// co-location cap (detect.CappedGammaFunc). Not expressible in JSON.
+	Gamma detect.CappedGammaFunc `json:"-"`
 
 	// OtherUsers adds coexisting users ("multiuser" kind), following
 	// OtherModel (default: the target's model).

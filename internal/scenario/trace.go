@@ -260,7 +260,7 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 		if err != nil {
 			return nil, err
 		}
-		if scorer, err = detect.NewAdvancedDetector(lab.Chain, gamma); err != nil {
+		if scorer, err = detect.NewCappedAdvancedDetector(lab.Chain, gamma); err != nil {
 			return nil, err
 		}
 	}

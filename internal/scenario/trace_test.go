@@ -257,7 +257,8 @@ func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
 		}
 	}
 	if sp.Advanced {
-		gamma, err := specGamma(sp, lab.Chain)
+		// The full Γ: the runner's capped one must give the same bits.
+		gamma, err := chaff.GammaByName(sp.Strategy, lab.Chain)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +284,8 @@ func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
 // TestTraceBatchMatchesScalar is the trace kind's differential test:
 // runTrace's block dispatch must reproduce the scalar traceOnce pipeline
 // bit for bit — chaff-free, with MO chaff, against the strategy-aware
-// eavesdropper, and with IM chaff (the case whose chaffs draw from the
+// eavesdropper (MO's Γ, and OO's capped Γ against the oracle's full
+// one), and with IM chaff (the case whose chaffs draw from the
 // run streams; MO's do not) — at any worker count.
 func TestTraceBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
@@ -294,9 +296,12 @@ func TestTraceBatchMatchesScalar(t *testing.T) {
 	mo.Strategy, mo.NumChaffs = "MO", 1
 	adv := mo
 	adv.Advanced = true
+	// OO's capped Γ, with the cap a max over 40 other trajectories.
+	ooAdv := adv
+	ooAdv.Strategy = "OO"
 	im := base
 	im.Strategy, im.NumChaffs = "IM", 2
-	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "IM": im} {
+	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im} {
 		want := traceScalar(t, sp)
 		for _, workers := range []int{1, 4} {
 			sp.Workers = workers

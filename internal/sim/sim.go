@@ -31,7 +31,7 @@ const (
 	// BasicDetector is the ML detector of Section III (Eq. 1).
 	BasicDetector DetectorKind = iota
 	// AdvancedDetector is the strategy-aware eavesdropper of Section VI-A;
-	// Scenario.Gamma must be set.
+	// Scenario.Gamma or Scenario.CappedGamma must be set.
 	AdvancedDetector
 )
 
@@ -45,11 +45,16 @@ type Scenario struct {
 	NumChaffs int
 	// Horizon is the trajectory length T.
 	Horizon int
-	// Detector selects the eavesdropper; AdvancedDetector requires Gamma.
+	// Detector selects the eavesdropper; AdvancedDetector requires Gamma
+	// or CappedGamma.
 	Detector DetectorKind
 	// Gamma is the strategy map the advanced eavesdropper assumes the
 	// user employs (normally the deterministic variant of Strategy).
 	Gamma detect.GammaFunc
+	// CappedGamma, when set, replaces Gamma: the same map taking the
+	// co-location cap, which lets OO's Γ stop early (see
+	// detect.AdvancedDetector). Results are the same bits.
+	CappedGamma detect.CappedGammaFunc
 	// CollectCt additionally gathers the per-slot log-likelihood gaps
 	// c_t (t ≥ 2, Eq. 15) between the user and the first chaff, for the
 	// Fig. 6 distribution plots.
@@ -66,7 +71,7 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("sim: NumChaffs %d must be >= 1", sc.NumChaffs)
 	case sc.Horizon < 1:
 		return fmt.Errorf("sim: Horizon %d must be >= 1", sc.Horizon)
-	case sc.Detector == AdvancedDetector && sc.Gamma == nil:
+	case sc.Detector == AdvancedDetector && sc.Gamma == nil && sc.CappedGamma == nil:
 		return errors.New("sim: advanced detector requires Gamma")
 	}
 	return nil
@@ -104,6 +109,9 @@ func (sc *Scenario) newDetector() (detect.BlockScorer, error) {
 	case BasicDetector:
 		return detect.NewMLDetector(sc.Chain), nil
 	case AdvancedDetector:
+		if sc.CappedGamma != nil {
+			return detect.NewCappedAdvancedDetector(sc.Chain, sc.CappedGamma)
+		}
 		return detect.NewAdvancedDetector(sc.Chain, sc.Gamma)
 	default:
 		return nil, fmt.Errorf("sim: unknown detector kind %d", sc.Detector)

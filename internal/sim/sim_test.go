@@ -172,6 +172,36 @@ func TestRobustStrategiesResistAdvancedDetector(t *testing.T) {
 	}
 }
 
+// TestCappedGammaMatchesPinnedPlain reruns the OO pin scenarios of
+// oo_pin_test.go (and OO with replicated chaffs) with the capped Γ the
+// scenario runner wires in: every bit must match the plain Γ's result.
+func TestCappedGammaMatchesPinnedPlain(t *testing.T) {
+	c := ooPinChain(t)
+	oo := chaff.NewOO(c)
+	for name, sc := range map[string]Scenario{
+		"OO-advanced":           {Chain: c, Strategy: oo, NumChaffs: 1, Horizon: 100},
+		"OO-advanced-2-chaffs":  {Chain: c, Strategy: oo, NumChaffs: 2, Horizon: 100},
+		"ROO-advanced-OO-gamma": {Chain: c, Strategy: chaff.NewROO(c), NumChaffs: 2, Horizon: 100},
+	} {
+		sc.Detector = AdvancedDetector
+		plain, capped := sc, sc
+		plain.Gamma = oo.Gamma
+		capped.CappedGamma = oo.GammaWithin
+		opts := engine.Options{Runs: 32, Seed: 2017, Workers: 2}
+		want, err := Run(context.Background(), plain, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), capped, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: capped Γ result differs from the plain Γ's", name)
+		}
+	}
+}
+
 func TestCollectCt(t *testing.T) {
 	c := modelChain(t, mobility.ModelNonSkewed)
 	sc := Scenario{Chain: c, Strategy: chaff.NewCML(c), NumChaffs: 1, Horizon: 50, CollectCt: true}
