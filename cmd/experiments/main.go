@@ -93,15 +93,10 @@
 // version is refused at registration (its results could not merge).
 // -resume also distributes: the coordinator extends a checkpoint over
 // whichever fleet is up and the finished Report is byte-for-byte the
-// uninterrupted run's. -bench-fleet FILE measures the payoff of the
-// persistent workers (cold vs model-warm trace campaign) and writes
-// the BENCH_fleet.json CI artifact.
+// uninterrupted run's.
 //
-// -bench-adaptive FILE runs the paper-protocol benchmark (fixed vs
-// adaptive run counts, wall time, allocations) and writes it as JSON —
-// the CI perf artifact. -bench-distributed FILE measures the same
-// protocol's wall time under 1/2/4 subprocess workers (the scaling
-// artifact).
+// Performance is measured by the separate perfbench module
+// (`bash perfbench/run.sh`), not by this command.
 package main
 
 import (
@@ -151,25 +146,19 @@ func realMain() int {
 		minRuns  = flag.Int("min-runs", 0, "adaptive stopping: run floor before -target-se may stop an experiment")
 		maxRuns  = flag.Int("max-runs", 0, "adaptive stopping: run cap when -target-se is unattainable (default: the scenario's runs)")
 		resume   = flag.String("resume", "", "resume the checkpointed Report envelopes in this file (with -scenario to validate against the config, else from the spec echoes)")
-		benchOut = flag.String("bench-adaptive", "", "run the adaptive-vs-fixed paper-protocol benchmark and write it as JSON to this file")
 
 		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (the coordinator execs this binary with -worker)")
 		connect   = flag.String("connect", "", "comma-separated base URLs of -serve workers to distribute -scenario jobs to instead of local subprocesses")
 		workerFlg = flag.Bool("worker", false, "worker mode: read one Job JSON from stdin, write its one-report envelope to stdout as binary+gzip")
 		serveAddr = flag.String("serve", "", "serve the worker HTTP API (POST /v1/run, GET /v1/healthz) on this address; with -worker-daemon, the daemon's listen address")
 		crashWkr  = flag.Int("crash-worker", -1, "fault injection: subprocess worker i crashes mid-shard on every dispatch (CI retry proof)")
-		benchDist = flag.String("bench-distributed", "", "run the 1/2/4-worker paper-protocol scaling benchmark and write it as JSON to this file")
 
-		workerDmn  = flag.String("worker-daemon", "", "persistent worker mode: listen for dispatches, register with the coordinator registry at this base URL, heartbeat until SIGTERM")
-		advertise  = flag.String("advertise", "", "with -worker-daemon: the base URL the coordinator should dispatch to (default: the actual listen address)")
-		weight     = flag.Float64("weight", 1, "with -worker-daemon: announced capacity weight; the coordinator sizes this worker's shard share by it")
-		registry   = flag.String("registry", "", "serve the worker registry on this address and distribute -scenario jobs over the registered (elastic) fleet")
-		fleetMin   = flag.Int("fleet-min", 1, "with -registry: wait for this many registered workers before dispatching")
-		benchFleet = flag.String("bench-fleet", "", "run the registered-fleet benchmark (cold vs store-warm campaign over daemon workers) and write it as JSON to this file")
+		workerDmn = flag.String("worker-daemon", "", "persistent worker mode: listen for dispatches, register with the coordinator registry at this base URL, heartbeat until SIGTERM")
+		advertise = flag.String("advertise", "", "with -worker-daemon: the base URL the coordinator should dispatch to (default: the actual listen address)")
+		weight    = flag.Float64("weight", 1, "with -worker-daemon: announced capacity weight; the coordinator sizes this worker's shard share by it")
+		registry  = flag.String("registry", "", "serve the worker registry on this address and distribute -scenario jobs over the registered (elastic) fleet")
+		fleetMin  = flag.Int("fleet-min", 1, "with -registry: wait for this many registered workers before dispatching")
 
-		benchKern  = flag.String("bench-kernels", "", "run the hot-kernel benchmark suite (scalar vs batch sampling/scoring, paper protocol) and write it as JSON to this file")
-		benchWireF = flag.String("bench-wire", "", "run the wire-format benchmark suite (Report codecs, TraceLab store warm-start) and write it as JSON to this file")
-		benchBase  = flag.String("bench-baseline", "", "with -bench-kernels/-bench-wire: compare against this committed baseline JSON and fail on regression")
 		storeDir   = flag.String("store", "", "bank artifacts (fitted TraceLabs, full shard Reports) in a content-addressed store rooted at this directory; $"+store.EnvStore+" sets the same default")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this invocation to the given file (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to the given file on exit (pprof format)")
@@ -252,41 +241,6 @@ func realMain() int {
 		flagPrec = &scenario.Precision{TargetSE: *targetSE, MinRuns: *minRuns, MaxRuns: *maxRuns}
 	}
 
-	if *benchKern != "" {
-		if err := benchKernels(*benchKern, *benchBase, *runs, *horizon, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
-	if *benchWireF != "" {
-		if err := benchWire(ctx, *benchWireF, *benchBase, *runs, *horizon, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
-	if *benchOut != "" {
-		if err := benchAdaptive(ctx, *benchOut, *runs, *horizon, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
-	if *benchDist != "" {
-		if err := benchDistributed(ctx, *benchDist, *runs, *horizon, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
-	if *benchFleet != "" {
-		if err := benchFleetRun(ctx, *benchFleet, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
 	if *workers > 0 || *connect != "" || *registry != "" {
 		err := distributedFlagErr(*workers, *connect, *registry, *shardArg, *resume, *merge, *scenFile)
 		var fleet coordinator.Fleet

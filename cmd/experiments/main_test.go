@@ -428,37 +428,6 @@ func TestResumeWorkflowCLI(t *testing.T) {
 	}
 }
 
-// TestBenchAdaptiveArtifact: the perf artifact runs both legs and
-// reports an adaptive run count no larger than the fixed protocol's.
-func TestBenchAdaptiveArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_adaptive.json")
-	if err := benchAdaptive(context.Background(), path, 200, 20, 1); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		Fixed    struct{ Runs int } `json:"fixed"`
-		Adaptive struct{ Runs int } `json:"adaptive"`
-		TargetSE float64            `json:"target_se"`
-		Savings  float64            `json:"run_savings_pct"`
-	}
-	if err := json.Unmarshal(blob, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Fixed.Runs != 200 {
-		t.Fatalf("fixed leg ran %d runs", out.Fixed.Runs)
-	}
-	if out.Adaptive.Runs < 2 || out.Adaptive.Runs > 200 {
-		t.Fatalf("adaptive leg ran %d runs", out.Adaptive.Runs)
-	}
-	if out.TargetSE <= 0 {
-		t.Fatalf("target se %v", out.TargetSE)
-	}
-}
-
 // TestDistributedFlagValidation: the coordinator flags reject the
 // combinations distribution cannot honor, loudly.
 func TestDistributedFlagValidation(t *testing.T) {

@@ -37,9 +37,9 @@
 // randomness is a pure function of (seed, r) and batching never
 // changes per-run draw order, so batch and scalar paths are
 // bit-for-bit identical (differential tests hold the line). See the
-// README's Performance section and BENCH_kernels.json:
+// README's Performance section; the end-to-end benchmark is
 //
-//	experiments -bench-kernels BENCH_kernels.json -bench-baseline BENCH_kernels.baseline.json
+//	bash perfbench/run.sh
 //
 // Run with: go run ./examples/quickstart
 package main

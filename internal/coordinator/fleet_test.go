@@ -13,6 +13,7 @@ import (
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
+	"chaffmec/internal/tune"
 )
 
 // countFor counts events of a kind attributed to one worker.
@@ -375,5 +376,87 @@ func TestResumeFleetFromBankedCampaign(t *testing.T) {
 	}
 	if n := zlog.count(EventDispatch); n != 0 {
 		t.Fatalf("finished campaign re-dispatched %d shards, want 0", n)
+	}
+}
+
+// TestFleetWarmTraceCampaign is the payoff of persistent workers: two
+// real HTTP workers register with a real registry through RunDaemon,
+// then run a cold trace campaign (the TraceLab is built) and a warm one
+// (same model seed, different run seed: the lab is reused, the shard
+// results are not). The warm campaign must run zero TraceLab builds and
+// cost at most half the cold one, and both merged reports must be
+// bit-identical to the single-process run. The workers share this
+// process's caches, so builds are counted once per campaign, and the
+// cold campaign starts from empty lab and block-calibration caches, as
+// a freshly started worker process does.
+func TestFleetWarmTraceCampaign(t *testing.T) {
+	prev := store.Default()
+	store.SetDefault(nil) // neither shard banking nor a stored lab may short-cut a campaign
+	t.Cleanup(func() { store.SetDefault(prev) })
+	scenario.ResetTraceLabCache()
+	t.Cleanup(scenario.ResetTraceLabCache)
+	tune.ResetForTest()
+
+	reg := NewRegistry(RegistryOptions{Heartbeat: 200 * time.Millisecond})
+	defer reg.Close()
+	regSrv := httptest.NewServer(reg.Handler())
+	defer regSrv.Close()
+
+	daemonCtx, stopDaemons := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() { stopDaemons(); wg.Wait() }()
+	for i := 0; i < 2; i++ {
+		worker := httptest.NewServer(Handler(daemonCtx))
+		defer worker.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			RunDaemon(daemonCtx, DaemonOptions{Registry: regSrv.URL, Advertise: worker.URL}) //nolint:errcheck // exits on ctx cancel
+		}()
+	}
+	waitCtx, waitCancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer waitCancel()
+	if err := reg.WaitFor(waitCtx, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	sp := scenario.Spec{
+		Name: "warm-fleet", Kind: "trace", Strategy: "MO", NumChaffs: 1,
+		Nodes: 40, Horizon: 30, Runs: 4, ModelSeed: 11,
+	}
+	campaign := func(runSeed int64) (*report.Report, time.Duration, int) {
+		t.Helper()
+		s := sp
+		s.Seed = runSeed
+		builds := scenario.TraceLabBuilds()
+		begin := time.Now()
+		rep, err := RunFleet(context.Background(), scenario.Job{Spec: s}, reg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, time.Since(begin), scenario.TraceLabBuilds() - builds
+	}
+	coldRep, cold, coldBuilds := campaign(1)
+	warmRep, warm, warmBuilds := campaign(2)
+	t.Logf("cold %v (%d lab builds), warm %v (%d builds), %.1fx", cold, coldBuilds, warm, warmBuilds, float64(cold)/float64(warm))
+
+	if coldBuilds == 0 {
+		t.Fatal("cold campaign built no TraceLab; the warm comparison is vacuous")
+	}
+	if warmBuilds != 0 {
+		t.Fatalf("warm campaign ran %d TraceLab builds, want 0 (persistent workers lost their lab)", warmBuilds)
+	}
+	if warm*2 > cold {
+		t.Fatalf("warm campaign %v is not 2x cheaper than cold %v", warm, cold)
+	}
+	for _, c := range []struct {
+		rep     *report.Report
+		runSeed int64
+	}{{coldRep, 1}, {warmRep, 2}} {
+		s := sp
+		s.Seed = c.runSeed
+		if norm(t, c.rep) != norm(t, single(t, s)) {
+			t.Fatalf("fleet campaign with run seed %d differs from the single-process run", c.runSeed)
+		}
 	}
 }

@@ -34,8 +34,9 @@ type Capabilities struct {
 	// announcing none is refused too.
 	Stream string `json:"stream,omitempty"`
 	// TraceLabBuilds counts the TraceLabs this worker built from
-	// scratch since process start — the warm-state probe the fleet
-	// bench asserts with (healthz only; ignored on register).
+	// scratch since process start — the warm-state probe an operator
+	// reads to see a worker kept its lab (healthz only; ignored on
+	// register).
 	TraceLabBuilds int `json:"trace_lab_builds,omitempty"`
 }
 
@@ -349,10 +350,9 @@ func (r *Registry) Handler() http.Handler {
 	return mux
 }
 
-// ProbeWorker fetches a worker's /v1/healthz capability envelope — how
-// the fleet bench reads the warm-state build counter, and a generic
-// liveness + capability probe for operators. client nil uses
-// http.DefaultClient.
+// ProbeWorker fetches a worker's /v1/healthz capability envelope: a
+// liveness and capability probe for operators, warm-state build
+// counter included. client nil uses http.DefaultClient.
 func ProbeWorker(ctx context.Context, client *http.Client, baseURL string) (Capabilities, error) {
 	if client == nil {
 		client = http.DefaultClient

@@ -290,11 +290,10 @@ func (d *MLDetector) scoreBlock(blk *Block, user int, filtered bool) error {
 	return nil
 }
 
-// ScoreBlockFlat is the pre-tiling batch kernel, kept as the
-// differential and benchmark reference for ScoreBlock: one fused pass
-// per slot over the whole (B·U) plane with the generic filtered reduce.
-// Its results are bit-identical to ScoreBlock's; -bench-kernels reports
-// it as score/batch next to the tiled score/tiled leg.
+// ScoreBlockFlat is the pre-tiling batch kernel: one fused pass per
+// slot over the whole (B·U) plane with the generic filtered reduce. It
+// is ScoreBlock's differential reference (bit-identical results) and
+// the baseline of the tiled kernel's speed floor (TestTiledScoreFloor).
 //
 //chaffmec:hotpath
 func (d *MLDetector) ScoreBlockFlat(blk *Block, user int) error {

@@ -213,24 +213,32 @@ func TestBlockReuse(t *testing.T) {
 	}
 }
 
-// TestScoreBlockAllocs pins the warm ML scoring kernel at zero
-// allocations per block.
+// TestScoreBlockAllocs pins the warm ML scoring kernels, tiled and
+// flat, at zero allocations per block.
 func TestScoreBlockAllocs(t *testing.T) {
 	score, _ := scoringChains(t)
 	det := NewMLDetector(score)
-	ws := NewWorkspace()
-	runs := batchScoreCase(t, score, 16, 3, 50, 0, 9)
-	blk := fillBlock(t, ws, runs)
-	if err := det.ScoreBlock(blk, 0); err != nil { // warm caches
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := det.ScoreBlock(blk, 0); err != nil {
+	for _, k := range []struct {
+		name  string
+		score func(*Block, int) error
+	}{
+		{"ScoreBlock", det.ScoreBlock},
+		{"ScoreBlockFlat", det.ScoreBlockFlat},
+	} {
+		ws := NewWorkspace()
+		runs := batchScoreCase(t, score, 16, 3, 50, 0, 9)
+		blk := fillBlock(t, ws, runs)
+		if err := k.score(blk, 0); err != nil { // warm caches
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ScoreBlock allocates %v per block, want 0", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := k.score(blk, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("warm %s allocates %v per block, want 0", k.name, allocs)
+		}
 	}
 }
 

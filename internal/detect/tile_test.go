@@ -1,10 +1,14 @@
 package detect
 
 import (
+	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"chaffmec/internal/markov"
+	"chaffmec/internal/mobility"
+	"chaffmec/internal/rng"
 )
 
 // TestScoreBlockFlatMatchesTiled pins the tiled ScoreBlock against the
@@ -57,6 +61,61 @@ func TestScoreBlockFlatMatchesTiled(t *testing.T) {
 			}
 			compareBlock(t, tc.name, tiled, det, runs, tc.user)
 		})
+	}
+}
+
+// tiledFloorReps is how many back-to-back block scores one timed leg
+// of TestTiledScoreFloor runs: enough to dwarf timer and scheduler
+// granularity, few enough that 11 pairs take about a second.
+const tiledFloorReps = 200
+
+// TestTiledScoreFloor holds the tiled ScoreBlock to at least 1.3× the
+// speed of the flat reference kernel on the paper protocol's shape
+// (spatially skewed chain, L=10, user + 3 chaffs, T=100) at one block
+// of 64 runs. Both kernels score the same block in the same process, so
+// the ratio does not depend on the host's absolute speed. The legs run
+// as 11 interleaved pairs, alternating which goes first, and the median
+// ratio is gated, so one noisy pair cannot pass or fail the test.
+func TestTiledScoreFloor(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing floor: skipped under -short and -race")
+	}
+	chain, err := mobility.Build(mobility.ModelSpatiallySkewed, rng.New(99), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const B, U, T = 64, 4, 100
+	det := NewMLDetector(chain)
+	blk := fillBlock(t, NewWorkspace(), batchScoreCase(t, chain, B, U, T, 0, 1))
+	leg := func(score func(*Block, int) error) time.Duration {
+		begin := time.Now()
+		for i := 0; i < tiledFloorReps; i++ {
+			if err := score(blk, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return time.Since(begin)
+	}
+	leg(det.ScoreBlockFlat) // warm caches
+	leg(det.ScoreBlock)
+
+	ratios := make([]float64, 11)
+	for i := range ratios {
+		var flat, tiled time.Duration
+		if i%2 == 0 {
+			flat = leg(det.ScoreBlockFlat)
+			tiled = leg(det.ScoreBlock)
+		} else {
+			tiled = leg(det.ScoreBlock)
+			flat = leg(det.ScoreBlockFlat)
+		}
+		ratios[i] = float64(flat) / float64(tiled)
+	}
+	sort.Float64s(ratios)
+	median := ratios[len(ratios)/2]
+	t.Logf("flat/tiled over %d pairs: median %.2f, range [%.2f, %.2f]", len(ratios), median, ratios[0], ratios[len(ratios)-1])
+	if median < 1.3 {
+		t.Fatalf("tiled ScoreBlock is only %.2fx faster than ScoreBlockFlat (median of %d pairs), want >= 1.3x", median, len(ratios))
 	}
 }
 

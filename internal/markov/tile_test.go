@@ -116,7 +116,7 @@ func TestLogProbBatchValidates(t *testing.T) {
 }
 
 // TestLogProbBatchAllocs pins the warm tile kernel at zero allocations
-// per block, the contract the bench gate enforces.
+// per block (CI reruns it under GOAMD64=v3).
 func TestLogProbBatchAllocs(t *testing.T) {
 	c := batchTestChains(t)["sparse"]
 	const B, T = 64, 50

@@ -165,9 +165,9 @@ func TestFileEncodedRoundTrip(t *testing.T) {
 }
 
 // TestBinaryCompactness: the binary wire must be far smaller than the
-// indented JSON today's transports ship (the bench asserts the ≥5×
-// acceptance bound on the real paper protocol; this is the unit-level
-// sanity floor).
+// indented JSON (scenario's TestPaperProtocolReportCodecs asserts the
+// ≥5× bound on the real paper protocol; this is the unit-level sanity
+// floor).
 func TestBinaryCompactness(t *testing.T) {
 	reps := []*Report{buildPart(t, 0, 200, 200)}
 	jsonLen := len(jsonWire(t, reps))

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -220,5 +221,45 @@ func TestReportProvenance(t *testing.T) {
 	}
 	if spec.Strategy != "IM" || spec.Horizon != 6 {
 		t.Fatalf("spec echo: %+v", spec)
+	}
+}
+
+// TestPaperProtocolReportCodecs runs the paper protocol (MO against the
+// ML eavesdropper, 1000 runs × T=100) and sends its Report through every
+// encoding: each must decode back to the JSON envelope byte for byte,
+// and binary+gzip, the one worker wire, must be at least 5× smaller than
+// JSON.
+func TestPaperProtocolReportCodecs(t *testing.T) {
+	sp := Spec{Name: "paper-protocol", Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 100, Runs: 1000, Seed: 1}
+	rep, err := RunJob(context.Background(), Job{Spec: sp})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := report.Write(&want, []*report.Report{rep}); err != nil {
+		t.Fatal(err)
+	}
+	size := map[report.Encoding]int{}
+	for _, enc := range []report.Encoding{report.EncodingJSON, report.EncodingBinary, report.EncodingBinaryGzip} {
+		var wire bytes.Buffer
+		if err := report.WriteEncoded(&wire, []*report.Report{rep}, enc); err != nil {
+			t.Fatal(err)
+		}
+		size[enc] = wire.Len()
+		back, err := report.ReadReports(&wire)
+		if err != nil {
+			t.Fatalf("%s: decoding own envelope: %v", enc, err)
+		}
+		var got bytes.Buffer
+		if err := report.Write(&got, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: decode is not bit-identical to the JSON envelope", enc)
+		}
+	}
+	t.Logf("json %d B, binary %d B, binary+gzip %d B", size[report.EncodingJSON], size[report.EncodingBinary], size[report.EncodingBinaryGzip])
+	if ratio := float64(size[report.EncodingJSON]) / float64(size[report.EncodingBinaryGzip]); ratio < 5 {
+		t.Fatalf("binary+gzip is only %.2fx smaller than JSON, want >= 5x", ratio)
 	}
 }

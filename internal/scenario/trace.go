@@ -139,7 +139,7 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 	return lab, true, nil
 }
 
-// ResetTraceLabCache empties the shared lab cache. Tests and benches
+// ResetTraceLabCache empties the shared lab cache. Tests and perfbench
 // use it to force the next trace job through loadOrBuildTraceLab.
 func ResetTraceLabCache() {
 	c := &traceLabCache
@@ -151,7 +151,7 @@ func ResetTraceLabCache() {
 
 // TraceLabBuilds counts the labs built from scratch since process start
 // — store hits and cache hits don't move it, so a warm-store run is
-// provably build-free (the wire bench's assertion).
+// provably build-free.
 func TraceLabBuilds() int {
 	c := &traceLabCache
 	c.Lock()

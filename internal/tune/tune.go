@@ -75,12 +75,6 @@ const calibPasses = 3
 // truncated horizon instead of scoring millions of slots.
 const calibHorizon = 64
 
-// Candidate is one measured width of a Sweep.
-type Candidate struct {
-	BlockSize     int     `json:"block_size"`
-	NsPerLaneSlot float64 `json:"ns_per_lane_slot"`
-}
-
 type geomKey struct{ n, u, t int }
 
 var cache sync.Map // geomKey → int
@@ -133,8 +127,7 @@ func storeKey(n, U, T int) string {
 }
 
 type storedCalib struct {
-	BlockSize int         `json:"block_size"`
-	Sweep     []Candidate `json:"sweep,omitempty"`
+	BlockSize int `json:"block_size"`
 }
 
 // loadOrMeasure consults the artifact store before paying for a
@@ -154,10 +147,9 @@ func loadOrMeasure(chain *markov.Chain, U, T int) int {
 			st.Delete(storeKind, key)
 		}
 	}
-	sweep := Sweep(chain, U, T)
-	best := pick(sweep)
+	best := fastest(chain, U, T)
 	if st != nil {
-		if blob, err := json.Marshal(storedCalib{BlockSize: best, Sweep: sweep}); err == nil {
+		if blob, err := json.Marshal(storedCalib{BlockSize: best}); err == nil {
 			st.Put(storeKind, key, blob)
 		}
 	}
@@ -173,42 +165,38 @@ func validWidth(b int) bool {
 	return false
 }
 
-// pick selects the fastest measured width, breaking ties toward the
-// smaller one (smaller blocks cancel faster and balance load better at
-// equal throughput).
-func pick(sweep []Candidate) int {
-	best, bestNs := DefaultBlockSize, 0.0
-	for _, c := range sweep {
-		if c.NsPerLaneSlot <= 0 {
-			continue
-		}
-		if bestNs == 0 || c.NsPerLaneSlot < bestNs {
-			best, bestNs = c.BlockSize, c.NsPerLaneSlot
-		}
-	}
-	return best
-}
-
-// Sweep measures every candidate width against the live chain and
-// kernel shape and returns the per-width timings — the raw data behind
-// BlockSize, exported for the kernel benchmark's geometry sweep. The
-// measured kernel is the tiled ML block scorer (the batch hot path's
-// dominant cost); trajectories are drawn once per width from a fixed
-// calibration stream.
-func Sweep(chain *markov.Chain, U, T int) []Candidate {
-	if chain == nil || U < 1 || T < 2 {
-		return nil
-	}
+// fastest measures every candidate width against the live chain and
+// kernel shape and returns the fastest. The measured kernel is the
+// tiled ML block scorer (the batch hot path's dominant cost);
+// trajectories are drawn once per width from a fixed calibration
+// stream.
+func fastest(chain *markov.Chain, U, T int) int {
 	if T > calibHorizon {
 		T = calibHorizon
 	}
 	det := detect.NewMLDetector(chain)
-	out := make([]Candidate, 0, len(Candidates))
-	for _, B := range Candidates {
-		ns := measure(chain, det, B, U, T)
-		out = append(out, Candidate{BlockSize: B, NsPerLaneSlot: ns})
+	var ns [len(Candidates)]float64
+	for i, B := range Candidates {
+		ns[i] = measure(chain, det, B, U, T)
 	}
-	return out
+	return pick(ns[:])
+}
+
+// pick selects the fastest measured width (ns[i] is Candidates[i]'s ns
+// per lane-slot, 0 when unmeasurable), breaking ties toward the smaller
+// one (smaller blocks cancel faster and balance load better at equal
+// throughput).
+func pick(ns []float64) int {
+	best, bestNs := DefaultBlockSize, 0.0
+	for i, v := range ns {
+		if v <= 0 {
+			continue
+		}
+		if bestNs == 0 || v < bestNs {
+			best, bestNs = Candidates[i], v
+		}
+	}
+	return best
 }
 
 // measure times reps tiled sweeps of a B×U×T block and returns the best

@@ -102,9 +102,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if persisted.BlockSize != first {
 		t.Fatalf("persisted %d, returned %d", persisted.BlockSize, first)
 	}
-	if len(persisted.Sweep) != len(Candidates) {
-		t.Fatalf("persisted sweep has %d entries, want %d", len(persisted.Sweep), len(Candidates))
-	}
 
 	// Fresh in-process cache: the store must satisfy the lookup. Plant a
 	// distinctive (valid) width to prove the value comes from the store.
@@ -134,34 +131,15 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSweepShape(t *testing.T) {
-	c := testChain(t)
-	sweep := Sweep(c, 2, 20)
-	if len(sweep) != len(Candidates) {
-		t.Fatalf("sweep has %d entries, want %d", len(sweep), len(Candidates))
-	}
-	for i, cand := range sweep {
-		if cand.BlockSize != Candidates[i] {
-			t.Fatalf("sweep[%d].BlockSize = %d, want %d", i, cand.BlockSize, Candidates[i])
-		}
-		if cand.NsPerLaneSlot <= 0 {
-			t.Fatalf("sweep[%d] measured %v ns/lane-slot", i, cand.NsPerLaneSlot)
-		}
-	}
-	if Sweep(nil, 2, 20) != nil {
-		t.Fatal("nil chain sweep should be nil")
-	}
-}
-
 func TestPickPrefersFastestThenSmallest(t *testing.T) {
-	got := pick([]Candidate{{16, 3.0}, {32, 2.0}, {64, 2.0}, {128, 2.5}})
+	got := pick([]float64{3.0, 2.0, 2.0, 2.5})
 	if got != 32 {
 		t.Fatalf("pick = %d, want 32 (fastest, ties to smaller)", got)
 	}
 	if got := pick(nil); got != DefaultBlockSize {
 		t.Fatalf("pick(nil) = %d, want default", got)
 	}
-	if got := pick([]Candidate{{16, 0}, {32, 0}}); got != DefaultBlockSize {
+	if got := pick([]float64{0, 0}); got != DefaultBlockSize {
 		t.Fatalf("pick(all-zero) = %d, want default", got)
 	}
 }
