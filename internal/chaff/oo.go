@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"chaffmec/internal/markov"
 	"chaffmec/internal/trellis"
@@ -22,16 +23,32 @@ import (
 //
 // The implementation is the paper's dynamic program over the Fig. 2
 // trellis with state (slot, cell, remaining co-location budget), filled
-// budget-major: one unconstrained Viterbi pass, then budget columns
+// budget-major: the unconstrained Viterbi column V, then budget columns
 // 0..i*, one at a time and stopping at the optimum i*, with the slots a
-// column's budget cannot bind copied from the Viterbi pass. That costs
-// O(T·E·(i*+1)) instead of the paper's worst-case O(T²L²). Plan is safe
-// for concurrent use; its scratch comes from a shared pool.
+// column's budget cannot bind copied from V. V depends on the chain, the
+// horizon and the exclusions but never on the user, so an OO without
+// exclusions computes it once per horizon and every later plan of that
+// horizon reads the same snapshot: one Viterbi pass per OO and horizon,
+// plus O(T·E·(i*+1)) per plan, instead of the paper's worst-case
+// O(T²L²). The excluded trellis of the robust ROO variant, whose
+// exclusions change with every call, is not cached. Plan is safe for
+// concurrent use; its scratch comes from a shared pool.
 type OO struct {
 	chain *markov.Chain
 	// excl restricts the chaff's trellis (used by the robust ROO variant);
 	// nil for the plain strategy.
 	excl *trellis.ExclusionSet
+	// vit is the latest horizon's V when excl is nil (see viterbiFor).
+	vit atomic.Pointer[ooViterbi]
+}
+
+// ooViterbi is the unconstrained Viterbi column V of one horizon and its
+// backpointers, flat and indexed [t*L+x]. It is read-only once
+// published: plans on many goroutines read it at once.
+type ooViterbi struct {
+	T     int
+	v     []float64
+	vBack []int32
 }
 
 // NewOO returns the optimal offline strategy over the user's chain.
@@ -62,8 +79,11 @@ type OOResult struct {
 // ooWork is Plan's scratch, pooled so a warm Plan allocates only its
 // result. Every column is flat, indexed [t*L+x].
 type ooWork struct {
-	v     []float64 // V_t(x): unconstrained cost-to-go
-	vBack []int32   // V's successor backpointers
+	// v and vBack hold V_t(x), the unconstrained cost-to-go, and its
+	// successor backpointers for an excluded trellis only; a plain OO
+	// reads its shared snapshot instead and never writes here.
+	v     []float64
+	vBack []int32
 	prev  []float64 // K_t(x,i−1)
 	cur   []float64 // K_t(x,i)
 	// back holds the backpointers of columns 0..i, column after column:
@@ -97,7 +117,9 @@ func (s *OO) Plan(user markov.Trajectory) (*OOResult, error) {
 // column V gives the stop test's target up front: budget T never binds,
 // so k0[T] = min_x −log π(x) + V_0(x). Budget i cannot bind at slots
 // t ≥ T−i either, so there K_t(·,i) and its backpointers are V's,
-// copied rather than recomputed.
+// copied rather than recomputed. V comes from viterbiFor: the OO's
+// shared snapshot for this horizon, or a fresh pass into the workspace
+// on an excluded trellis. Either way plan only reads it.
 func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 	c := s.chain
 	T := len(user)
@@ -121,12 +143,11 @@ func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 
 	w := ooPool.Get().(*ooWork)
 	defer ooPool.Put(w)
-	w.v, w.prev, w.cur = grow(w.v, TL), grow(w.prev, TL), grow(w.cur, TL)
-	w.vBack = grow(w.vBack, TL)
+	w.prev, w.cur = grow(w.prev, TL), grow(w.cur, TL)
 	w.back = w.back[:0]
 
-	s.viterbi(w.v, w.vBack, T)
-	minCost, _ := sourceFold(logPi, w.v[:L])
+	v, vBack := s.viterbiFor(w, T)
+	minCost, _ := sourceFold(logPi, v[:L])
 	if math.IsInf(minCost, 1) {
 		// No path at all: exclusions sever the whole trellis.
 		return OOResult{}, infeasible(T)
@@ -145,7 +166,7 @@ func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 		}
 		w.prev, w.cur = w.cur, w.prev
 		w.back = slices.Grow(w.back, TL)[:(i+1)*TL]
-		s.column(w, user, i)
+		s.column(w, v, vBack, user, i)
 		k, x0 := sourceFold(logPi, w.cur[:L])
 		// The strict test (5), or else the equality fallback (detector
 		// coin flip) — or, under exclusions that sever every path at
@@ -178,6 +199,29 @@ func infeasible(T int) error {
 	return fmt.Errorf("chaff: OO on a length-%d trajectory: %w", T, trellis.ErrInfeasible)
 }
 
+// viterbiFor returns V and its backpointers for horizon T. An excluded
+// trellis gets a fresh pass into the workspace w. A plain OO reads its
+// snapshot, building and publishing a new one when the horizon differs:
+// goroutines that race on a first use each compute a bit-identical copy
+// and the last store wins. The snapshot is never written after Store,
+// and never aliases a pooled workspace, so an excluded plan that reuses
+// w cannot reach it.
+func (s *OO) viterbiFor(w *ooWork, T int) ([]float64, []int32) {
+	TL := T * s.chain.NumStates()
+	if s.excl != nil {
+		w.v, w.vBack = grow(w.v, TL), grow(w.vBack, TL)
+		s.viterbi(w.v, w.vBack, T)
+		return w.v, w.vBack
+	}
+	if p := s.vit.Load(); p != nil && p.T == T {
+		return p.v, p.vBack
+	}
+	p := &ooViterbi{T: T, v: make([]float64, TL), vBack: make([]int32, TL)}
+	s.viterbi(p.v, p.vBack, T)
+	s.vit.Store(p)
+	return p.v, p.vBack
+}
+
 // viterbi fills the unconstrained column V_t(x) and its backpointers:
 // the min cost from (t,x) to the sink on the chaff's trellis.
 //
@@ -208,10 +252,11 @@ func (s *OO) viterbi(v []float64, back []int32, T int) {
 }
 
 // column fills K_t(·,i) into w.cur and its backpointers into the last
-// column of w.back, reading column i−1 from w.prev.
+// column of w.back, reading column i−1 from w.prev and, read-only, V and
+// its backpointers from v and vBack.
 //
 //chaffmec:hotpath
-func (s *OO) column(w *ooWork, user markov.Trajectory, i int) {
+func (s *OO) column(w *ooWork, v []float64, vBack []int32, user markov.Trajectory, i int) {
 	c := s.chain
 	L := c.NumStates()
 	T := len(user)
@@ -220,14 +265,14 @@ func (s *OO) column(w *ooWork, user markov.Trajectory, i int) {
 	back := w.back[i*T*L:]
 	// Slots t ≥ T−i: the budget cannot bind.
 	free := max(T-i, 0)
-	copy(cur[free*L:], w.v[free*L:])
-	copy(back[free*L:], w.vBack[free*L:])
+	copy(cur[free*L:], v[free*L:])
+	copy(back[free*L:], vBack[free*L:])
 	top := free - 1
 	if i == 0 {
 		// Base slot T−1: the user's cell needs budget 1.
 		base := (T - 1) * L
 		for x := 0; x < L; x++ {
-			cur[base+x] = w.v[base+x]
+			cur[base+x] = v[base+x]
 			if x == user[T-1] {
 				cur[base+x] = inf
 			}
@@ -237,7 +282,7 @@ func (s *OO) column(w *ooWork, user markov.Trajectory, i int) {
 	}
 	for t := top; t >= 0; t-- {
 		row, brow := cur[t*L:(t+1)*L], back[t*L:(t+1)*L]
-		vrow := w.v[t*L : (t+1)*L]
+		vrow := v[t*L : (t+1)*L]
 		curNext, prevNext := cur[(t+1)*L:(t+2)*L], prev[(t+1)*L:(t+2)*L]
 		for x := 0; x < L; x++ {
 			row[x], brow[x] = inf, -1

@@ -236,7 +236,9 @@ func ooWorkloadPair(tb testing.TB) (*OO, markov.Trajectory, markov.Trajectory) {
 
 // TestOOPlanAllocs pins a warm Plan to its result: the OOResult and its
 // trajectory. The DP's columns and backpointers come from the pooled
-// workspace, so a capped Γ that proves a miss allocates nothing.
+// workspace and V from the OO's snapshot, so a capped Γ that proves a
+// miss allocates nothing. A fresh OO's first plan adds the snapshot: its
+// struct, V and V's backpointers, one flat allocation each.
 func TestOOPlanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -264,6 +266,28 @@ func TestOOPlanAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, miss); allocs != 0 {
 		t.Fatalf("warm capped miss allocates %v times, want 0", allocs)
 	}
+	// AllocsPerRun calls its function runs+1 times: one cold OO each,
+	// built outside the count.
+	const runs = 20
+	cold := make([]*OO, runs+1)
+	for i := range cold {
+		cold[i] = NewOO(s.chain)
+	}
+	next := 0
+	first := func() {
+		if _, err := cold[next].Plan(user); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	warm := testing.AllocsPerRun(runs, func() {
+		if _, err := s.Plan(user); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs := testing.AllocsPerRun(runs, first); allocs > warm+3 {
+		t.Fatalf("a fresh OO's first plan allocates %v times, a warm plan %v: want at most 3 more", allocs, warm)
+	}
 }
 
 // BenchmarkOOPlan times Γ(user)+Γ(chaff) at the advanced eavesdropper
@@ -274,6 +298,41 @@ func BenchmarkOOPlan(b *testing.B) {
 	for b.Loop() {
 		for _, u := range []markov.Trajectory{user, chaff} {
 			if _, err := s.Plan(u); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkOORun times the three OO plans of one advanced eavesdropper
+// run (L=10, T=100, one chaff) as a campaign makes them: the generator
+// plans the chaff, then the detector's own OO plans Γ(user) and Γ(chaff),
+// each capped at the pair's co-location count. The users cycle through
+// 16 samples of the workload's chain.
+func BenchmarkOORun(b *testing.B) {
+	s, _, _ := ooWorkloadPair(b)
+	r := rng.New(3)
+	users := make([]markov.Trajectory, 16)
+	for i := range users {
+		u, err := s.chain.Sample(r, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		users[i] = u
+	}
+	gen, det := NewOO(s.chain), NewOO(s.chain)
+	dst := make([]markov.Trajectory, 1)
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		user := users[i%len(users)]
+		i++
+		if err := gen.GenerateChaffsInto(nil, user, dst); err != nil {
+			b.Fatal(err)
+		}
+		within := dst[0].Intersections(user)
+		for _, v := range []markov.Trajectory{user, dst[0]} {
+			if _, err := det.GammaWithin(v, within); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -321,4 +380,128 @@ func TestOOPlanConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// resultsEqual reports whether two OOResults match bit for bit.
+func resultsEqual(a, b *OOResult) bool {
+	return a.Chaff.Equal(b.Chaff) && a.Intersections == b.Intersections && a.Strict == b.Strict &&
+		math.Float64bits(a.ChaffCost) == math.Float64bits(b.ChaffCost) &&
+		math.Float64bits(a.UserCost) == math.Float64bits(b.UserCost)
+}
+
+// checkSnapshot asserts that s holds V for horizon T, bit for bit as a
+// fresh Viterbi pass computes it.
+func checkSnapshot(t *testing.T, s *OO, T int) {
+	t.Helper()
+	p := s.vit.Load()
+	if p == nil || p.T != T {
+		t.Fatalf("snapshot %+v, want horizon %d", p, T)
+	}
+	TL := T * s.chain.NumStates()
+	v, vBack := make([]float64, TL), make([]int32, TL)
+	(&OO{chain: s.chain}).viterbi(v, vBack, T)
+	if len(p.v) != TL || len(p.vBack) != TL {
+		t.Fatalf("T=%d: snapshot holds %d costs and %d backpointers, want %d", T, len(p.v), len(p.vBack), TL)
+	}
+	for k := range v {
+		if math.Float64bits(p.v[k]) != math.Float64bits(v[k]) || p.vBack[k] != vBack[k] {
+			t.Fatalf("T=%d, entry %d: snapshot (%v, %d), fresh pass (%v, %d)", T, k, p.v[k], p.vBack[k], v[k], vBack[k])
+		}
+	}
+}
+
+// TestOOViterbiCache checks the shared Viterbi snapshot: it equals a
+// fresh pass at every horizon, a horizon change replaces it without
+// changing a plan bit, and a cold OO planned on by many goroutines at
+// once gives each the sequential plan.
+func TestOOViterbiCache(t *testing.T) {
+	s, user, chaff := ooWorkloadPair(t)
+	c := s.chain
+	for _, T := range []int{1, 2, 37, 100} {
+		fresh := NewOO(c)
+		if _, err := fresh.Plan(user[:T]); err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshot(t, fresh, T)
+	}
+
+	// One OO switching horizons plans as fresh OOs and the oracle do.
+	switching := NewOO(c)
+	for _, T := range []int{100, 37, 1, 100} {
+		for _, u := range []markov.Trajectory{user[:T], chaff[:T]} {
+			got, err := switching.Plan(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSnapshot(t, switching, T)
+			want, err := NewOO(c).Plan(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := planDoubling(switching, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(got, want) || !resultsEqual(got, oracle) {
+				t.Fatalf("T=%d: switching OO %+v\nfresh OO %+v\noracle %+v", T, *got, *want, *oracle)
+			}
+		}
+	}
+
+	// Cold OOs, each first used by 8 goroutines released at once.
+	inputs := []markov.Trajectory{user, chaff}
+	want := make([]*OOResult, len(inputs))
+	for i, u := range inputs {
+		res, err := NewOO(c).Plan(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = res
+	}
+	for round := 0; round < 20; round++ {
+		cold := NewOO(c)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				i := g % len(inputs)
+				got, err := cold.Plan(inputs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !resultsEqual(got, want[i]) {
+					t.Errorf("round %d, goroutine %d: cold plan %+v, sequential %+v", round, g, *got, *want[i])
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		checkSnapshot(t, cold, len(user))
+	}
+}
+
+// TestOOExcludedPlanLeavesSnapshot interleaves plain and excluded plans
+// on one goroutine, so the excluded plan reuses the workspace the plain
+// one just returned to the pool. The excluded Viterbi pass must write
+// into that workspace only: a snapshot aliased by it would come back
+// holding the excluded V, and the next plain plan would read it.
+func TestOOExcludedPlanLeavesSnapshot(t *testing.T) {
+	s, user, chaff := ooWorkloadPair(t)
+	c := s.chain
+	r := rng.New(11)
+	for k := 0; k < 20; k++ {
+		plain := NewOO(c)
+		excluded := &OO{chain: c, excl: drawExclusions(r, []markov.Trajectory{user, chaff}, 8)}
+		checkMatchesDoubling(t, "plain", plain, user)
+		checkMatchesDoubling(t, "excluded", excluded, user)
+		checkMatchesDoubling(t, "plain after excluded", plain, user)
+		checkSnapshot(t, plain, len(user))
+	}
 }
