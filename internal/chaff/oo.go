@@ -26,27 +26,28 @@ import (
 // budget-major: the unconstrained Viterbi column V, then budget columns
 // 0..i*, one at a time and stopping at the optimum i*, with the slots a
 // column's budget cannot bind copied from V. V depends on the chain, the
-// horizon and the exclusions but never on the user, so an OO without
-// exclusions computes it once per horizon and every later plan of that
-// horizon reads the same snapshot: one Viterbi pass per OO and horizon,
-// plus O(T·E·(i*+1)) per plan, instead of the paper's worst-case
-// O(T²L²). The excluded trellis of the robust ROO variant, whose
-// exclusions change with every call, is not cached. Plan is safe for
-// concurrent use; its scratch comes from a shared pool.
+// horizon and the exclusions but never on the user, so an OO computes it
+// once and every later plan of that horizon reads the same snapshot: one
+// Viterbi pass per OO and horizon, plus O(T·E·(i*+1)) per plan, instead
+// of the paper's worst-case O(T²L²). The snapshot holds the latest
+// horizon only: plans that alternate horizons on one OO recompute and
+// reallocate V at every switch. The robust ROO variant builds a fresh
+// OO, with its own exclusions, for every chaff, so it pays the pass on
+// every plan. Plan is safe for concurrent use; its scratch comes from a
+// shared pool.
 type OO struct {
 	chain *markov.Chain
 	// excl restricts the chaff's trellis (used by the robust ROO variant);
 	// nil for the plain strategy.
 	excl *trellis.ExclusionSet
-	// vit is the latest horizon's V when excl is nil (see viterbiFor).
+	// vit is the latest horizon's V (see viterbiFor).
 	vit atomic.Pointer[ooViterbi]
 }
 
-// ooViterbi is the unconstrained Viterbi column V of one horizon and its
-// backpointers, flat and indexed [t*L+x]. It is read-only once
-// published: plans on many goroutines read it at once.
+// ooViterbi is the Viterbi column V of one horizon and its backpointers,
+// flat and indexed [t*L+x], so len(v) = T·L names the horizon. It is
+// read-only once published: plans on many goroutines read it at once.
 type ooViterbi struct {
-	T     int
 	v     []float64
 	vBack []int32
 }
@@ -79,13 +80,8 @@ type OOResult struct {
 // ooWork is Plan's scratch, pooled so a warm Plan allocates only its
 // result. Every column is flat, indexed [t*L+x].
 type ooWork struct {
-	// v and vBack hold V_t(x), the unconstrained cost-to-go, and its
-	// successor backpointers for an excluded trellis only; a plain OO
-	// reads its shared snapshot instead and never writes here.
-	v     []float64
-	vBack []int32
-	prev  []float64 // K_t(x,i−1)
-	cur   []float64 // K_t(x,i)
+	prev []float64 // K_t(x,i−1)
+	cur  []float64 // K_t(x,i)
 	// back holds the backpointers of columns 0..i, column after column:
 	// back[i*T*L + t*L + x] is the successor of (t,x) under budget i.
 	back []int32
@@ -117,9 +113,8 @@ func (s *OO) Plan(user markov.Trajectory) (*OOResult, error) {
 // column V gives the stop test's target up front: budget T never binds,
 // so k0[T] = min_x −log π(x) + V_0(x). Budget i cannot bind at slots
 // t ≥ T−i either, so there K_t(·,i) and its backpointers are V's,
-// copied rather than recomputed. V comes from viterbiFor: the OO's
-// shared snapshot for this horizon, or a fresh pass into the workspace
-// on an excluded trellis. Either way plan only reads it.
+// copied rather than recomputed. V comes from the OO's snapshot for
+// this horizon (viterbiFor), which plan only reads.
 func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 	c := s.chain
 	T := len(user)
@@ -146,7 +141,7 @@ func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 	w.prev, w.cur = grow(w.prev, TL), grow(w.cur, TL)
 	w.back = w.back[:0]
 
-	v, vBack := s.viterbiFor(w, T)
+	v, vBack := s.viterbiFor(T)
 	minCost, _ := sourceFold(logPi, v[:L])
 	if math.IsInf(minCost, 1) {
 		// No path at all: exclusions sever the whole trellis.
@@ -199,24 +194,16 @@ func infeasible(T int) error {
 	return fmt.Errorf("chaff: OO on a length-%d trajectory: %w", T, trellis.ErrInfeasible)
 }
 
-// viterbiFor returns V and its backpointers for horizon T. An excluded
-// trellis gets a fresh pass into the workspace w. A plain OO reads its
+// viterbiFor returns V and its backpointers for horizon T from the OO's
 // snapshot, building and publishing a new one when the horizon differs:
 // goroutines that race on a first use each compute a bit-identical copy
-// and the last store wins. The snapshot is never written after Store,
-// and never aliases a pooled workspace, so an excluded plan that reuses
-// w cannot reach it.
-func (s *OO) viterbiFor(w *ooWork, T int) ([]float64, []int32) {
+// and the last store wins. The snapshot is never written after Store.
+func (s *OO) viterbiFor(T int) ([]float64, []int32) {
 	TL := T * s.chain.NumStates()
-	if s.excl != nil {
-		w.v, w.vBack = grow(w.v, TL), grow(w.vBack, TL)
-		s.viterbi(w.v, w.vBack, T)
-		return w.v, w.vBack
-	}
-	if p := s.vit.Load(); p != nil && p.T == T {
+	if p := s.vit.Load(); p != nil && len(p.v) == TL {
 		return p.v, p.vBack
 	}
-	p := &ooViterbi{T: T, v: make([]float64, TL), vBack: make([]int32, TL)}
+	p := &ooViterbi{v: make([]float64, TL), vBack: make([]int32, TL)}
 	s.viterbi(p.v, p.vBack, T)
 	s.vit.Store(p)
 	return p.v, p.vBack
