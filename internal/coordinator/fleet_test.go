@@ -13,7 +13,6 @@ import (
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
-	"chaffmec/internal/tune"
 )
 
 // countFor counts events of a kind attributed to one worker.
@@ -387,15 +386,14 @@ func TestResumeFleetFromBankedCampaign(t *testing.T) {
 // cost at most half the cold one, and both merged reports must be
 // bit-identical to the single-process run. The workers share this
 // process's caches, so builds are counted once per campaign, and the
-// cold campaign starts from empty lab and block-calibration caches, as
-// a freshly started worker process does.
+// cold campaign starts from an empty lab cache, as a freshly started
+// worker process does.
 func TestFleetWarmTraceCampaign(t *testing.T) {
 	prev := store.Default()
 	store.SetDefault(nil) // neither shard banking nor a stored lab may short-cut a campaign
 	t.Cleanup(func() { store.SetDefault(prev) })
 	scenario.ResetTraceLabCache()
 	t.Cleanup(scenario.ResetTraceLabCache)
-	tune.ResetForTest()
 
 	reg := NewRegistry(RegistryOptions{Heartbeat: 200 * time.Millisecond})
 	defer reg.Close()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"sync"
 	"time"
 
@@ -15,9 +16,10 @@ import (
 // Capabilities is the JSON envelope a persistent worker announces on
 // POST /v1/register and echoes on GET /v1/healthz: who it is, where to
 // dispatch, how much it can take, and which wire contract it speaks.
-// The registry refuses any stream version but its own at registration,
-// an absent one included (mixed rng streams would merge garbage);
-// everything else is advisory metadata for scheduling and operators.
+// The registry refuses any stream version or GOARCH but its own at
+// registration, an absent one included (mixed rng streams or
+// architectures would merge garbage); everything else is advisory
+// metadata for scheduling and operators.
 type Capabilities struct {
 	// Name labels the worker in events and logs (default: Addr).
 	Name string `json:"name,omitempty"`
@@ -26,8 +28,11 @@ type Capabilities struct {
 	// Weight is the worker's relative capacity (default 1); it drives
 	// the coordinator's weighted shard shares.
 	Weight float64 `json:"weight,omitempty"`
-	// GOARCH is the worker's architecture (informational; results are
-	// bit-identical across architectures by construction).
+	// GOARCH is the worker's architecture. It must equal the
+	// coordinator's or registration is refused, an absent one included:
+	// the compiler may fuse x*y+z into one FMA on some architectures
+	// (arm64, ppc64le, s390x, riscv64) but not on amd64, so results are
+	// not bit-identical across architectures.
 	GOARCH string `json:"goarch,omitempty"`
 	// Stream is the rng stream version the worker draws runs from. It
 	// must equal the coordinator's or registration is refused; a worker
@@ -245,6 +250,9 @@ func (r *Registry) register(caps Capabilities) (registerResponse, error) {
 	if caps.Stream != rng.StreamVersion {
 		return registerResponse{}, fmt.Errorf("worker stream %q does not match coordinator stream %q; mixed streams cannot merge", caps.Stream, rng.StreamVersion)
 	}
+	if caps.GOARCH != runtime.GOARCH {
+		return registerResponse{}, fmt.Errorf("worker GOARCH %q does not match coordinator GOARCH %q; results are not bit-identical across architectures", caps.GOARCH, runtime.GOARCH)
+	}
 	if caps.Addr == "" {
 		return registerResponse{}, fmt.Errorf("registration announces no addr")
 	}
@@ -298,7 +306,8 @@ func (r *Registry) heartbeat(id string) bool {
 //
 //	POST /v1/register   Capabilities JSON in, {id, heartbeat_ms} out
 //	                    (409 unless the announced rng stream version
-//	                    is the coordinator's; an absent one included)
+//	                    and GOARCH are the coordinator's; absent ones
+//	                    included)
 //	POST /v1/heartbeat  {"id": ...} in; 404 asks the worker to
 //	                    re-register (its lease was evicted)
 //
@@ -319,7 +328,7 @@ func (r *Registry) Handler() http.Handler {
 		resp, err := r.register(caps)
 		if err != nil {
 			status := http.StatusBadRequest
-			if caps.Stream != rng.StreamVersion {
+			if caps.Stream != rng.StreamVersion || caps.GOARCH != runtime.GOARCH {
 				status = http.StatusConflict
 			}
 			http.Error(w, err.Error(), status)

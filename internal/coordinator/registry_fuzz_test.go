@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -25,11 +26,12 @@ func registryPost(h http.Handler, method, path, body string) (int, string) {
 // accepted registration leaves exactly one member on its Addr whose
 // lease a heartbeat renews.
 func FuzzRegistryHandler(f *testing.F) {
-	valid := `{"name":"w","addr":"http://a","weight":2,"stream":"` + rng.StreamVersion + `"}`
+	valid := `{"name":"w","addr":"http://a","weight":2,` + compatible + `}`
 	f.Add(true, true, valid)
-	f.Add(true, true, `{"addr":"http://b","stream":"splitmix-old/0"}`)
-	f.Add(true, true, `{"addr":"","stream":"`+rng.StreamVersion+`"}`)
-	f.Add(true, true, `{"addr":"`+strings.Repeat("x", maxRequestBody)+`","stream":"`+rng.StreamVersion+`"}`)
+	f.Add(true, true, `{"addr":"http://b","stream":"splitmix-old/0","goarch":"`+runtime.GOARCH+`"}`)
+	f.Add(true, true, `{"addr":"http://c","stream":"`+rng.StreamVersion+`","goarch":"foreign"}`)
+	f.Add(true, true, `{"addr":"",`+compatible+`}`)
+	f.Add(true, true, `{"addr":"`+strings.Repeat("x", maxRequestBody)+`",`+compatible+`}`)
 	f.Add(false, true, `{"id":"nobody#99"}`)
 	f.Add(false, false, `{"id":"seed#1"}`)
 	f.Fuzz(func(t *testing.T, register, post bool, body string) {
@@ -39,7 +41,7 @@ func FuzzRegistryHandler(f *testing.F) {
 		// A standing member, so a fuzzed registration can collide with
 		// an Addr the registry already holds.
 		if status, out := registryPost(h, http.MethodPost, "/v1/register",
-			`{"name":"seed","addr":"http://a","stream":"`+rng.StreamVersion+`"}`); status != http.StatusOK {
+			`{"name":"seed","addr":"http://a",`+compatible+`}`); status != http.StatusOK {
 			t.Fatalf("seed registration: %d %s", status, out)
 		}
 

@@ -14,6 +14,10 @@ import (
 	"chaffmec/internal/rng"
 )
 
+// compatible is the JSON tail of a registration the registry admits:
+// the coordinator's own rng stream version and GOARCH.
+var compatible = `"stream":"` + rng.StreamVersion + `","goarch":"` + runtime.GOARCH + `"`
+
 // fakeDial is the test registry's Dial seam: every registration maps to
 // an in-process fake named after its announced Name.
 func fakeDial(c Capabilities) (Transport, error) {
@@ -89,9 +93,10 @@ func TestRegistryLifecycle(t *testing.T) {
 }
 
 // TestRegistryStreamMismatch pins the compatibility gate: a worker on a
-// different rng stream version — or announcing none — is refused with
-// 409 (its results could not be trusted to merge), while a matching
-// stream registers fine.
+// different rng stream version or GOARCH — or announcing none — is
+// refused with 409 (its results could not be trusted to merge: fused
+// multiply-adds make bits differ across architectures), while a
+// matching stream and GOARCH register fine.
 func TestRegistryStreamMismatch(t *testing.T) {
 	reg := NewRegistry(RegistryOptions{Dial: fakeDial})
 	defer reg.Close()
@@ -99,9 +104,12 @@ func TestRegistryStreamMismatch(t *testing.T) {
 	defer srv.Close()
 
 	for name, body := range map[string]string{
-		"mismatched": `{"addr":"http://x","stream":"bogus/999"}`,
-		"empty":      `{"addr":"http://x","stream":""}`,
-		"absent":     `{"addr":"http://x"}`,
+		"mismatched":     `{"addr":"http://x","stream":"bogus/999","goarch":"` + runtime.GOARCH + `"}`,
+		"empty":          `{"addr":"http://x","stream":"","goarch":"` + runtime.GOARCH + `"}`,
+		"absent":         `{"addr":"http://x","goarch":"` + runtime.GOARCH + `"}`,
+		"foreign goarch": `{"addr":"http://x","stream":"` + rng.StreamVersion + `","goarch":"foreign"}`,
+		"empty goarch":   `{"addr":"http://x","stream":"` + rng.StreamVersion + `","goarch":""}`,
+		"absent goarch":  `{"addr":"http://x","stream":"` + rng.StreamVersion + `"}`,
 	} {
 		resp, err := http.Post(srv.URL+"/v1/register", mimeJSON, strings.NewReader(body))
 		if err != nil {
@@ -109,15 +117,15 @@ func TestRegistryStreamMismatch(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusConflict {
-			t.Fatalf("%s stream registered: HTTP %d, want 409", name, resp.StatusCode)
+			t.Fatalf("%s registered: HTTP %d, want 409", name, resp.StatusCode)
 		}
 		if len(reg.Members()) != 0 {
-			t.Fatalf("refused worker (%s stream) appears in the membership", name)
+			t.Fatalf("refused worker (%s) appears in the membership", name)
 		}
 	}
 
 	ok, err := http.Post(srv.URL+"/v1/register", mimeJSON,
-		strings.NewReader(`{"addr":"http://y","stream":"`+rng.StreamVersion+`"}`))
+		strings.NewReader(`{"addr":"http://y",`+compatible+`}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +144,7 @@ func TestRegistryReRegisterReplaces(t *testing.T) {
 	defer srv.Close()
 	for i := 0; i < 2; i++ {
 		resp, err := http.Post(srv.URL+"/v1/register", mimeJSON,
-			strings.NewReader(`{"addr":"http://same","name":"same","stream":"`+rng.StreamVersion+`"}`))
+			strings.NewReader(`{"addr":"http://same","name":"same",`+compatible+`}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +187,7 @@ func TestRegistryRefusesOversizedBodies(t *testing.T) {
 	h := reg.Handler()
 	pad := strings.Repeat("x", maxRequestBody)
 	for path, body := range map[string]string{
-		"/v1/register":  `{"addr":"http://big","stream":"` + rng.StreamVersion + `","name":"` + pad + `"}`,
+		"/v1/register":  `{"addr":"http://big",` + compatible + `,"name":"` + pad + `"}`,
 		"/v1/heartbeat": `{"id":"` + pad + `"}`,
 	} {
 		rec := httptest.NewRecorder()
@@ -232,7 +240,7 @@ func TestDaemonRetriesRegistration(t *testing.T) {
 	}
 }
 
-// TestDaemonStopsOnPermanentRejection: a 409 (stream mismatch) is not
+// TestDaemonStopsOnPermanentRejection: a 409 (stream or GOARCH mismatch) is not
 // retried — the daemon returns the rejection instead of hammering a
 // registry that can never accept it.
 func TestDaemonStopsOnPermanentRejection(t *testing.T) {

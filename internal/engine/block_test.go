@@ -12,33 +12,37 @@ import (
 
 // TestRunBlockBankStreams checks every bank rng against rng.NewRun
 // directly, including multiple draws per run (the bank sources must be
-// repositioned, not shared).
+// repositioned, not shared), at the default chunking and at pinned
+// block widths from below one run per chunk to the dispatch cap.
 func TestRunBlockBankStreams(t *testing.T) {
 	const runs, seed = 97, 7
-	got := make(map[int][3]float64, runs)
-	err := Run(nil, Options{Runs: runs, Seed: seed, Workers: 5}, Config[struct{}, [3]float64]{
-		RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, res [][3]float64) error {
-			if len(rngs) != len(res) {
-				return fmt.Errorf("bank size %d != out size %d", len(rngs), len(res))
+	for _, block := range []int{0, 1, 3, 16, 256} {
+		got := make(map[int][3]float64, runs)
+		err := Run(nil, Options{Runs: runs, Seed: seed, Workers: 5}, Config[struct{}, [3]float64]{
+			RunBlock: func(_ struct{}, start int, rngs []*rand.Rand, res [][3]float64) error {
+				if len(rngs) != len(res) {
+					return fmt.Errorf("bank size %d != out size %d", len(rngs), len(res))
+				}
+				for i, r := range rngs {
+					res[i] = [3]float64{r.Float64(), r.Float64(), r.Float64()}
+				}
+				return nil
+			},
+			BlockSize: block,
+			Accumulate: func(run int, v [3]float64) error {
+				got[run] = v
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatalf("BlockSize %d: %v", block, err)
+		}
+		for run := 0; run < runs; run++ {
+			r := rng.NewRun(seed, run)
+			want := [3]float64{r.Float64(), r.Float64(), r.Float64()}
+			if got[run] != want {
+				t.Fatalf("BlockSize %d: run %d drew %v, want private stream %v", block, run, got[run], want)
 			}
-			for i, r := range rngs {
-				res[i] = [3]float64{r.Float64(), r.Float64(), r.Float64()}
-			}
-			return nil
-		},
-		Accumulate: func(run int, v [3]float64) error {
-			got[run] = v
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < runs; run++ {
-		r := rng.NewRun(seed, run)
-		want := [3]float64{r.Float64(), r.Float64(), r.Float64()}
-		if got[run] != want {
-			t.Fatalf("run %d drew %v, want private stream %v", run, got[run], want)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func TestChunkSizeShardRanges(t *testing.T) {
 	}
 }
 
-// TestDispatchChunk pins the calibrated-geometry override: honored when
+// TestDispatchChunk pins the block-width override: honored when
 // every worker still gets a full chunk, clamped to runs/workers when
 // runs are scarce, bounded like chunkSize, and inert when unset.
 func TestDispatchChunk(t *testing.T) {

@@ -202,13 +202,12 @@ type Config[W, R any] struct {
 	// rand.Rand method is stateless over the source and safe.
 	RunBlock func(w W, start int, rngs []*rand.Rand, out []R) error
 	// BlockSize, when positive, is the preferred RunBlock dispatch width —
-	// typically the cache-calibrated block geometry internal/tune measured
-	// for the experiment's kernel shape. Dispatch honors it whenever every
-	// worker still gets a full chunk of work (the width is clamped to
-	// runs/workers otherwise, and to the [1, 256] bounds chunkSize
-	// documents). It has no effect on results — runs draw identical
-	// streams at any chunking — only on how many travel per handoff.
-	// Zero selects the chunkSize load-balance heuristic.
+	// typically internal/tune's fixed width or its CHAFFMEC_BLOCK pin.
+	// Dispatch honors it whenever every worker still gets a full chunk of
+	// work (the width is clamped to runs/workers otherwise, and to the
+	// [1, 256] bounds chunkSize documents). It has no effect on results —
+	// runs draw identical streams at any chunking — only on how many
+	// travel per handoff. Zero selects the chunkSize load-balance heuristic.
 	BlockSize int
 	// Accumulate folds one run's result into the experiment aggregate. It
 	// is called on a single goroutine in strict run order (ascending
@@ -241,11 +240,11 @@ func chunkSize(runs, workers int) int {
 
 // dispatchChunk resolves the chunk width one experiment dispatches at:
 // the chunkSize load-balance heuristic by default, or the caller's
-// calibrated block width when set — clamped to runs/workers so a scarce
-// run range still spreads over every worker, and to chunkSize's [1, 256]
-// bounds. Chunking never affects results (streams are per-(seed, run)
-// and accumulation is run-ordered), so honoring the measured geometry is
-// purely a throughput choice.
+// block width when set — clamped to runs/workers so a scarce run range
+// still spreads over every worker, and to chunkSize's [1, 256] bounds.
+// Chunking never affects results (streams are per-(seed, run) and
+// accumulation is run-ordered), so the width is purely a throughput
+// choice.
 func dispatchChunk(runs, workers, blockSize int) int {
 	if blockSize <= 0 {
 		return chunkSize(runs, workers)

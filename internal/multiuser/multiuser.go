@@ -137,8 +137,7 @@ func Run(ctx context.Context, cfg Config, opts engine.Options) (*Result, error) 
 	track := engine.NewSeriesStatsAt(cfg.Horizon, start)
 
 	// Whole dispatch chunks are sampled and scored through the SoA
-	// kernels. The chunk width comes from the block-geometry calibration
-	// for this kernel shape (cached per host; chunking never changes
+	// kernels, tune.BlockSize runs per chunk (chunking never changes
 	// results).
 	err = engine.Run(ctx, o, engine.Config[*muWorker, []float64]{
 		NewWorker: func(int) (*muWorker, error) {

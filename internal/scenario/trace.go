@@ -271,9 +271,8 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 
 	// The fixed fleet plus each run's chaff stream are packed into the
 	// worker's scoring block and swept once per chunk; only chaff
-	// generation draws from the run streams. The chunk width comes from
-	// the block-geometry calibration for this kernel shape (cached per
-	// host; chunking never changes results).
+	// generation draws from the run streams. The chunk width is
+	// tune.BlockSize (chunking never changes results).
 	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
 		NewWorker: func(int) (*traceWorker, error) {
 			w := &traceWorker{

@@ -159,8 +159,7 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 	var cts []float64
 
 	// Whole dispatch chunks are sampled and scored through the SoA
-	// kernels. The chunk width comes from the block-geometry calibration
-	// for this kernel shape (cached per host; chunking never changes
+	// kernels, tune.BlockSize runs per chunk (chunking never changes
 	// results).
 	err = engine.Run(ctx, o, engine.Config[*simWorker, runResult]{
 		NewWorker: func(int) (*simWorker, error) {
