@@ -443,9 +443,9 @@ func WriteReportsEncoded(path string, reps []*Report, enc ReportEncoding) error 
 // Distributed fan-out re-exports: one Job spread over a fleet of
 // workers, merged back bit-for-bit (internal/coordinator).
 type (
-	// WorkerTransport hands shard jobs to one worker: in-process,
-	// subprocess (`experiments -worker`) or HTTP (`experiments -serve`
-	// / `-worker-daemon`).
+	// WorkerTransport hands shard jobs to one worker: in-process or
+	// HTTP (`experiments -serve` / `-worker-daemon`, and the local
+	// daemons `experiments -workers N` spawns).
 	WorkerTransport = coordinator.Transport
 	// FanOutEvent is one coordinator progress observation (dispatches,
 	// results, retries, dead workers, banked shards, completed rounds).
@@ -517,7 +517,8 @@ func NewWorkerRegistry(opts WorkerRegistryOptions) *WorkerRegistry {
 // next to its serving listener: register with the registry, heartbeat
 // at the granted cadence, re-register with backoff after evictions or
 // registry restarts. Returns when ctx ends, or immediately on a
-// permanent rejection (rng stream-version mismatch).
+// permanent rejection (HTTP 409: a foreign or absent rng stream version
+// or GOARCH).
 func RunWorkerDaemon(ctx context.Context, opts WorkerDaemonOptions) error {
 	return coordinator.RunDaemon(ctx, opts)
 }
@@ -564,16 +565,6 @@ type FleetOption func(*fleetConfig)
 func WithInProcessWorkers(n int) FleetOption {
 	return func(c *fleetConfig) {
 		for _, t := range coordinator.InProcessFleet(n) {
-			c.members = append(c.members, coordinator.Member{Transport: t})
-		}
-	}
-}
-
-// WithSubprocessWorkers adds n weight-1 workers exec'ing argv per shard
-// (empty argv: this binary re-exec'd with -worker).
-func WithSubprocessWorkers(n int, argv ...string) FleetOption {
-	return func(c *fleetConfig) {
-		for _, t := range coordinator.SubprocessFleet(n, argv...) {
 			c.members = append(c.members, coordinator.Member{Transport: t})
 		}
 	}

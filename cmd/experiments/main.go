@@ -55,10 +55,12 @@
 // -workers N runs every scenario through the coordinator
 // (internal/coordinator): each round of the job is split into
 // contiguous shards dispatched to N local worker processes (this
-// binary re-exec'd with -worker), failed or straggling shards are
-// retried on other workers, and the partials merge into the
+// binary started as -worker-daemon against a registry on a loopback
+// port, fixed once all N have registered), failed or straggling shards
+// are retried on other workers, and the partials merge into the
 // bit-for-bit single-process Report — adaptive -target-se rounds
-// included:
+// included. The workers are SIGTERMed and reaped when the command
+// exits, however it exits:
 //
 //	experiments -scenario scenarios.json -workers 4 -report out.json
 //
@@ -68,10 +70,12 @@
 //	experiments -serve :8080                  # on each worker host
 //	experiments -scenario scenarios.json -connect http://hostA:8080,http://hostB:8080
 //
-// A worker drains on SIGTERM: it finishes the chunk it is in, responds
-// with (or, for -worker, writes) the checkpointed prefix of its shard,
-// and the coordinator re-dispatches only the remainder. -crash-worker i
-// injects a deterministic mid-shard crash into subprocess worker i —
+// Every worker speaks the one HTTP worker API. A worker drains on
+// SIGTERM: it finishes the chunk it is in, responds with the
+// checkpointed prefix of its shard (HTTP 206), and the coordinator
+// re-dispatches only the remainder. A job that never was runnable is
+// refused with HTTP 400 before anything runs. -crash-worker i injects
+// a deterministic mid-shard crash into local worker i of -workers —
 // CI's proof that retry keeps the merge byte-identical.
 //
 // # Elastic registered fleets
@@ -89,8 +93,9 @@
 // A daemon worker listens on -serve ADDR (default: an ephemeral
 // localhost port), advertises -advertise (default: its actual listen
 // address), and is evicted when its heartbeats stop — its in-flight
-// shards are re-dispatched. A worker on a mismatched rng stream
-// version is refused at registration (its results could not merge).
+// shards are re-dispatched. A worker on a foreign rng stream version
+// or GOARCH, or announcing none, is refused at registration with HTTP
+// 409 (its results could not merge bit-identically).
 // -resume also distributes: the coordinator extends a checkpoint over
 // whichever fleet is up and the finished Report is byte-for-byte the
 // uninterrupted run's.
@@ -147,11 +152,10 @@ func realMain() int {
 		maxRuns  = flag.Int("max-runs", 0, "adaptive stopping: run cap when -target-se is unattainable (default: the scenario's runs)")
 		resume   = flag.String("resume", "", "resume the checkpointed Report envelopes in this file (with -scenario to validate against the config, else from the spec echoes)")
 
-		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (the coordinator execs this binary with -worker)")
-		connect   = flag.String("connect", "", "comma-separated base URLs of -serve workers to distribute -scenario jobs to instead of local subprocesses")
-		workerFlg = flag.Bool("worker", false, "worker mode: read one Job JSON from stdin, write its one-report envelope to stdout as binary+gzip")
+		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (this binary started as -worker-daemon against an in-process registry)")
+		connect   = flag.String("connect", "", "comma-separated base URLs of -serve workers to distribute -scenario jobs to instead of local workers")
 		serveAddr = flag.String("serve", "", "serve the worker HTTP API (POST /v1/run, GET /v1/healthz) on this address; with -worker-daemon, the daemon's listen address")
-		crashWkr  = flag.Int("crash-worker", -1, "fault injection: subprocess worker i crashes mid-shard on every dispatch (CI retry proof)")
+		crashWkr  = flag.Int("crash-worker", -1, "fault injection: local worker i of -workers crashes mid-shard on its first dispatch (CI retry proof)")
 
 		workerDmn = flag.String("worker-daemon", "", "persistent worker mode: listen for dispatches, register with the coordinator registry at this base URL, heartbeat until SIGTERM")
 		advertise = flag.String("advertise", "", "with -worker-daemon: the base URL the coordinator should dispatch to (default: the actual listen address)")
@@ -182,8 +186,7 @@ func realMain() int {
 	}
 	if *memprofile != "" {
 		// Deferred so it captures the heap after the selected workload,
-		// whatever exit path it takes. (The -worker mode execs its own
-		// loop and never returns; profiles do not apply there.)
+		// whatever exit path it takes.
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
@@ -209,13 +212,11 @@ func realMain() int {
 
 	// Ctrl-C / SIGTERM cancels between runs; scenario paths then persist
 	// the partial rounds to -report as a resumable checkpoint, and the
-	// worker modes checkpoint the shard chunk they are in.
+	// worker modes answer the checkpointed prefix of the shard they are
+	// in.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *workerFlg {
-		workerMain(ctx) // never returns
-	}
 	if *workerDmn != "" {
 		if err := daemonMain(ctx, *workerDmn, *serveAddr, *advertise, *weight); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -247,15 +248,14 @@ func realMain() int {
 		var shutdown func()
 		if err == nil {
 			switch {
-			case *registry != "" && *crashWkr >= 0:
-				err = fmt.Errorf("-crash-worker injects into local subprocess workers; it cannot combine with -registry")
+			case *workers == 0 && *crashWkr >= 0:
+				err = fmt.Errorf("-crash-worker injects into the workers -workers starts; it cannot combine with -connect or -registry")
 			case *registry != "":
-				fleet, shutdown, err = registryFleet(ctx, *registry, *fleetMin)
+				fleet, shutdown, err = registryFleet(ctx, *registry, *fleetMin, nil)
+			case *connect != "":
+				fleet, err = connectFleet(*connect)
 			default:
-				var ts []coordinator.Transport
-				if ts, err = buildFleet(*workers, *connect, *crashWkr); err == nil {
-					fleet = coordinator.StaticOf(ts...)
-				}
+				fleet, shutdown, err = spawnWorkers(ctx, *workers, *crashWkr)
 			}
 		}
 		if err == nil {

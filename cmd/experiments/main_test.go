@@ -1,14 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -468,41 +473,173 @@ func TestDistributedFlagValidation(t *testing.T) {
 	if err := distributedFlagErr(2, "", "", "", "c.json", false, ""); err != nil {
 		t.Fatalf("distributed -resume without config rejected: %v", err)
 	}
+	// Fleet construction rejects bad selections before any worker starts.
+	if f, err := connectFleet(" http://a:1 ,, http://b:2 "); err != nil || len(f.Members()) != 2 {
+		t.Fatalf("-connect fleet = %v, %v", f, err)
+	}
+	if _, err := connectFleet(" , "); err == nil {
+		t.Fatal("-connect naming no URL accepted")
+	}
+	if _, _, err := spawnWorkers(context.Background(), 2, 5); err == nil {
+		t.Fatal("-crash-worker outside the fleet accepted")
+	}
+	cmd, stderr := experimentsCmd(t, "", "-scenario", "s.json", "-connect", "http://a", "-crash-worker", "0")
+	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), "-crash-worker injects") {
+		t.Fatalf("-crash-worker with -connect: err = %v\n%s", err, stderr)
+	}
 }
 
-// TestBuildFleet: fleet construction honors -workers/-connect and the
-// -crash-worker fault injection lands on exactly one subprocess.
-func TestBuildFleet(t *testing.T) {
-	fleet, err := buildFleet(3, "", -1)
-	if err != nil || len(fleet) != 3 {
-		t.Fatalf("subprocess fleet = %d transports, %v", len(fleet), err)
+// envRunMain makes this test binary run the experiments command
+// instead of its tests, so the binary -workers starts its worker
+// daemons from (os.Executable) is a working experiments binary.
+const envRunMain = "EXPERIMENTS_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(envRunMain) == "1" {
+		os.Exit(realMain())
 	}
-	fleet, err = buildFleet(4, "", 2)
+	os.Exit(m.Run())
+}
+
+// stderrWatch collects a command's stderr and closes seen once it
+// contains want.
+type stderrWatch struct {
+	want string
+	seen chan struct{}
+
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	closed bool
+}
+
+func (w *stderrWatch) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.buf.Write(p)
+	if !w.closed && strings.Contains(w.buf.String(), w.want) {
+		w.closed = true
+		close(w.seen)
+	}
+	return len(p), nil
+}
+
+func (w *stderrWatch) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.buf.String()
+}
+
+// experimentsCmd runs the command (this binary under envRunMain) with
+// args. Its worker daemons inherit its stderr pipe, so Wait returns
+// only once every child has exited too; a child left behind holds the
+// pipe open past WaitDelay and fails Wait with exec.ErrWaitDelay.
+func experimentsCmd(t *testing.T, want string, args ...string) (*exec.Cmd, *stderrWatch) {
+	t.Helper()
+	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tr := range fleet {
-		sub, ok := tr.(*coordinator.Subprocess)
-		if !ok {
-			t.Fatalf("worker %d: %T", i, tr)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, exe, args...)
+	cmd.Env = append(os.Environ(), envRunMain+"=1")
+	// On timeout, SIGTERM: the command's own cleanup then reaps its
+	// workers instead of orphaning them.
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+	cmd.WaitDelay = 20 * time.Second
+	watch := &stderrWatch{want: want, seen: make(chan struct{})}
+	cmd.Stderr = watch
+	return cmd, watch
+}
+
+// TestWorkersSpawnDaemons runs the command itself with -workers N: the
+// workers are N worker daemons started from this binary, all N join
+// the fleet, and the merged report equals the single-process run's —
+// also when one worker crashes mid-shard. Every worker has exited by
+// the time the command has, also when the command is SIGTERMed
+// mid-campaign.
+func TestWorkersSpawnDaemons(t *testing.T) {
+	dir := t.TempDir()
+	cfg := filepath.Join(dir, "scen.json")
+	config := `{
+	  "defaults": {"runs": 60, "horizon": 10, "seed": 5},
+	  "scenarios": [{"name": "spawn", "kind": "single", "strategy": "MO"}]
+	}`
+	if err := os.WriteFile(cfg, []byte(config), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	normalized := func(path string) string {
+		t.Helper()
+		reps, err := report.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		crashed := len(sub.Env) == 1 && strings.HasPrefix(sub.Env[0], coordinator.EnvCrash+"=")
-		if crashed != (i == 2) {
-			t.Fatalf("worker %d env = %v", i, sub.Env)
+		for _, rep := range reps {
+			rep.ElapsedMS = 0
+		}
+		blob, err := json.Marshal(reps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	whole := filepath.Join(dir, "whole.json")
+	if err := runScenarios(context.Background(), cfg, t.TempDir(), whole, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := normalized(whole)
+
+	joined := regexp.MustCompile(`worker (\S+) joined the fleet`)
+	for _, tc := range []struct {
+		workers int
+		args    []string
+	}{
+		{2, []string{"-workers", "2"}},
+		{3, []string{"-workers", "3", "-crash-worker", "0"}},
+	} {
+		rep := filepath.Join(dir, fmt.Sprintf("dist%d.json", tc.workers))
+		cmd, stderr := experimentsCmd(t, "", append([]string{"-scenario", cfg, "-report", rep, "-out", t.TempDir()}, tc.args...)...)
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\n%s", tc.args, err, stderr)
+		}
+		if got := normalized(rep); got != want {
+			t.Fatalf("%v: merged report differs from the single-process run", tc.args)
+		}
+		names := map[string]bool{}
+		for _, m := range joined.FindAllStringSubmatch(stderr.String(), -1) {
+			names[m[1]] = true
+		}
+		if len(names) != tc.workers {
+			t.Fatalf("%v: %d distinct workers joined, want %d:\n%s", tc.args, len(names), tc.workers, stderr)
 		}
 	}
-	fleet, err = buildFleet(0, " http://a:1 ,, http://b:2 ", -1)
-	if err != nil || len(fleet) != 2 {
-		t.Fatalf("http fleet = %d transports, %v", len(fleet), err)
+
+	// SIGTERM mid-campaign: the command fails, and reaps its workers.
+	long := filepath.Join(dir, "long.json")
+	if err := os.WriteFile(long, []byte(`{"scenarios": [{"name": "long", "kind": "single",
+	  "strategy": "MO", "runs": 10000000, "horizon": 100, "seed": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildFleet(0, "", -1); err == nil {
-		t.Fatal("empty fleet accepted")
+	cmd, stderr := experimentsCmd(t, "distributing over", "-scenario", long, "-workers", "2", "-out", t.TempDir())
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := buildFleet(2, "", 5); err == nil {
-		t.Fatal("crash-worker outside fleet accepted")
+	var started bool
+	select {
+	case <-stderr.seen:
+		started = true
+	case <-time.After(time.Minute):
 	}
-	if _, err := buildFleet(0, "http://a", 0); err == nil {
-		t.Fatal("crash-worker with -connect accepted")
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err := cmd.Wait()
+	if !started {
+		t.Fatalf("the command never started distributing:\n%s", stderr)
+	}
+	var xe *exec.ExitError
+	if !errors.As(err, &xe) {
+		t.Fatalf("SIGTERMed command: err = %v, want a failing exit with every worker gone\n%s", err, stderr)
 	}
 }
 
@@ -563,7 +700,7 @@ func TestDaemonRegistryEndToEnd(t *testing.T) {
 		t.Fatal("daemon-served campaign differs from the single-process run")
 	}
 
-	if _, _, err := registryFleet(context.Background(), "127.0.0.1:0", 0); err == nil {
+	if _, _, err := registryFleet(context.Background(), "127.0.0.1:0", 0, nil); err == nil {
 		t.Fatal("-fleet-min 0 accepted")
 	}
 }

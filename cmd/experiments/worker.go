@@ -7,35 +7,15 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"time"
 
 	"chaffmec/internal/coordinator"
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 )
-
-// workerMain is `experiments -worker`: one Job JSON on stdin, its
-// Report on stdout as a count-1 binary+gzip envelope (the Subprocess
-// transport's wire protocol).
-// Malformed input exits ExitBadJob with the named error on stderr; a
-// SIGTERM/SIGINT mid-shard writes the resumable prefix checkpoint and
-// exits ExitPartial. Never returns.
-func workerMain(ctx context.Context) {
-	err := coordinator.RunWorker(ctx, os.Stdin, os.Stdout)
-	if err == nil {
-		os.Exit(0)
-	}
-	fmt.Fprintln(os.Stderr, "experiments: worker:", err)
-	switch {
-	case errors.Is(err, coordinator.ErrBadJob):
-		os.Exit(coordinator.ExitBadJob)
-	case errors.Is(err, coordinator.ErrPartial):
-		os.Exit(coordinator.ExitPartial)
-	default:
-		os.Exit(1)
-	}
-}
 
 // readHeaderTimeout bounds how long the worker and registry servers
 // wait for a request's headers, so a stalled client cannot pin a
@@ -67,9 +47,9 @@ func serveMain(ctx context.Context, addr string) error {
 // -serve ADDR when given, else an ephemeral localhost port), registers
 // with the coordinator's registry under its advertised URL and
 // capacity weight, heartbeats for its lease, and drains on SIGTERM
-// exactly like -serve. A permanently refused registration (stream
-// mismatch) is fatal; a briefly unreachable registry is retried with
-// backoff.
+// exactly like -serve. A permanently refused registration (HTTP 409: a
+// foreign rng stream version or GOARCH) is fatal; a briefly unreachable
+// registry is retried with backoff.
 func daemonMain(ctx context.Context, registryURL, listenAddr, advertise string, weight float64) error {
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
@@ -107,10 +87,11 @@ func daemonMain(ctx context.Context, registryURL, listenAddr, advertise string, 
 }
 
 // registryFleet is the coordinator side of the elastic fleet: serve
-// the registration API on addr, wait until fleetMin workers hold
-// leases, and hand the live registry to the dispatcher. The returned
-// shutdown stops the HTTP listener and the eviction loop.
-func registryFleet(ctx context.Context, addr string, fleetMin int) (*coordinator.Registry, func(), error) {
+// the registration API on addr, call spawn (when non-nil) with the
+// registry's base URL to start local workers, wait until fleetMin
+// workers hold leases, and hand the live registry to the dispatcher.
+// The returned shutdown stops the HTTP listener and the eviction loop.
+func registryFleet(ctx context.Context, addr string, fleetMin int, spawn func(registryURL string) error) (coordinator.Fleet, func(), error) {
 	if fleetMin < 1 {
 		return nil, nil, fmt.Errorf("-fleet-min %d: need at least one worker to wait for", fleetMin)
 	}
@@ -128,7 +109,14 @@ func registryFleet(ctx context.Context, addr string, fleetMin int) (*coordinator
 		srv.Shutdown(sctx) //nolint:errcheck // exiting anyway
 		reg.Close()
 	}
-	fmt.Fprintf(os.Stderr, "experiments: registry on http://%s, waiting for %d worker(s)\n", ln.Addr(), fleetMin)
+	url := "http://" + ln.Addr().String()
+	if spawn != nil {
+		if err := spawn(url); err != nil {
+			shutdown()
+			return nil, nil, err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "experiments: registry on %s, waiting for %d worker(s)\n", url, fleetMin)
 	if err := reg.WaitFor(ctx, fleetMin); err != nil {
 		shutdown()
 		return nil, nil, fmt.Errorf("waiting for %d registered workers: %w", fleetMin, err)
@@ -136,37 +124,83 @@ func registryFleet(ctx context.Context, addr string, fleetMin int) (*coordinator
 	return reg, shutdown, nil
 }
 
-// buildFleet resolves the CLI's fleet selection: -connect URLs (HTTP
-// workers elsewhere) or -workers N local subprocess workers, with
-// -crash-worker injecting a deterministic mid-shard crash into one of
-// them (the CI retry proof).
-func buildFleet(workers int, connect string, crashWorker int) ([]coordinator.Transport, error) {
-	if connect != "" {
-		if crashWorker >= 0 {
-			return nil, fmt.Errorf("-crash-worker injects into local subprocess workers; it cannot combine with -connect")
-		}
-		var urls []string
-		for _, u := range strings.Split(connect, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
+// spawnWorkers is -workers n: it starts n children of this binary as
+// -worker-daemon against a registry on a loopback port, waits until all
+// n hold leases, and freezes them into a static fleet — fixed
+// membership, so a fleet whose workers all die fails fast instead of
+// waiting for a join. Child crashWorker (-1: none) runs with
+// EnvCrash=exit, crashing mid-shard on its first dispatch. The returned
+// stop SIGTERMs and reaps every child, then shuts the registry down; it
+// must run on every exit path.
+func spawnWorkers(ctx context.Context, n, crashWorker int) (coordinator.Fleet, func(), error) {
+	if crashWorker >= n {
+		return nil, nil, fmt.Errorf("-crash-worker %d: fleet has %d workers", crashWorker, n)
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, nil, fmt.Errorf("resolving the worker binary: %w", err)
+	}
+	// A child that exits before registering would leave the registration
+	// wait hanging: any exit cancels the wait.
+	waitCtx, cancelWait := context.WithCancel(ctx)
+	defer cancelWait()
+	var children []*exec.Cmd
+	exited := make(chan struct{}, n)
+	stopChildren := func() {
+		for _, c := range children {
+			if c.Process.Signal(syscall.SIGTERM) != nil {
+				c.Process.Kill() //nolint:errcheck // no SIGTERM on this platform, or it has exited already
 			}
 		}
-		if len(urls) == 0 {
-			return nil, fmt.Errorf("-connect %q names no worker URLs", connect)
+		for range children {
+			<-exited
 		}
-		return coordinator.HTTPFleet(urls...), nil
 	}
-	if workers < 1 {
-		return nil, fmt.Errorf("-workers %d: need at least one", workers)
-	}
-	fleet := coordinator.SubprocessFleet(workers)
-	if crashWorker >= 0 {
-		if crashWorker >= workers {
-			return nil, fmt.Errorf("-crash-worker %d: fleet has %d workers", crashWorker, workers)
+	spawn := func(registryURL string) error {
+		for i := 0; i < n; i++ {
+			c := exec.Command(exe, "-worker-daemon", registryURL)
+			c.Stderr = os.Stderr
+			if i == crashWorker {
+				c.Env = append(os.Environ(), coordinator.EnvCrash+"=exit")
+			}
+			if err := c.Start(); err != nil {
+				return fmt.Errorf("starting worker %d: %w", i, err)
+			}
+			children = append(children, c)
+			go func() {
+				c.Wait() //nolint:errcheck // a crashed worker is the fleet's to handle
+				cancelWait()
+				exited <- struct{}{}
+			}()
 		}
-		fleet[crashWorker].(*coordinator.Subprocess).Env = []string{coordinator.EnvCrash + "=exit"}
+		return nil
 	}
-	return fleet, nil
+	fleet, shutdown, err := registryFleet(waitCtx, "127.0.0.1:0", n, spawn)
+	if err != nil {
+		stopChildren()
+		if ctx.Err() == nil && waitCtx.Err() != nil {
+			err = fmt.Errorf("a worker process exited before registering: %w", err)
+		}
+		return nil, nil, err
+	}
+	return coordinator.Static(fleet.Members()...), func() {
+		stopChildren()
+		shutdown()
+	}, nil
+}
+
+// connectFleet is -connect: a static fleet of the listed -serve workers.
+func connectFleet(connect string) (coordinator.Fleet, error) {
+	var urls []string
+	for _, u := range strings.Split(connect, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	if len(urls) == 0 {
+		return nil, fmt.Errorf("-connect %q names no worker URLs", connect)
+	}
+	return coordinator.StaticOf(coordinator.HTTPFleet(urls...)...), nil
 }
 
 // distributedFlagErr rejects the flag combinations distribution cannot
@@ -183,7 +217,7 @@ func distributedFlagErr(workers int, connect, registry, shardArg, resume string,
 	}
 	switch {
 	case selected > 1:
-		return fmt.Errorf("-workers (local subprocesses), -connect (fixed remote URLs) and -registry (elastic registered fleet) are mutually exclusive; pick one")
+		return fmt.Errorf("-workers (local worker daemons), -connect (fixed remote URLs) and -registry (elastic registered fleet) are mutually exclusive; pick one")
 	case scenFile == "" && resume == "":
 		return fmt.Errorf("-workers/-connect/-registry need -scenario (or a -resume checkpoint)")
 	case shardArg != "":

@@ -22,7 +22,7 @@
 // coordinator inside one process; to put hosts behind the same calls,
 // see cmd/experiments:
 //
-//	experiments -scenario scenarios.json -workers 4        # local subprocesses
+//	experiments -scenario scenarios.json -workers 4        # local worker daemons
 //	experiments -serve :8080                               # on worker hosts...
 //	experiments -scenario scenarios.json -connect http://a:8080,http://b:8080
 //	# or elastic: serve a registry and let persistent daemons come to it

@@ -1,10 +1,10 @@
 // Package coordinator is the distributed fan-out layer of the one
 // experiment API: it takes one precision-carrying Job, splits each
 // round of its Plan into contiguous engine.Span shards, dispatches them
-// to a fleet of workers over pluggable Transports (in-process,
-// subprocess, HTTP), banks the Report partials that come back, retries
-// failed shards on other workers (excluding the ones that failed them,
-// removing workers that keep failing), speculatively re-dispatches
+// to a fleet of workers over pluggable Transports (in-process, HTTP),
+// banks the Report partials that come back, retries failed shards on
+// other workers (excluding the ones that failed them, removing workers
+// that keep failing), speculatively re-dispatches
 // stragglers to idle workers, and merges — producing a Report provably
 // bit-identical to the single-process run of the same Job.
 //

@@ -44,8 +44,9 @@ var (
 // A lost lease (404: the registry evicted us, or restarted) or an
 // unreachable registry re-registers with exponential backoff — the
 // worker stays up and rejoins the fleet by itself. Returns when ctx
-// ends (ctx.Err()), or immediately on a permanent rejection (an rng
-// stream-version mismatch cannot heal by retrying).
+// ends (ctx.Err()), or immediately on a permanent rejection (HTTP 409:
+// an rng stream version or GOARCH other than the registry's cannot heal
+// by retrying).
 func RunDaemon(ctx context.Context, opts DaemonOptions) error {
 	if opts.Registry == "" {
 		return fmt.Errorf("coordinator: daemon needs a registry URL")
@@ -93,7 +94,7 @@ func RunDaemon(ctx context.Context, opts DaemonOptions) error {
 }
 
 // permanentRegistrationError marks registry rejections retrying cannot
-// fix (HTTP 409: stream-version mismatch).
+// fix (HTTP 409: a foreign or absent rng stream version or GOARCH).
 type permanentRegistrationError struct{ msg string }
 
 func (e *permanentRegistrationError) Error() string { return e.msg }
@@ -117,7 +118,7 @@ func daemonRegister(ctx context.Context, client *http.Client, registry string, c
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		msg := fmt.Sprintf("coordinator: registry %s refused registration: HTTP %d: %s",
-			registry, resp.StatusCode, stderrTail(string(body)))
+			registry, resp.StatusCode, tailLines(string(body)))
 		if resp.StatusCode == http.StatusConflict {
 			return registerResponse{}, &permanentRegistrationError{msg: msg}
 		}

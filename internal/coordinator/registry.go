@@ -377,7 +377,7 @@ func ProbeWorker(ctx context.Context, client *http.Client, baseURL string) (Capa
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return Capabilities{}, fmt.Errorf("coordinator: %s/v1/healthz: HTTP %d: %s", baseURL, resp.StatusCode, stderrTail(string(body)))
+		return Capabilities{}, fmt.Errorf("coordinator: %s/v1/healthz: HTTP %d: %s", baseURL, resp.StatusCode, tailLines(string(body)))
 	}
 	var caps Capabilities
 	if err := json.NewDecoder(resp.Body).Decode(&caps); err != nil {

@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/exec"
 	"strings"
 	"syscall"
 	"time"
@@ -20,10 +18,10 @@ import (
 )
 
 // Transport hands one shard Job to a worker and returns its Report. The
-// three implementations cover the deployment ladder: InProcess (tests
-// and single-binary fleets), Subprocess (one `experiments -worker` exec
-// per dispatch) and HTTP (a long-lived `experiments -serve` worker on
-// this or another host).
+// two implementations cover the deployment ladder: InProcess (tests and
+// single-binary fleets) and HTTP (a long-lived Handler worker:
+// `experiments -serve`, `-worker-daemon`, or one of the local children
+// `-workers N` spawns).
 //
 // A Transport must honor ctx: the coordinator cancels dispatches whose
 // shard was resolved by another worker (straggler replacement) and
@@ -46,18 +44,9 @@ type Transport interface {
 var ErrPartial = errors.New("coordinator: worker finished only part of its shard")
 
 // ErrBadJob marks worker input that never was a runnable Job: malformed
-// JSON, an unknown scenario kind, an invalid shard selector. A worker
-// process exits with ExitBadJob on it.
+// JSON, an unknown scenario kind, an invalid shard selector. The worker
+// Handler answers it with HTTP 400 before running anything.
 var ErrBadJob = errors.New("coordinator: malformed worker job")
-
-// Worker process exit codes (cmd/experiments -worker).
-const (
-	// ExitBadJob is the exit code for ErrBadJob input.
-	ExitBadJob = 2
-	// ExitPartial is the exit code after a SIGTERM (or injected crash)
-	// mid-shard when the resumable partial WAS written to stdout.
-	ExitPartial = 3
-)
 
 // Content types: every worker response is a self-describing count-1
 // binary+gzip report envelope (mimeReports); job, registry and health
@@ -149,98 +138,12 @@ func InProcessFleet(n int) []Transport {
 	return out
 }
 
-// Subprocess execs a worker-mode binary once per dispatch: the Job is
-// written to the child's stdin as JSON and the Report read back from
-// its stdout as a binary+gzip envelope (see RunWorker for the
-// contract). Exit code ExitPartial yields the checkpointed prefix report
-// alongside ErrPartial.
-type Subprocess struct {
-	// Label names the worker (default "subprocess").
-	Label string
-	// Argv is the worker command line; empty defaults to re-executing
-	// this binary with the single argument -worker.
-	Argv []string
-	// Env entries are appended to the child's environment. CI's fault
-	// injection (EnvCrash) rides here.
-	Env []string
-
-	lastWire WireStats
-}
-
-// LastWire implements WireReporter.
-func (t *Subprocess) LastWire() WireStats { return t.lastWire }
-
-// Name implements Transport.
-func (t *Subprocess) Name() string {
-	if t.Label == "" {
-		return "subprocess"
-	}
-	return t.Label
-}
-
-// Run implements Transport.
-func (t *Subprocess) Run(ctx context.Context, job scenario.Job) (*report.Report, error) {
-	argv := t.Argv
-	if len(argv) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("coordinator: %s: resolving worker binary: %w", t.Name(), err)
-		}
-		argv = []string{exe, "-worker"}
-	}
-	blob, err := json.Marshal(job)
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.CommandContext(ctx, argv[0], argv[1:]...)
-	cmd.Stdin = bytes.NewReader(blob)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	cmd.Env = append(os.Environ(), t.Env...)
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, fmt.Errorf("coordinator: %s: %w", t.Name(), err)
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, fmt.Errorf("coordinator: %s: %v", t.Name(), err)
-	}
-	cr := &countingReader{r: stdout}
-	rep, gotEnc, derr := decodeReportStream(cr)
-	io.Copy(io.Discard, cr) //nolint:errcheck // drain so the child never blocks on a full pipe
-	runErr := cmd.Wait()
-	t.lastWire = WireStats{Sent: int64(len(blob)), Received: cr.n, Encoding: gotEnc}
-	if runErr == nil {
-		if derr != nil {
-			return nil, fmt.Errorf("coordinator: %s: %v", t.Name(), derr)
-		}
-		return rep, nil
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err() // cancelled dispatch, not a worker fault
-	}
-	var xe *exec.ExitError
-	if errors.As(runErr, &xe) && xe.ExitCode() == ExitPartial && derr == nil {
-		return rep, fmt.Errorf("%w: %s: %s", ErrPartial, t.Name(), stderrTail(stderr.String()))
-	}
-	return nil, fmt.Errorf("coordinator: %s: %v: %s", t.Name(), runErr, stderrTail(stderr.String()))
-}
-
-// SubprocessFleet returns n subprocess workers sharing one worker
-// command line (empty argv: this binary with -worker).
-func SubprocessFleet(n int, argv ...string) []Transport {
-	out := make([]Transport, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, &Subprocess{Label: fmt.Sprintf("subprocess-%d", i), Argv: argv})
-	}
-	return out
-}
-
-// stderrTail keeps a worker failure's stderr actionable without pasting
-// a whole log into one error.
-func stderrTail(s string) string {
+// tailLines keeps an error body from a worker or registry actionable
+// without pasting a whole log into one error: its last three lines.
+func tailLines(s string) string {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return "(no stderr)"
+		return "(empty body)"
 	}
 	lines := strings.Split(s, "\n")
 	if len(lines) > 3 {
@@ -352,7 +255,7 @@ func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 		return rep, nil
 	default:
 		body, _ := io.ReadAll(io.LimitReader(cr, 4096))
-		return nil, fmt.Errorf("coordinator: %s: HTTP %d: %s", t.Name(), resp.StatusCode, stderrTail(string(body)))
+		return nil, fmt.Errorf("coordinator: %s: HTTP %d: %s", t.Name(), resp.StatusCode, tailLines(string(body)))
 	}
 }
 

@@ -4,15 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/exec"
-	"os/signal"
 	"strings"
-	"syscall"
 	"testing"
 	"time"
 
@@ -20,124 +14,16 @@ import (
 	"chaffmec/internal/scenario"
 )
 
-// TestMain doubles this test binary as a worker process: with
-// CHAFFMEC_TEST_WORKER=1 it runs the exact RunWorker/exit-code protocol
-// cmd/experiments -worker speaks, so the Subprocess transport is tested
-// hermetically against a real child process.
-func TestMain(m *testing.M) {
-	if os.Getenv("CHAFFMEC_TEST_WORKER") == "1" {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		err := RunWorker(ctx, os.Stdin, os.Stdout)
-		stop()
-		code := 0
-		switch {
-		case errors.Is(err, ErrBadJob):
-			code = ExitBadJob
-		case errors.Is(err, ErrPartial):
-			code = ExitPartial
-		case err != nil:
-			code = 1
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		os.Exit(code)
-	}
-	os.Exit(m.Run())
+// postJob sends one raw /v1/run request body to a worker Handler.
+func postJob(t *testing.T, body []byte) *httptest.ResponseRecorder {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	Handler(context.Background()).ServeHTTP(rec,
+		httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+	return rec
 }
 
-// testWorkerFleet builds n subprocess workers re-exec'ing this binary,
-// optionally with extra per-worker env on worker 0.
-func testWorkerFleet(n int, worker0Env ...string) []Transport {
-	out := make([]Transport, 0, n)
-	for i := 0; i < n; i++ {
-		t := &Subprocess{
-			Label: fmt.Sprintf("sub-%d", i),
-			Argv:  []string{os.Args[0]},
-			Env:   []string{"CHAFFMEC_TEST_WORKER=1"},
-		}
-		if i == 0 {
-			t.Env = append(t.Env, worker0Env...)
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
-func TestSubprocessFanOutBitIdentical(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
-		StaticOf(testWorkerFleet(3)...), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm(t, got) != norm(t, want) {
-		t.Fatal("subprocess fan-out differs from single-process report")
-	}
-}
-
-func TestSubprocessCrashInjection(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	for _, mode := range []string{"exit", "partial"} {
-		log := &eventLog{}
-		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
-			StaticOf(testWorkerFleet(3, EnvCrash+"="+mode)...), Options{Progress: log.add})
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
-		}
-		if norm(t, got) != norm(t, want) {
-			t.Fatalf("mode %s: merge after injected crash differs from single-process report", mode)
-		}
-		if mode == "exit" && log.count(EventFailure)+log.count(EventWorkerDead) == 0 {
-			t.Fatal("mode exit: crash left no failure events")
-		}
-		if mode == "partial" && log.count(EventPartial) == 0 {
-			t.Fatal("mode partial: no partial banked")
-		}
-	}
-}
-
-func TestSubprocessBadJobExitCode(t *testing.T) {
-	// A worker process handed garbage must exit with the named code, so
-	// operators (and the coordinator's logs) can tell "your job is
-	// malformed" from "the worker crashed".
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "CHAFFMEC_TEST_WORKER=1")
-	cmd.Stdin = strings.NewReader("{nope")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var xe *exec.ExitError
-	if !errors.As(err, &xe) || xe.ExitCode() != ExitBadJob {
-		t.Fatalf("exit = %v, want code %d", err, ExitBadJob)
-	}
-	if !strings.Contains(stderr.String(), "malformed worker job") {
-		t.Fatalf("stderr %q does not carry the named error", stderr.String())
-	}
-}
-
-func TestRunWorkerNamedErrors(t *testing.T) {
-	for name, stdin := range map[string]string{
-		"garbage":       "{nope",
-		"missing kind":  `{"spec":{}}`,
-		"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
-		"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
-		"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
-	} {
-		var out bytes.Buffer
-		err := RunWorker(context.Background(), strings.NewReader(stdin), &out)
-		if !errors.Is(err, ErrBadJob) {
-			t.Fatalf("%s: err = %v, want ErrBadJob", name, err)
-		}
-		if out.Len() != 0 {
-			t.Fatalf("%s: malformed job wrote output %q", name, out.String())
-		}
-	}
-}
-
-func TestRunWorkerMatchesDirectRun(t *testing.T) {
+func TestHandlerMatchesDirectRun(t *testing.T) {
 	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(5, 45)}
 	want, err := scenario.RunJob(context.Background(), job)
 	if err != nil {
@@ -147,11 +33,11 @@ func TestRunWorkerMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := RunWorker(context.Background(), bytes.NewReader(blob), &out); err != nil {
-		t.Fatal(err)
+	rec := postJob(t, blob)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200: %s", rec.Code, rec.Body)
 	}
-	got, _, err := decodeReportStream(&out)
+	got, _, err := decodeReportStream(rec.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,19 +48,21 @@ func TestRunWorkerMatchesDirectRun(t *testing.T) {
 	}
 }
 
-func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
+// TestHandlerTerminationAnswersResumablePartial: a worker terminated
+// mid-shard answers 206 with a proper prefix of the shard, and that
+// prefix extends to the bit-identical whole shard.
+func TestHandlerTerminationAnswersResumablePartial(t *testing.T) {
 	t.Setenv(EnvCrash, "partial")
 	job := scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 60)}
 	blob, err := json.Marshal(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	err = RunWorker(context.Background(), bytes.NewReader(blob), &out)
-	if !errors.Is(err, ErrPartial) {
-		t.Fatalf("err = %v, want ErrPartial", err)
+	rec := postJob(t, blob)
+	if rec.Code != http.StatusPartialContent {
+		t.Fatalf("status = %d, want 206", rec.Code)
 	}
-	partial, _, err := decodeReportStream(&out)
+	partial, _, err := decodeReportStream(rec.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +72,6 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	}
 	// Resumable: executing exactly the remainder and extending yields
 	// the bit-identical whole-shard report.
-	t.Setenv(EnvCrash, "")
 	rest, err := scenario.RunJob(context.Background(),
 		scenario.Job{Spec: job.Spec, Shard: engine.Span(partial.RunCount, 60)})
 	if err != nil {
@@ -199,6 +86,35 @@ func TestRunWorkerTerminationWritesResumablePartial(t *testing.T) {
 	}
 	if norm(t, partial) != norm(t, want) {
 		t.Fatal("resumed partial differs from uninterrupted shard")
+	}
+}
+
+// TestHTTPPartialCheckpointsMerge: with every worker terminated after
+// the first chunk of each dispatch, every dispatch of a shard longer
+// than minChunk returns a prefix, so the fleet banks partials on any
+// schedule and still merges bit-identical to the single-process run.
+func TestHTTPPartialCheckpointsMerge(t *testing.T) {
+	t.Setenv(EnvCrash, "partial")
+	sp := testSpec()
+	want := single(t, sp)
+	srv := httptest.NewServer(Handler(context.Background()))
+	defer srv.Close()
+	srv2 := httptest.NewServer(Handler(context.Background()))
+	defer srv2.Close()
+	log := &eventLog{}
+	// A partial counts against its worker; both workers hand back
+	// prefixes on every long shard, so neither may leave the fleet.
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(HTTPFleet(srv.URL, srv2.URL)...),
+		Options{Progress: log.add, WorkerFailLimit: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, want) {
+		t.Fatal("merge of checkpointed prefixes differs from single-process report")
+	}
+	if log.count(EventPartial) == 0 {
+		t.Fatal("no partial banked")
 	}
 }
 
@@ -267,19 +183,30 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 	}
 }
 
-// TestHTTPHandlerRejectsBadJob: a malformed job is a named 400, the
-// health probe still answers, and the unversioned paths are gone.
+// TestHTTPHandlerRejectsBadJob: a job that never was runnable is a
+// 400 naming ErrBadJob with no report body, the health probe still
+// answers, and the unversioned paths are gone.
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
+	for name, body := range map[string]string{
+		"garbage":       "{nope",
+		"missing kind":  `{"spec":{}}`,
+		"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
+		"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
+		"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
+	} {
+		rec := postJob(t, []byte(body))
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", name, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), ErrBadJob.Error()) {
+			t.Fatalf("%s: body %q does not name ErrBadJob", name, rec.Body)
+		}
+		if _, _, err := decodeReportStream(rec.Body); err == nil {
+			t.Fatalf("%s: malformed job answered with a report", name)
+		}
+	}
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/v1/run", mimeJSON, strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
 	health, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -320,9 +247,7 @@ func TestHTTPHandlerRefusesOversizedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := httptest.NewRecorder()
-	Handler(context.Background()).ServeHTTP(rec,
-		httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(blob)))
+	rec := postJob(t, blob)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", rec.Code)
 	}

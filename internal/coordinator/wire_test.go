@@ -111,27 +111,6 @@ func TestHTTPWireNegotiation(t *testing.T) {
 	checkWireEvents(t, log)
 }
 
-// TestSubprocessWireNegotiation is the same property over a real worker
-// process's stdout.
-func TestSubprocessWireNegotiation(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	log := &eventLog{}
-	tr := &Subprocess{
-		Label: "sub-wire", Argv: []string{os.Args[0]},
-		Env: []string{"CHAFFMEC_TEST_WORKER=1"},
-	}
-	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
-		StaticOf(tr), Options{Progress: log.add})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if norm(t, got) != norm(t, want) {
-		t.Fatal("fleet report differs from single-process report")
-	}
-	checkWireEvents(t, log)
-}
-
 func checkWireEvents(t *testing.T, log *eventLog) {
 	t.Helper()
 	log.mu.Lock()
@@ -177,22 +156,6 @@ func TestHandlerAnswersOneWire(t *testing.T) {
 		if body := rec.Body.Bytes(); !bytes.HasPrefix(body, []byte{0x1f, 0x8b}) {
 			t.Fatalf("Accept %q: body starts % x, want a gzip frame", accept, body[:min(len(body), 2)])
 		}
-	}
-}
-
-// TestRunWorkerAnswersOneWire: a worker process's stdout is a gzip
-// frame with no environment asking for it.
-func TestRunWorkerAnswersOneWire(t *testing.T) {
-	blob, err := json.Marshal(scenario.Job{Spec: testSpec(), Shard: engine.Span(0, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := RunWorker(context.Background(), bytes.NewReader(blob), &out); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(out.Bytes(), []byte{0x1f, 0x8b}) {
-		t.Fatalf("stdout starts % x, want a gzip frame", out.Bytes()[:min(out.Len(), 2)])
 	}
 }
 

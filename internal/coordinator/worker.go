@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -19,10 +18,10 @@ import (
 
 // EnvCrash is the fault-injection knob CI and tests use to prove the
 // retry path: a worker process started with CHAFFMEC_WORKER_CRASH=exit
-// aborts (exit 1, no output) after executing its first chunk —
-// "mid-shard", deterministically. Value "partial" instead simulates a
-// SIGTERM: the prefix checkpoint is written and the worker exits with
-// ExitPartial. Unset (production) does nothing.
+// aborts (exit 1, no response) after executing the first chunk of a
+// dispatch — "mid-shard", deterministically. Value "partial" instead
+// simulates a SIGTERM: the dispatch answers 206 with the prefix
+// checkpoint of its completed chunks. Unset (production) does nothing.
 const EnvCrash = "CHAFFMEC_WORKER_CRASH"
 
 // workerChunks splits a worker's shard into about this many chunks of
@@ -37,25 +36,16 @@ const (
 	maxChunk     = 4096
 )
 
-// RunShard executes exactly the job's shard in contiguous chunks of
-// about chunk runs (0: a default of the shard split into workerChunks
-// pieces), extending a partial report after each chunk. On error —
-// cancellation (SIGTERM in a worker process) included — the prefix
-// report of the COMPLETED chunks is returned alongside the error: a
-// resumable checkpoint covering [start, k), exactly PR-style round
-// checkpointing applied inside one shard. A whole-range job (no shard)
-// is delegated to the scenario layer's own (adaptive, resumable) round
-// loop.
-func RunShard(ctx context.Context, job scenario.Job, chunk int) (*report.Report, error) {
-	return runShardChunks(ctx, job, chunk, nil)
-}
-
-// runShardChunks is RunShard with a test hook invoked after each
-// completed chunk (the injected-crash seam).
-func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk func(i int)) (*report.Report, error) {
-	if err := job.Shard.Validate(); err != nil {
-		return nil, err
-	}
+// runShard executes exactly the job's shard in about workerChunks
+// contiguous chunks, extending a partial report after each chunk and
+// calling afterChunk (the injected-crash seam; may be nil) once each
+// completes. On error — cancellation
+// (SIGTERM in a worker process) included — the prefix report of the
+// COMPLETED chunks is returned alongside the error: a resumable
+// checkpoint covering [start, k), exactly round checkpointing applied
+// inside one shard. A whole-range job (no shard) is delegated to the
+// scenario layer's own (adaptive, resumable) round loop.
+func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*report.Report, error) {
 	if job.Shard.IsWhole() {
 		return scenario.RunAdaptive(ctx, job, nil)
 	}
@@ -64,22 +54,10 @@ func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk
 		return nil, err
 	}
 	start, end := job.Shard.Range(plan.FixedRuns())
-	if chunk <= 0 {
-		chunk = (end - start + workerChunks - 1) / workerChunks
-		if chunk < minChunk {
-			chunk = minChunk
-		}
-		if chunk > maxChunk {
-			chunk = maxChunk
-		}
-	}
+	chunk := min(max((end-start+workerChunks-1)/workerChunks, minChunk), maxChunk)
 	var acc *report.Report
 	for i, at := 0, start; at < end; i, at = i+1, at+chunk {
-		hi := at + chunk
-		if hi > end {
-			hi = end
-		}
-		rep, err := scenario.RunJob(ctx, scenario.Job{Spec: job.Spec, Shard: engine.Span(at, hi)})
+		rep, err := scenario.RunJob(ctx, scenario.Job{Spec: job.Spec, Shard: engine.Span(at, min(at+chunk, end))})
 		if err != nil {
 			return acc, err // acc: the completed-chunk prefix
 		}
@@ -95,21 +73,11 @@ func runShardChunks(ctx context.Context, job scenario.Job, chunk int, afterChunk
 	return acc, nil
 }
 
-// RunWorker is the worker half of the Subprocess transport — the body
-// of `cmd/experiments -worker`: ONE Job as JSON on in, its Report on
-// out as a count-1 binary+gzip envelope. Malformed input
-// (bad JSON, unknown kind, invalid shard or precision block) returns
-// an error wrapping ErrBadJob without running anything. A cancellation
-// (SIGTERM) mid-shard writes the resumable prefix checkpoint to out and
-// returns an error wrapping ErrPartial; the caller maps these to
-// ExitBadJob/ExitPartial.
-func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
-	dec := json.NewDecoder(in)
-	dec.DisallowUnknownFields()
-	var job scenario.Job
-	if err := dec.Decode(&job); err != nil {
-		return fmt.Errorf("%w: parsing stdin: %v", ErrBadJob, err)
-	}
+// validateJob refuses a job that never was runnable — no kind or an
+// unknown one, an invalid shard, a spec the planner rejects (a bad
+// precision block) — with an error wrapping ErrBadJob, before anything
+// runs.
+func validateJob(job scenario.Job) error {
 	if job.Spec.Kind == "" {
 		return fmt.Errorf("%w: spec needs a kind", ErrBadJob)
 	}
@@ -122,24 +90,11 @@ func RunWorker(ctx context.Context, in io.Reader, out io.Writer) error {
 	if _, err := scenario.NewPlan(job.Spec); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadJob, err)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	rep, err := runShardChunks(runCtx, job, 0, crashFromEnv(cancel))
-	if err != nil {
-		if rep != nil && rep.RunCount > 0 {
-			if werr := writeReportWire(out, rep); werr != nil {
-				return fmt.Errorf("writing partial checkpoint: %w", werr)
-			}
-			return fmt.Errorf("%w: wrote runs [%d,%d): %v",
-				ErrPartial, rep.RunStart, rep.RunStart+rep.RunCount, err)
-		}
-		return err
-	}
-	return writeReportWire(out, rep)
+	return nil
 }
 
 // crashFromEnv resolves the EnvCrash fault injection into a chunk
-// hook; cancel aborts the worker's shard context the way SIGTERM does.
+// hook; cancel aborts the dispatch's shard context the way SIGTERM does.
 func crashFromEnv(cancel context.CancelFunc) func(i int) {
 	mode := os.Getenv(EnvCrash)
 	if mode == "" {
@@ -155,18 +110,12 @@ func crashFromEnv(cancel context.CancelFunc) func(i int) {
 			os.Exit(1)
 		case "partial":
 			// Simulated SIGTERM after the first chunk: the shard aborts
-			// at the next chunk boundary and RunWorker checkpoints the
-			// prefix, exiting with ExitPartial.
+			// at the next chunk boundary and the dispatch answers 206
+			// with the prefix.
 			fmt.Fprintln(os.Stderr, "worker: injected termination (CHAFFMEC_WORKER_CRASH=partial)")
 			cancel()
 		}
 	}
-}
-
-// writeReportWire writes one report as the worker wire: a count-1
-// binary+gzip envelope.
-func writeReportWire(w io.Writer, rep *report.Report) error {
-	return report.WriteReportsBinary(w, []*report.Report{rep}, true)
 }
 
 // maxRequestBody bounds the JSON bodies the worker and registry servers
@@ -194,19 +143,23 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, strict bool) (
 	return http.StatusOK, nil
 }
 
-// Handler serves the worker HTTP API of `experiments -serve` and
-// `-worker-daemon`:
+// Handler is the one worker body: it serves the worker HTTP API of
+// `experiments -serve` and `-worker-daemon` (the children of `-workers
+// N` included):
 //
 //	POST /v1/run      Job JSON in, a count-1 binary+gzip report envelope
 //	                  out, whatever the Accept header says (206 + prefix
-//	                  report when the worker is terminated mid-shard)
+//	                  report when the worker is terminated mid-shard;
+//	                  400 naming ErrBadJob, before anything runs, for a
+//	                  job that never was runnable)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
 //	                  warm-state build counter
 //
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
 // checkpointed prefix, so a drained worker hands its work back instead
-// of losing it.
+// of losing it. EnvCrash, read on each dispatch, injects the same
+// faults.
 func Handler(ctx context.Context) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -227,13 +180,17 @@ func Handler(ctx context.Context) http.Handler {
 			http.Error(w, fmt.Sprintf("%v: %v", ErrBadJob, err), status)
 			return
 		}
+		if err := validateJob(job); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 		// The shard aborts when either the request is abandoned or the
 		// worker process is asked to drain.
 		runCtx, cancel := context.WithCancel(r.Context())
 		defer cancel()
 		stop := context.AfterFunc(ctx, cancel)
 		defer stop()
-		rep, err := RunShard(runCtx, job, 0)
+		rep, err := runShard(runCtx, job, crashFromEnv(cancel))
 		if err != nil && (rep == nil || rep.RunCount == 0) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -242,7 +199,8 @@ func Handler(ctx context.Context) http.Handler {
 		if err != nil { // the checkpointed prefix
 			w.WriteHeader(http.StatusPartialContent)
 		}
-		writeReportWire(w, rep) //nolint:errcheck // response already committed
+		// The one worker wire: a count-1 binary+gzip envelope.
+		report.WriteReportsBinary(w, []*report.Report{rep}, true) //nolint:errcheck // response already committed
 	})
 	return mux
 }
