@@ -187,24 +187,26 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 // 400 naming ErrBadJob with no report body, the health probe still
 // answers, and the unversioned paths are gone.
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
-	for name, body := range map[string]string{
-		"garbage":       "{nope",
-		"missing kind":  `{"spec":{}}`,
-		"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
-		"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
-		"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
-	} {
-		rec := postJob(t, []byte(body))
-		if rec.Code != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", name, rec.Code)
+	t.Run("NamedErrors", func(t *testing.T) {
+		for name, body := range map[string]string{
+			"garbage":       "{nope",
+			"missing kind":  `{"spec":{}}`,
+			"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
+			"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
+			"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
+		} {
+			rec := postJob(t, []byte(body))
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status = %d, want 400", name, rec.Code)
+			}
+			if !strings.Contains(rec.Body.String(), ErrBadJob.Error()) {
+				t.Fatalf("%s: body %q does not name ErrBadJob", name, rec.Body)
+			}
+			if _, _, err := decodeReportStream(rec.Body); err == nil {
+				t.Fatalf("%s: malformed job answered with a report", name)
+			}
 		}
-		if !strings.Contains(rec.Body.String(), ErrBadJob.Error()) {
-			t.Fatalf("%s: body %q does not name ErrBadJob", name, rec.Body)
-		}
-		if _, _, err := decodeReportStream(rec.Body); err == nil {
-			t.Fatalf("%s: malformed job answered with a report", name)
-		}
-	}
+	})
 	srv := httptest.NewServer(Handler(context.Background()))
 	defer srv.Close()
 	health, err := http.Get(srv.URL + "/v1/healthz")
