@@ -185,19 +185,17 @@ func (s *ApproxDP) plan(T int) (*dpPlan, error) {
 
 // firstMove picks x2,1 after observing x1,1: argmin over starting cells of
 // V_1 at the resulting state. Ties break to the lowest cell.
-func (s *ApproxDP) firstMove(p *dpPlan, pi []float64, userLoc int) (int, float64) {
+// logPi is the chain's LogSteadyState.
+func (s *ApproxDP) firstMove(p *dpPlan, logPi []float64, userLoc int) (int, float64) {
 	L := s.chain.NumStates()
 	idx := func(b, x1, x2 int) int { return (b*L+x1)*L + x2 }
-	lu := math.Inf(-1)
-	if pi[userLoc] > 0 {
-		lu = math.Log(pi[userLoc])
-	}
+	lu := logPi[userLoc]
 	best, bestV, bestG := -1, float32(math.Inf(1)), 0.0
 	for a := 0; a < L; a++ {
-		if pi[a] <= 0 {
+		if logPi[a] == math.Inf(-1) { // π(a) = 0
 			continue
 		}
-		g := lu - math.Log(pi[a])
+		g := lu - logPi[a]
 		if v := p.v[0][idx(s.binOf(g), userLoc, a)]; v < bestV {
 			best, bestV, bestG = a, v, g
 		}
@@ -235,13 +233,13 @@ func (s *ApproxDP) Gamma(user markov.Trajectory) (markov.Trajectory, error) {
 	if err != nil {
 		return nil, err
 	}
-	pi, err := s.chain.SteadyState()
+	logPi, err := s.chain.LogSteadyState()
 	if err != nil {
 		return nil, err
 	}
 	tr := make(markov.Trajectory, len(user))
 	var gamma float64
-	tr[0], gamma = s.firstMove(p, pi, user[0])
+	tr[0], gamma = s.firstMove(p, logPi, user[0])
 	if tr[0] < 0 {
 		return nil, fmt.Errorf("chaff: ApproxDP found no feasible first move")
 	}
@@ -310,7 +308,7 @@ func (s *ApproxDP) Step(userLoc int) ([]int, error) {
 	if s.ep == nil {
 		return nil, fmt.Errorf("chaff: ApproxDP.Step before Reset")
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -318,12 +316,12 @@ func (s *ApproxDP) Step(userLoc int) ([]int, error) {
 	var loc int
 	switch {
 	case !ep.started:
-		loc, ep.gamma = s.firstMove(ep.plan, pi, userLoc)
+		loc, ep.gamma = s.firstMove(ep.plan, m.logPi, userLoc)
 		ep.started = true
 	case ep.slot < ep.plan.horizon:
 		loc, ep.gamma = s.nextMove(ep.plan, ep.slot, ep.gamma, ep.userPrev, userLoc, ep.loc)
 	default:
-		loc, ep.gamma = moStep(s.chain, pi, ep.gamma, ep.userPrev, userLoc, ep.loc, nil)
+		loc, ep.gamma = m.step(ep.gamma, ep.userPrev, userLoc, ep.loc, nil)
 	}
 	if loc < 0 {
 		return nil, fmt.Errorf("chaff: ApproxDP dead end at slot %d", ep.slot)

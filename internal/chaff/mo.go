@@ -2,7 +2,6 @@ package chaff
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"chaffmec/internal/markov"
@@ -39,76 +38,88 @@ var _ OnlineController = (*MO)(nil)
 // Name implements Strategy.
 func (s *MO) Name() string { return "MO" }
 
-// moScore returns the move-scoring function for one slot: log π(·) at the
-// first slot (chaffPrev < 0) and log P(·|chaffPrev) afterwards, together
-// with the candidate move set.
-func moScore(c *markov.Chain, pi []float64, chaffPrev int) (score func(int) float64, candidates []int) {
-	if chaffPrev < 0 {
-		cand := make([]int, 0, len(pi))
-		for x, p := range pi {
-			if p > 0 {
-				cand = append(cand, x)
-			}
-		}
-		return func(x int) float64 { return math.Log(pi[x]) }, cand
-	}
-	return func(x int) float64 { return c.LogProb(chaffPrev, x) }, c.Successors(chaffPrev)
+// moTables is the read-only chain data one slot of Algorithm 2 reads,
+// all of it the chain's shared storage: the flat log P and log π, and
+// the candidates ranked by them, the successors of each cell for later
+// slots and the cells with π > 0 for the first.
+type moTables struct {
+	n     int
+	logP  []float64
+	logPi []float64
+	rows  *markov.RankedRows
+	start []int32
 }
 
-// moStep executes one slot of Algorithm 2. chaffPrev and userPrev are −1
+// newMOTables fetches c's MO tables; after the chain's first use it
+// neither copies nor allocates.
+func newMOTables(c *markov.Chain) (moTables, error) {
+	logPi, err := c.LogSteadyState()
+	if err != nil {
+		return moTables{}, err
+	}
+	start, err := c.RankedSteadyState()
+	if err != nil {
+		return moTables{}, err
+	}
+	return moTables{n: c.NumStates(), logP: c.LogProbs(), logPi: logPi, rows: c.RankedSuccessors(), start: start}, nil
+}
+
+// step executes one slot of Algorithm 2. chaffPrev and userPrev are −1
 // on the first slot. excluded (may be nil) removes cells from the chaff's
 // candidate set — the RMO hook of Section VI-B. It returns the chaff's
 // location and the updated log-likelihood gap γ_t = log p(user prefix) −
 // log p(chaff prefix).
-func moStep(c *markov.Chain, pi []float64, gammaPrev float64, userPrev, userLoc, chaffPrev int, excluded func(int) bool) (int, float64) {
-	score, candidates := moScore(c, pi, chaffPrev)
-
-	argmax := func(skip func(int) bool) int {
-		best, bestV := -1, math.Inf(-1)
-		for _, x := range candidates {
-			if skip != nil && skip(x) {
-				continue
-			}
-			if v := score(x); v > bestV {
-				best, bestV = x, v
-			}
-		}
-		return best
+//
+// The candidates, ranked by score with ties in index order, make the
+// best cell the first one not excluded, and the second-best the next
+// one after it; ties go to the lowest index, as a first-wins argmax over
+// the candidates in index order would.
+func (m *moTables) step(gammaPrev float64, userPrev, userLoc, chaffPrev int, excluded func(int) bool) (int, float64) {
+	row, score := m.start, m.logPi
+	if chaffPrev >= 0 {
+		row, score = m.rows.Row(chaffPrev), m.logP[chaffPrev*m.n:(chaffPrev+1)*m.n]
 	}
 
-	x1 := argmax(excluded)
-	if x1 < 0 {
-		// Every candidate excluded: fall back to the unrestricted ML move
-		// so the chaff trajectory stays feasible.
-		x1 = argmax(nil)
+	i1 := 0
+	if excluded != nil {
+		for i1 < len(row) && excluded(int(row[i1])) {
+			i1++
+		}
+	}
+	// Every candidate excluded: fall back to the unrestricted ML move so
+	// the chaff trajectory stays feasible.
+	x1 := int(row[0])
+	if i1 < len(row) {
+		x1 = int(row[i1])
 	}
 
 	var incUser float64
 	if userPrev < 0 {
-		incUser = safeLogAt(pi, userLoc)
+		incUser = m.logPi[userLoc]
 	} else {
-		incUser = c.LogProb(userPrev, userLoc)
+		incUser = m.logP[userPrev*m.n+userLoc]
 	}
 
 	choose := x1
 	if x1 == userLoc {
-		x2 := argmax(func(x int) bool {
-			return x == userLoc || (excluded != nil && excluded(x))
-		})
+		// The second-best cell: the next one after x1 not excluded (every
+		// cell before x1 is; none after it is the user's). There is none
+		// when every candidate is excluded.
+		i2 := i1 + 1
+		if excluded != nil {
+			for i2 < len(row) && excluded(int(row[i2])) {
+				i2++
+			}
+		}
 		// Case (2) of Section IV-D.2: take the second-best cell when the
 		// chaff's cumulative likelihood stays at least the user's.
-		if x2 >= 0 && gammaPrev+incUser-score(x2) <= 0 {
-			choose = x2
+		if i2 < len(row) {
+			if x2 := int(row[i2]); gammaPrev+incUser-score[x2] <= 0 {
+				choose = x2
+			}
 		}
 	}
-	return choose, gammaPrev + incUser - score(choose)
-}
-
-func safeLogAt(pi []float64, x int) float64 {
-	if pi[x] <= 0 {
-		return math.Inf(-1)
-	}
-	return math.Log(pi[x])
+	return choose, gammaPrev + incUser - score[choose]
 }
 
 // Gamma implements TrajectoryMapper: MO's chaff is a deterministic causal
@@ -130,14 +141,14 @@ func (s *MO) gammaInto(user, tr markov.Trajectory) error {
 	if err := user.Validate(s.chain.NumStates()); err != nil {
 		return err
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return err
 	}
 	gamma := 0.0
 	chaffPrev, userPrev := -1, -1
 	for t, u := range user {
-		tr[t], gamma = moStep(s.chain, pi, gamma, userPrev, u, chaffPrev, nil)
+		tr[t], gamma = m.step(gamma, userPrev, u, chaffPrev, nil)
 		chaffPrev, userPrev = tr[t], u
 	}
 	return nil
@@ -173,7 +184,7 @@ func (s *MO) Step(userLoc int) ([]int, error) {
 	if s.ep == nil {
 		return nil, fmt.Errorf("chaff: MO.Step before Reset")
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +192,7 @@ func (s *MO) Step(userLoc int) ([]int, error) {
 	if s.ep.started {
 		prev = s.ep.loc
 	}
-	loc, gamma := moStep(s.chain, pi, s.ep.gamma, s.ep.userPrev, userLoc, prev, nil)
+	loc, gamma := m.step(s.ep.gamma, s.ep.userPrev, userLoc, prev, nil)
 	s.ep.loc, s.ep.gamma, s.ep.userPrev, s.ep.started = loc, gamma, userLoc, true
 	out := make([]int, s.epN)
 	for i := range out {

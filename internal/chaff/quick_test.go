@@ -90,13 +90,16 @@ func TestMOGammaConsistencyProperty(t *testing.T) {
 		}
 		userLL, _ := c.LogLikelihood(user)
 		chaffLL, _ := c.LogLikelihood(tr)
-		// Recompute γ_T independently through the moStep recursion.
-		pi := c.MustSteadyState()
+		// Recompute γ_T independently through the step recursion.
+		m, err := newMOTables(c)
+		if err != nil {
+			return false
+		}
 		gamma := 0.0
 		chaffPrev, userPrev := -1, -1
 		for slot, u := range user {
 			var loc int
-			loc, gamma = moStep(c, pi, gamma, userPrev, u, chaffPrev, nil)
+			loc, gamma = m.step(gamma, userPrev, u, chaffPrev, nil)
 			if loc != tr[slot] {
 				return false
 			}

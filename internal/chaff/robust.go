@@ -161,7 +161,7 @@ func (s *RMO) GenerateChaffs(rng *rand.Rand, user markov.Trajectory, numChaffs i
 	if err := validateGenerate(user, numChaffs, s.chain.NumStates()); err != nil {
 		return nil, err
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +180,7 @@ func (s *RMO) GenerateChaffs(rng *rand.Rand, user markov.Trajectory, numChaffs i
 			if t > 0 {
 				prev = out[u][t-1]
 			}
-			out[u][t], gammas[u] = moStep(s.chain, pi, gammas[u], userPrev, user[t], prev, banned)
+			out[u][t], gammas[u] = m.step(gammas[u], userPrev, user[t], prev, banned)
 		}
 		userPrev = user[t]
 	}
@@ -249,7 +249,7 @@ func (s *RMO) Step(userLoc int) ([]int, error) {
 	if ep == nil {
 		return nil, fmt.Errorf("chaff: RMO.Step before Reset")
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +267,7 @@ func (s *RMO) Step(userLoc int) ([]int, error) {
 	cur := make([]int, len(ep.locs))
 	for u := range ep.locs {
 		banned := bannedOnline(ep.avoid[u], ep.slot, userLoc, cur, u)
-		ep.locs[u], ep.gammas[u] = moStep(s.chain, pi, ep.gammas[u], ep.userPrev, userLoc, ep.locs[u], banned)
+		ep.locs[u], ep.gammas[u] = m.step(ep.gammas[u], ep.userPrev, userLoc, ep.locs[u], banned)
 		cur[u] = ep.locs[u]
 	}
 	ep.userPrev = userLoc

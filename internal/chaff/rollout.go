@@ -60,44 +60,56 @@ func (s *Rollout) Name() string { return "Rollout" }
 
 // step picks the chaff move at one slot: argmin over candidate moves of
 // immediate cost + estimated cost-to-go under the myopic base policy.
-func (s *Rollout) step(rng *rand.Rand, pi []float64, gammaPrev float64, userPrev, userLoc, chaffPrev int) (int, float64) {
-	score, candidates := moScore(s.chain, pi, chaffPrev)
+// The candidates are scanned in index order (the cells with π > 0 at the
+// first slot, the successors of chaffPrev afterwards): the lowest index
+// wins a tie.
+func (s *Rollout) step(rng *rand.Rand, m *moTables, gammaPrev float64, userPrev, userLoc, chaffPrev int) (int, float64) {
 	var incUser float64
 	if userPrev < 0 {
-		incUser = safeLogAt(pi, userLoc)
+		incUser = m.logPi[userLoc]
 	} else {
-		incUser = s.chain.LogProb(userPrev, userLoc)
+		incUser = m.logP[userPrev*m.n+userLoc]
 	}
 
 	bestMove, bestCost, bestGamma := -1, math.Inf(1), 0.0
-	for _, a := range candidates {
-		g := gammaPrev + incUser - score(a)
+	try := func(a int, score float64) {
+		g := gammaPrev + incUser - score
 		cost := SlotCost(g, userLoc, a)
-		cost += s.costToGo(rng, g, userLoc, a)
+		cost += s.costToGo(rng, m, g, userLoc, a)
 		if cost < bestCost {
 			bestMove, bestCost, bestGamma = a, cost, g
 		}
 	}
+	if chaffPrev < 0 {
+		for a, v := range m.logPi {
+			if v > math.Inf(-1) { // π(a) > 0
+				try(a, v)
+			}
+		}
+	} else {
+		for _, a := range s.chain.Successors(chaffPrev) {
+			try(a, m.logP[chaffPrev*m.n+a])
+		}
+	}
 	if bestMove < 0 {
 		// No candidate (degenerate chain); fall back to the myopic step.
-		return moStep(s.chain, pi, gammaPrev, userPrev, userLoc, chaffPrev, nil)
+		return m.step(gammaPrev, userPrev, userLoc, chaffPrev, nil)
 	}
 	return bestMove, bestGamma
 }
 
 // costToGo estimates the expected cumulative SlotCost of running the
 // myopic policy for Horizon further slots from state (γ, userLoc, chaffLoc).
-func (s *Rollout) costToGo(rng *rand.Rand, gamma float64, userLoc, chaffLoc int) float64 {
+func (s *Rollout) costToGo(rng *rand.Rand, m *moTables, gamma float64, userLoc, chaffLoc int) float64 {
 	if s.Horizon <= 0 || s.Samples <= 0 {
 		return 0
 	}
-	pi := s.chain.MustSteadyState()
 	total := 0.0
 	for k := 0; k < s.Samples; k++ {
 		g, u, c := gamma, userLoc, chaffLoc
 		for h := 0; h < s.Horizon; h++ {
 			un := s.chain.Step(rng, u)
-			cn, gn := moStep(s.chain, pi, g, u, un, c, nil)
+			cn, gn := m.step(g, u, un, c, nil)
 			total += SlotCost(gn, un, cn)
 			g, u, c = gn, un, cn
 		}
@@ -115,7 +127,7 @@ func (s *Rollout) GenerateChaffs(rng *rand.Rand, user markov.Trajectory, numChaf
 	if rng == nil {
 		return nil, fmt.Errorf("chaff: Rollout requires a rand source")
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +135,7 @@ func (s *Rollout) GenerateChaffs(rng *rand.Rand, user markov.Trajectory, numChaf
 	gamma := 0.0
 	chaffPrev, userPrev := -1, -1
 	for t, u := range user {
-		tr[t], gamma = s.step(rng, pi, gamma, userPrev, u, chaffPrev)
+		tr[t], gamma = s.step(rng, &m, gamma, userPrev, u, chaffPrev)
 		chaffPrev, userPrev = tr[t], u
 	}
 	return replicate(tr, numChaffs), nil
@@ -149,7 +161,7 @@ func (s *Rollout) Step(userLoc int) ([]int, error) {
 	if s.ep == nil {
 		return nil, fmt.Errorf("chaff: Rollout.Step before Reset")
 	}
-	pi, err := s.chain.SteadyState()
+	m, err := newMOTables(s.chain)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +169,7 @@ func (s *Rollout) Step(userLoc int) ([]int, error) {
 	if s.ep.started {
 		prev = s.ep.loc
 	}
-	loc, gamma := s.step(s.ep.rng, pi, s.ep.gamma, s.ep.userPrev, userLoc, prev)
+	loc, gamma := s.step(s.ep.rng, &m, s.ep.gamma, s.ep.userPrev, userLoc, prev)
 	s.ep.loc, s.ep.gamma, s.ep.userPrev, s.ep.started = loc, gamma, userLoc, true
 	out := make([]int, s.epN)
 	for i := range out {

@@ -51,6 +51,15 @@ type Chain struct {
 	steadyAliasOnce sync.Once
 	steadyAlias     *AliasTable
 	steadyAliasErr  error
+
+	// Candidate cells ranked for the myopic chaff step, built lazily and
+	// shared: every row's successors by log P, and the states with π > 0
+	// by log π. See ranked.go.
+	rankedOnce       sync.Once
+	ranked           RankedRows
+	rankedSteadyOnce sync.Once
+	rankedSteady     []int32
+	rankedSteadyErr  error
 }
 
 // New validates p as a row-stochastic matrix and returns the chain.
