@@ -1,8 +1,9 @@
 package markov
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Ranked tables serve the myopic chaff step (MO, Algorithm 2), which
@@ -49,8 +50,8 @@ func (c *Chain) RankedSuccessors() *RankedRows {
 
 // RankedSteadyState returns the states with π > 0 ordered by log π
 // descending, ties kept in index order: the first slot's counterpart of
-// a RankedSuccessors row. It is built once per chain on first use and shared;
-// the returned slice must not be modified.
+// a RankedSuccessors row. It is built once per chain on first use and
+// shared; the returned slice must not be modified.
 func (c *Chain) RankedSteadyState() ([]int32, error) {
 	c.rankedSteadyOnce.Do(func() {
 		logPi, err := c.LogSteadyState()
@@ -71,7 +72,8 @@ func (c *Chain) RankedSteadyState() ([]int32, error) {
 }
 
 // rankDescending stably sorts the states in cells (given in index order)
-// by score descending.
+// by score descending. No score is NaN: successors have finite log P,
+// and the steady ranking keeps only cells with finite log π.
 func rankDescending(cells []int32, score []float64) {
-	sort.SliceStable(cells, func(i, j int) bool { return score[cells[i]] > score[cells[j]] })
+	slices.SortStableFunc(cells, func(a, b int32) int { return cmp.Compare(score[b], score[a]) })
 }
