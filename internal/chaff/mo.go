@@ -80,12 +80,7 @@ func (m *moTables) step(gammaPrev float64, userPrev, userLoc, chaffPrev int, exc
 		row, score = m.rows.Row(chaffPrev), m.logP[chaffPrev*m.n:(chaffPrev+1)*m.n]
 	}
 
-	i1 := 0
-	if excluded != nil {
-		for i1 < len(row) && excluded(int(row[i1])) {
-			i1++
-		}
-	}
+	i1 := firstAllowed(row, 0, excluded)
 	// Every candidate excluded: fall back to the unrestricted ML move so
 	// the chaff trajectory stays feasible.
 	x1 := int(row[0])
@@ -105,12 +100,7 @@ func (m *moTables) step(gammaPrev float64, userPrev, userLoc, chaffPrev int, exc
 		// The second-best cell: the next one after x1 not excluded (every
 		// cell before x1 is; none after it is the user's). There is none
 		// when every candidate is excluded.
-		i2 := i1 + 1
-		if excluded != nil {
-			for i2 < len(row) && excluded(int(row[i2])) {
-				i2++
-			}
-		}
+		i2 := firstAllowed(row, i1+1, excluded)
 		// Case (2) of Section IV-D.2: take the second-best cell when the
 		// chaff's cumulative likelihood stays at least the user's.
 		if i2 < len(row) {
@@ -120,6 +110,19 @@ func (m *moTables) step(gammaPrev float64, userPrev, userLoc, chaffPrev int, exc
 		}
 	}
 	return choose, gammaPrev + incUser - score[choose]
+}
+
+// firstAllowed returns the index of the first entry of row at or after
+// i that excluded (may be nil) does not remove, or len(row) if there is
+// none.
+func firstAllowed(row []int32, i int, excluded func(int) bool) int {
+	if excluded == nil {
+		return min(i, len(row))
+	}
+	for i < len(row) && excluded(int(row[i])) {
+		i++
+	}
+	return min(i, len(row))
 }
 
 // Gamma implements TrajectoryMapper: MO's chaff is a deterministic causal
