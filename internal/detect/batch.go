@@ -206,8 +206,9 @@ func (d *MLDetector) ScoreBlock(blk *Block, user int) error {
 // lanes keeps the tile's ll rows (16 KiB of float64) plus the current
 // and previous trajectory planes (8 KiB of int32 each) inside a 32 KiB
 // L1d across all T slots. Small-U blocks (the simulated scenarios) fit
-// in one tile; the trace scenario's ~180-trajectory runs split into
-// ~11-run tiles.
+// in one tile; the strategy-aware trace eavesdropper's runs (a ~155-
+// member fleet plus chaffs) split into ~13-run tiles. The basic trace
+// eavesdropper packs no block: it scores chaffs against a Fleet.
 const blockTileLanes = 2048
 
 //chaffmec:hotpath

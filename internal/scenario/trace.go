@@ -30,10 +30,21 @@ import (
 // small LRU bounds the footprint when configs churn. Builds run outside
 // the cache lock behind a per-entry Once: concurrent jobs wanting the
 // SAME lab block on one build, while lookups of other configs proceed.
+//
+// Next to the lab an entry keeps its ML view, derived once on the first
+// trace job's demand and dropped with the lab: the fleet's score table
+// (detect.Fleet), since the fleet is the same in every run and chunk,
+// and the fleet ranked by tracked-ness, from which TraceUser picks the
+// protected user.
 type traceLabEntry struct {
 	once sync.Once
 	lab  *figures.TraceLab
 	err  error
+
+	viewOnce sync.Once
+	fleet    *detect.Fleet
+	ranking  []int // fleet indices, most tracked first
+	viewErr  error
 }
 
 var traceLabCache = struct {
@@ -41,11 +52,12 @@ var traceLabCache = struct {
 	labs   map[figures.TraceConfig]*traceLabEntry
 	order  []figures.TraceConfig // oldest first
 	builds int                   // observability for tests
+	views  int                   // ML views derived; observability for tests
 }{labs: map[figures.TraceConfig]*traceLabEntry{}}
 
 const traceLabCacheCap = 4
 
-func sharedTraceLab(cfg figures.TraceConfig) (*figures.TraceLab, error) {
+func sharedTraceEntry(cfg figures.TraceConfig) (*traceLabEntry, error) {
 	c := &traceLabCache
 	c.Lock()
 	e, ok := c.labs[cfg]
@@ -90,8 +102,25 @@ func sharedTraceLab(cfg figures.TraceConfig) (*figures.TraceLab, error) {
 			}
 		}
 		c.Unlock()
+		return nil, e.err
 	}
-	return e.lab, e.err
+	return e, nil
+}
+
+// view returns the lab's fleet score table and tracked-ness ranking,
+// deriving both on first use.
+func (e *traceLabEntry) view() (*detect.Fleet, []int, error) {
+	e.viewOnce.Do(func() {
+		c := &traceLabCache
+		c.Lock()
+		c.views++
+		c.Unlock()
+		if e.fleet, e.viewErr = detect.NewFleet(e.lab.Chain, e.lab.Trajectories); e.viewErr != nil {
+			return
+		}
+		e.ranking, _, e.viewErr = e.lab.TopUsers(len(e.lab.Trajectories))
+	})
+	return e.fleet, e.ranking, e.viewErr
 }
 
 // buildTraceLab is the cold-build path, a seam the cache tests stub.
@@ -139,8 +168,9 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 	return lab, true, nil
 }
 
-// ResetTraceLabCache empties the shared lab cache. Tests and perfbench
-// use it to force the next trace job through loadOrBuildTraceLab.
+// ResetTraceLabCache empties the shared lab cache, the labs' ML views
+// with it. Tests and perfbench use it to force the next trace job
+// through loadOrBuildTraceLab.
 func ResetTraceLabCache() {
 	c := &traceLabCache
 	c.Lock()
@@ -159,18 +189,48 @@ func TraceLabBuilds() int {
 	return c.builds
 }
 
-// traceWorker is a trace run's per-worker scratch: the reusable scoring
-// workspace and the chaff buffers every block regenerates in place.
+// traceWorker is a trace run's per-worker scratch: the chaff buffers
+// every block regenerates in place, the chaffs' running
+// log-likelihoods for the fleet scorer, and (strategy-aware
+// eavesdropper only) the reusable block-scoring workspace.
 type traceWorker struct {
-	ws        *detect.Workspace
 	chaffBufs []markov.Trajectory
+	ll        []float64
+	ws        *detect.Workspace
 }
 
-// runTraceBlock is the trace batch kernel: it packs the fixed fleet plus
-// each run's chaff stream (generated into the worker's reused buffers)
-// into the worker's scoring block, sweeps the whole chunk once through
-// the block scorer, and copies the protected user's tracking series out
-// of the arena — one backing allocation per block.
+// runTraceFleet is the basic-ML trace kernel: it generates each run's
+// chaff stream into the worker's reused buffers and scores only those
+// chaffs against the lab's fleet table, writing the protected user's
+// tracking series straight into the block's backing — one allocation
+// per block.
+//
+//chaffmec:hotpath
+func runTraceFleet(fleet *detect.Fleet, userTr markov.Trajectory, strat chaff.Strategy, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
+	T := len(userTr)
+	//lint:ignore hotpath by design: results must outlive the worker's buffers, so each block pays exactly one backing allocation
+	backing := make([]float64, len(rngs)*T)
+	for r := range rngs {
+		if strat != nil {
+			if err := chaff.GenerateInto(strat, rngs[r], userTr, w.chaffBufs); err != nil {
+				return fmt.Errorf("scenario: trace chaffs: %w", err)
+			}
+		}
+		series := backing[r*T : (r+1)*T]
+		if err := fleet.Track(user, w.chaffBufs, w.ll, series); err != nil {
+			return err
+		}
+		out[r] = series
+	}
+	return nil
+}
+
+// runTraceBlock is the strategy-aware trace kernel: the survivor mask
+// depends on each run's chaffs, so it packs the fleet plus each run's
+// chaff stream (generated into the worker's reused buffers) into the
+// worker's scoring block, sweeps the whole chunk once through the block
+// scorer, and copies the protected user's tracking series out of the
+// arena — one backing allocation per block.
 //
 //chaffmec:hotpath
 func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer detect.BlockScorer, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
@@ -182,14 +242,12 @@ func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer detect.Bl
 				return err
 			}
 		}
-		if strat != nil {
-			if err := chaff.GenerateInto(strat, rngs[r], lab.Trajectories[user], w.chaffBufs); err != nil {
-				return fmt.Errorf("scenario: trace chaffs: %w", err)
-			}
-			for i, ch := range w.chaffBufs {
-				if err := blk.SetTrajectory(r, len(lab.Trajectories)+i, ch); err != nil {
-					return err
-				}
+		if err := chaff.GenerateInto(strat, rngs[r], lab.Trajectories[user], w.chaffBufs); err != nil {
+			return fmt.Errorf("scenario: trace chaffs: %w", err)
+		}
+		for i, ch := range w.chaffBufs {
+			if err := blk.SetTrajectory(r, len(lab.Trajectories)+i, ch); err != nil {
+				return err
 			}
 		}
 	}
@@ -214,7 +272,10 @@ func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer detect.Bl
 // tracked user. The eavesdropper (basic ML, or strategy-aware when
 // Advanced) observes all fleet trajectories plus the chaffs; the
 // reported series is the protected user's per-slot tracking accuracy
-// averaged over the chaff streams. With no Strategy the runs are
+// averaged over the chaff streams. The basic eavesdropper scores each
+// run's chaffs against the lab's fleet table, which is built once per
+// lab; the strategy-aware one filters survivors per run and so re-scores
+// the packed fleet in every run. With no Strategy the runs are
 // chaff-free (and therefore identical — a deterministic baseline).
 //
 // Spec fields used: Nodes (fleet size, default 174), Horizon (the
@@ -232,7 +293,7 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	if labSeed == 0 {
 		labSeed = sp.Seed
 	}
-	lab, err := sharedTraceLab(figures.TraceConfig{
+	entry, err := sharedTraceEntry(figures.TraceConfig{
 		Seed:    labSeed,
 		Nodes:   sp.Nodes,
 		Minutes: sp.Horizon,
@@ -240,11 +301,15 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	if err != nil {
 		return nil, err
 	}
-	top, _, err := lab.TopUsers(sp.TraceUser + 1)
+	lab := entry.lab
+	fleet, ranking, err := entry.view()
 	if err != nil {
-		return nil, fmt.Errorf("scenario: selecting trace user %d: %w", sp.TraceUser, err)
+		return nil, fmt.Errorf("scenario: scoring the trace fleet: %w", err)
 	}
-	user := top[sp.TraceUser]
+	if sp.TraceUser >= len(ranking) {
+		return nil, fmt.Errorf("scenario: trace_user %d outside the %d-node fleet", sp.TraceUser, len(ranking))
+	}
+	user := ranking[sp.TraceUser]
 
 	var strat chaff.Strategy
 	numChaffs := 0
@@ -254,14 +319,20 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 		}
 		numChaffs = sp.NumChaffs
 	}
-	var scorer detect.BlockScorer = detect.NewMLDetector(lab.Chain)
+	runBlock := func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+		return runTraceFleet(fleet, lab.Trajectories[user], strat, user, w, rngs, out)
+	}
 	if sp.Advanced {
 		gamma, err := specGamma(sp, lab.Chain)
 		if err != nil {
 			return nil, err
 		}
-		if scorer, err = detect.NewCappedAdvancedDetector(lab.Chain, gamma); err != nil {
+		scorer, err := detect.NewCappedAdvancedDetector(lab.Chain, gamma)
+		if err != nil {
 			return nil, err
+		}
+		runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
 		}
 	}
 
@@ -269,25 +340,28 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	start, _ := o.Range()
 	track := engine.NewSeriesStatsAt(lab.Horizon, start)
 
-	// The fixed fleet plus each run's chaff stream are packed into the
-	// worker's scoring block and swept once per chunk; only chaff
-	// generation draws from the run streams. The chunk width is
-	// tune.BlockSize (chunking never changes results).
+	// Only chaff generation draws from the run streams. The chunk width
+	// is tune.BlockSize (chunking never changes results).
 	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
 		NewWorker: func(int) (*traceWorker, error) {
 			w := &traceWorker{
-				ws:        detect.GetWorkspace(),
 				chaffBufs: make([]markov.Trajectory, numChaffs),
+				ll:        make([]float64, numChaffs),
 			}
 			for i := range w.chaffBufs {
 				w.chaffBufs[i] = make(markov.Trajectory, lab.Horizon)
 			}
+			if sp.Advanced {
+				w.ws = detect.GetWorkspace()
+			}
 			return w, nil
 		},
-		FreeWorker: func(w *traceWorker) { w.ws.Release() },
-		RunBlock: func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
-			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
+		FreeWorker: func(w *traceWorker) {
+			if w.ws != nil {
+				w.ws.Release()
+			}
 		},
+		RunBlock:  runBlock,
 		BlockSize: tune.BlockSize(lab.Chain, len(lab.Trajectories)+numChaffs, lab.Horizon),
 		Accumulate: func(run int, series []float64) error {
 			return track.Add(series)

@@ -39,6 +39,15 @@ func stubLabBuilder(t *testing.T, build func(figures.TraceConfig) (*figures.Trac
 	return &calls
 }
 
+// sharedTraceLab is the lab of the shared cache's entry for cfg.
+func sharedTraceLab(cfg figures.TraceConfig) (*figures.TraceLab, error) {
+	e, err := sharedTraceEntry(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.lab, nil
+}
+
 func labCfg(seed int64) figures.TraceConfig {
 	return figures.TraceConfig{Seed: seed, Nodes: 10, Minutes: 5}
 }
@@ -217,7 +226,7 @@ func TestTraceLabStoreWarmStart(t *testing.T) {
 
 // traceOnce is the scalar per-run trace pipeline — the fixed fleet plus
 // one GenerateChaffs stream, scored by per-run prefix detection — kept as
-// the reference runTraceBlock is tested against.
+// the reference runTrace's fleet and block kernels are tested against.
 func traceOnce(lab *figures.TraceLab, strat chaff.Strategy, numChaffs int, det detect.PrefixDetector,
 	user int, ws *detect.Workspace, rng *rand.Rand) ([]float64, error) {
 	trs := append([]markov.Trajectory(nil), lab.Trajectories...)
@@ -286,7 +295,9 @@ func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
 // bit for bit — chaff-free, with MO chaff, against the strategy-aware
 // eavesdropper (MO's Γ, and OO's capped Γ against the oracle's full
 // one), and with IM chaff (the case whose chaffs draw from the
-// run streams; MO's do not) — at any worker count.
+// run streams; MO's do not) — at any worker count. Two identical ML
+// chaffs tie each other, three IM chaffs crowd the tie sets, and MO at
+// TraceUser 2 protects a user other than the most tracked one.
 func TestTraceBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace lab build")
@@ -301,7 +312,14 @@ func TestTraceBatchMatchesScalar(t *testing.T) {
 	ooAdv.Strategy = "OO"
 	im := base
 	im.Strategy, im.NumChaffs = "IM", 2
-	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im} {
+	ml2 := base
+	ml2.Strategy, ml2.NumChaffs = "ML", 2
+	moUser2 := mo
+	moUser2.TraceUser = 2
+	im3 := base
+	im3.Strategy, im3.NumChaffs = "IM", 3
+	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im,
+		"ML2": ml2, "MO-user2": moUser2, "IM3": im3} {
 		want := traceScalar(t, sp)
 		for _, workers := range []int{1, 4} {
 			sp.Workers = workers
@@ -313,5 +331,63 @@ func TestTraceBatchMatchesScalar(t *testing.T) {
 				t.Fatalf("%s, workers=%d: batch tracking snapshot differs from the scalar oracle", name, workers)
 			}
 		}
+	}
+}
+
+// TestTraceViewOncePerLab runs one trace job as many chunk jobs, the way
+// a worker runs its shard, all at once on a cold cache: the lab's fleet
+// table and ranking are derived once per cache entry, not once per
+// chunk, the strategy-aware eavesdropper's chunks reuse them, and the
+// chunks extend to the whole job's report.
+func TestTraceViewOncePerLab(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace lab build")
+	}
+	ResetTraceLabCache()
+	t.Cleanup(ResetTraceLabCache)
+	views := func() int {
+		c := &traceLabCache
+		c.Lock()
+		defer c.Unlock()
+		return c.views
+	}
+	before := views()
+	sp := Spec{Kind: "trace", Nodes: 40, Horizon: 25, Runs: 48, Seed: 6, Strategy: "IM", NumChaffs: 2}
+	adv := sp
+	adv.Strategy, adv.NumChaffs, adv.Advanced = "MO", 1, true
+	for _, sp := range []Spec{sp, adv} {
+		const chunk = 4
+		reps := make([]*report.Report, sp.Runs/chunk)
+		var wg sync.WaitGroup
+		for i := range reps {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				rep, err := RunJob(context.Background(), Job{Spec: sp, Shard: engine.Span(i*chunk, (i+1)*chunk)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reps[i] = rep
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		acc := reps[0]
+		if err := acc.Extend(reps[1:]...); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := RunJob(context.Background(), Job{Spec: sp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := marshalStable(t, acc), marshalStable(t, whole); !reflect.DeepEqual(got, want) {
+			t.Fatalf("advanced=%v: 12 chunks extend to\n%s\nwant the whole job's\n%s", sp.Advanced, got, want)
+		}
+	}
+	if got := views() - before; got != 1 {
+		t.Fatalf("%d fleet views derived over 26 jobs on one lab, want 1", got)
 	}
 }
