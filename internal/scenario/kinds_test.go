@@ -76,6 +76,9 @@ func TestTraceKind(t *testing.T) {
 	if _, err := Run(Spec{Kind: "trace", TraceUser: -1, Runs: 1, Horizon: 20}); err == nil {
 		t.Fatal("negative trace user accepted")
 	}
+	if _, err := Run(Spec{Kind: "trace", Nodes: 40, Horizon: 25, TraceUser: 40, Runs: 1, Seed: 6}); err == nil {
+		t.Fatal("trace user beyond the fleet accepted")
+	}
 }
 
 func TestMecbatchKind(t *testing.T) {

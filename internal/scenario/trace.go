@@ -233,7 +233,7 @@ func runTraceFleet(fleet *detect.Fleet, userTr markov.Trajectory, strat chaff.St
 // arena — one backing allocation per block.
 //
 //chaffmec:hotpath
-func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer detect.BlockScorer, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
+func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer *detect.AdvancedDetector, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
 	B, T := len(rngs), lab.Horizon
 	blk := w.ws.Block(B, len(lab.Trajectories)+len(w.chaffBufs), T)
 	for r := range rngs {
