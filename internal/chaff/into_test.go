@@ -104,3 +104,83 @@ func restream(t *testing.T, c *markov.Chain, seed int64, T int) *rand.Rand {
 	}
 	return r
 }
+
+// failSource is a rand.Source that fails the test on any draw.
+type failSource struct {
+	t    *testing.T
+	name string
+}
+
+func (s failSource) Int63() int64 {
+	s.t.Fatalf("%s drew from the run stream", s.name)
+	return 0
+}
+
+func (s failSource) Seed(int64) { s.t.Fatalf("%s reseeded the run stream", s.name) }
+
+// countSource counts the draws of a seeded source.
+type countSource struct {
+	rand.Source
+	draws int
+}
+
+func (s *countSource) Int63() int64 {
+	s.draws++
+	return s.Source.Int63()
+}
+
+// TestSelfGammaPremise checks the premise the advanced single kind
+// builds on when it takes a strategy as its own Γ: every registered
+// TrajectoryMapper fills every chaff of GenerateInto with exactly
+// Gamma(user) and draws nothing from the run stream. The randomised
+// strategies, whose chaffs are not Γ(user), must draw, and every
+// registered strategy is one or the other.
+func TestSelfGammaPremise(t *testing.T) {
+	const T, numChaffs = 40, 3
+	drawers := map[string]bool{"IM": true, "RML": true, "ROO": true, "RMO": true, "Rollout": true}
+	for _, id := range []mobility.ModelID{mobility.ModelNonSkewed, mobility.ModelSpatiallySkewed} {
+		c := modelChain(t, id)
+		for _, name := range Names() {
+			s, err := NewByName(name, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, mapper := s.(TrajectoryMapper)
+			if mapper && drawers[name] {
+				t.Fatalf("%s is a TrajectoryMapper but its chaffs are randomised", name)
+			}
+			for seed := int64(0); seed < 3; seed++ {
+				user, err := c.Sample(rng.New(seed), T)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := make([]markov.Trajectory, numChaffs)
+				switch {
+				case mapper:
+					if err := GenerateInto(s, rand.New(failSource{t, name}), user, dst); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want, err := m.Gamma(user)
+					if err != nil {
+						t.Fatalf("%s: Γ: %v", name, err)
+					}
+					for i, ch := range dst {
+						if !ch.Equal(want) {
+							t.Fatalf("%s: chaff %d is not Γ(user)\nchaff %v\nΓ     %v", name, i, ch, want)
+						}
+					}
+				case drawers[name]:
+					src := &countSource{Source: rng.New(seed)}
+					if err := GenerateInto(s, rand.New(src), user, dst); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if src.draws == 0 {
+						t.Fatalf("%s generated chaffs without drawing from the run stream", name)
+					}
+				default:
+					t.Fatalf("%s is neither a TrajectoryMapper nor a randomised strategy", name)
+				}
+			}
+		}
+	}
+}

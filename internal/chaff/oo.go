@@ -359,14 +359,84 @@ func (s *OO) Gamma(user markov.Trajectory) (markov.Trajectory, error) {
 // (invalid input, trellis.ErrInfeasible) are Gamma's whatever the cap.
 //
 // The cap saves the columns within+1..i*. A chaff co-locating with its
-// planned-for user few times is cut short, but replicated chaffs
-// (overlap T with each other) cap each other at T: no speed-up.
+// planned-for user few times is cut short. Replicated chaffs overlap
+// each other in all T slots, so they cap each other at T and the cap
+// saves nothing; ProvesMiss covers them instead whenever the strict
+// constraint (5) holds for the chaff, without running the DP at all.
 func (s *OO) GammaWithin(user markov.Trajectory, within int) (markov.Trajectory, error) {
 	res, err := s.plan(user, nil, within)
 	if err != nil {
 		return nil, err
 	}
 	return res.Chaff, nil
+}
+
+// ProvesMiss reports, from trajectory costs alone, that Γ(trs[v])
+// equals no trs[u] with u ≠ v, so the advanced eavesdropper may skip
+// computing it. A true is a proof; false only means "run the DP".
+//
+// Γ(x) stops at the first budget column whose DP cost k passes the stop
+// test: k < c_x − tol when the strict constraint (5) is feasible, else
+// k ≤ minCost + tol, with c_x = −log p(x) and tol and minCost as plan
+// computes them. k is the DP's own sum of the chaff's T non-negative
+// path terms, taken back to front; c_u, from LogLikelihood, sums the
+// same terms front to back. Two recursive sums of T non-negative terms
+// differ by at most 2γ_{T−1}·c_u, so k_u ≥ c_u − c_u·eps with eps =
+// 4T·2⁻⁵³, which also absorbs the rounding of that bound. A candidate
+// whose bound already fails the stop test cannot be Γ(x), and nor can
+// an impossible one (c_u = +Inf): every term of a planned chaff is
+// finite. In strict mode the same bound prunes every copy of x, as a
+// strict Γ(x) is cheaper than x by more than tol.
+//
+// It returns false wherever Γ(x) would fail, so a skipped call never
+// hides an error: an invalid or impossible x, a severed trellis, ROO's
+// exclusions (not covered by the proof) and T > 2²⁰, where the bound's
+// first-order form stops holding.
+//
+//chaffmec:hotpath
+func (s *OO) ProvesMiss(trs []markov.Trajectory, v int) bool {
+	c := s.chain
+	x := trs[v]
+	T := len(x)
+	if s.excl != nil || T == 0 || T > 1<<20 {
+		return false
+	}
+	xLL, err := c.LogLikelihood(x)
+	if err != nil || math.IsInf(xLL, -1) {
+		return false
+	}
+	logPi, err := c.LogSteadyState()
+	if err != nil {
+		return false
+	}
+	vit, _ := s.viterbiFor(T)
+	minCost, _ := sourceFold(logPi, vit[:c.NumStates()])
+	if math.IsInf(minCost, 1) {
+		return false
+	}
+	xCost := -xLL
+	tol := float64(1e-9 * (1 + math.Abs(xCost)))
+	strict := minCost < xCost-tol
+	eps := float64(4*T) * 0x1p-53
+	for u, cand := range trs {
+		if u == v || len(cand) != T {
+			continue
+		}
+		ll, err := c.LogLikelihood(cand)
+		if err != nil {
+			return false
+		}
+		cu := -ll
+		if math.IsInf(cu, 1) {
+			continue
+		}
+		lower := cu - float64(cu*eps)
+		if strict && lower >= xCost-tol || !strict && lower > minCost+tol {
+			continue
+		}
+		return false
+	}
+	return true
 }
 
 // GenerateChaffs implements Strategy; extra chaffs duplicate the optimal

@@ -26,17 +26,34 @@ type CappedGammaFunc func(user markov.Trajectory, within int) (markov.Trajectory
 // trajectory is filtered out, it falls back to a uniform random guess
 // (expected value reported by the metrics).
 //
-// The filter only asks whether some other x_u equals Γ(x_v), and x_u can
-// equal Γ(x_v) only if it co-locates with x_v as often as Γ(x_v) does.
-// So Γ(x_v) is computed with the cap within = max over u≠v of the slots
-// x_u shares with x_v. OO proves a miss after budget column within of
-// its DP (chaff.OO.GammaWithin), instead of filling columns up to i*.
-// The cap cannot help when two observed trajectories coincide, as the
-// replicated chaffs of N−1 > 1 deterministic chaffs do: their cap is T.
-// Strategies with no cheap bound (ML, CML, MO, ApproxDP) ignore it.
+// The filter only asks whether some other x_u equals Γ(x_v), and it has
+// three ways to answer without a full Γ(x_v):
+//
+//   - The co-location cap. x_u can equal Γ(x_v) only if it co-locates
+//     with x_v as often as Γ(x_v) does, so Γ(x_v) is computed with the
+//     cap within = max over u≠v of the slots x_u shares with x_v. OO
+//     proves a miss after budget column within of its DP
+//     (chaff.OO.GammaWithin), instead of filling columns up to i*. The
+//     cap cannot help when two observed trajectories coincide, as the
+//     replicated chaffs of N−1 > 1 deterministic chaffs do: their cap
+//     is T. Strategies with no cheap bound (ML, CML, MO, ApproxDP)
+//     ignore it.
+//   - A miss proof (NewSelfGammaDetector's provesMiss), consulted before
+//     Γ: for OO, chaff.OO.ProvesMiss shows from trajectory costs alone
+//     that no other x_u can pass Γ(x_v)'s stop test, replicated chaffs
+//     included.
+//   - A known Γ (NewSelfGammaDetector): when the observed chaff is the
+//     generator's own Γ(user), ScoreBlock reads Γ(user) from the block
+//     instead of computing it again.
 type AdvancedDetector struct {
 	ml    *MLDetector
 	gamma CappedGammaFunc
+	// provesMiss, when set, is asked before each Γ(trs[v]) call; true
+	// proves that Γ(trs[v]) equals no other trs[u] and skips the call.
+	provesMiss func(trs []markov.Trajectory, v int) bool
+	// selfGamma makes ScoreBlock take column user+1 of every run to be
+	// Γ(column user).
+	selfGamma bool
 }
 
 // NewAdvancedDetector builds an advanced eavesdropper from the mobility
@@ -60,6 +77,23 @@ func NewCappedAdvancedDetector(chain *markov.Chain, gamma CappedGammaFunc) (*Adv
 	return &AdvancedDetector{ml: NewMLDetector(chain), gamma: gamma}, nil
 }
 
+// NewSelfGammaDetector is the advanced eavesdropper of observations
+// whose chaffs the strategy under attack generated as its own Γ(user),
+// replicated: the single kind against a deterministic strategy. Its
+// ScoreBlock takes column user+1 of every run to be Γ(column user), so
+// it never recomputes the generator's plan, and evaluates gamma on the
+// other columns only where provesMiss (nil: never) cannot rule them
+// out. Its survivors are the same bits as NewCappedAdvancedDetector's
+// over the same gamma, provided the premise on column user+1 holds.
+func NewSelfGammaDetector(chain *markov.Chain, gamma CappedGammaFunc, provesMiss func(trs []markov.Trajectory, v int) bool) (*AdvancedDetector, error) {
+	d, err := NewCappedAdvancedDetector(chain, gamma)
+	if err != nil {
+		return nil, err
+	}
+	d.provesMiss, d.selfGamma = provesMiss, true
+	return d, nil
+}
+
 // Survivors computes the filter: include[u] is false when trajectory u
 // matches Γ(x_v) for some other observed trajectory v, i.e. when u is
 // recognizably a chaff for v.
@@ -69,16 +103,30 @@ func (d *AdvancedDetector) Survivors(trs []markov.Trajectory) ([]bool, error) {
 
 // survivorsInto computes the filter into include (len(trs) entries).
 func (d *AdvancedDetector) survivorsInto(include []bool, trs []markov.Trajectory) ([]bool, error) {
+	return d.filterInto(include, trs, -1)
+}
+
+// filterInto is survivorsInto given that trs[known+1] is Γ(trs[known])
+// when known ≥ 0: that Γ is read, not recomputed.
+func (d *AdvancedDetector) filterInto(include []bool, trs []markov.Trajectory, known int) ([]bool, error) {
 	for u := range include {
 		include[u] = true
 	}
 	for v, tr := range trs {
-		ch, err := d.gamma(tr, colocationCap(trs, v))
-		if err != nil {
-			return nil, fmt.Errorf("detect: evaluating Γ on trajectory %d: %w", v, err)
-		}
-		if ch == nil {
+		var ch markov.Trajectory
+		switch {
+		case v == known:
+			ch = trs[v+1]
+		case d.provesMiss != nil && d.provesMiss(trs, v):
 			continue // proved to match no other trajectory
+		default:
+			var err error
+			if ch, err = d.gamma(tr, colocationCap(trs, v)); err != nil {
+				return nil, fmt.Errorf("detect: evaluating Γ on trajectory %d: %w", v, err)
+			}
+			if ch == nil {
+				continue // proved to match no other trajectory
+			}
 		}
 		for u, cand := range trs {
 			if u == v {

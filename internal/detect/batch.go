@@ -549,13 +549,21 @@ func reduceTileDense4(ll []float64, states []int32, user int, frac, rcp, track, 
 // block: per run, the Γ-based survivor filter of Section VI-A is
 // evaluated on the run's trajectories (gathered from the block), then
 // the shared ML sweep scores all runs among their survivors. Bit-
-// identical to the scalar PrefixDetectionsWith + metrics pipeline.
+// identical to the scalar PrefixDetectionsWith + metrics pipeline. A
+// NewSelfGammaDetector reads Γ(column user) from column user+1.
 //
 //chaffmec:hotpath
 func (d *AdvancedDetector) ScoreBlock(blk *Block, user int) error {
 	B, U, T := blk.b, blk.u, blk.t
 	if B < 1 || U < 1 || T < 1 {
 		return errors.New("detect: empty block")
+	}
+	known := -1
+	if d.selfGamma {
+		if user+1 >= U {
+			return errors.New("detect: self-Γ block has no chaff column after the user")
+		}
+		known = user
 	}
 	if cap(blk.gatherBuf) < U*T {
 		blk.gatherBuf = make([]int, U*T)
@@ -569,7 +577,7 @@ func (d *AdvancedDetector) ScoreBlock(blk *Block, user int) error {
 		for u := 0; u < U; u++ {
 			trs[u] = blk.Gather(r, u, buf[u*T:u*T:(u+1)*T])
 		}
-		if _, err := d.survivorsInto(blk.include[r*U:(r+1)*U], trs); err != nil {
+		if _, err := d.filterInto(blk.include[r*U:(r+1)*U], trs, known); err != nil {
 			return err
 		}
 	}

@@ -35,12 +35,14 @@ func runSingle(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report
 		Horizon:   sp.Horizon,
 	}
 	if sp.Advanced {
-		gamma, err := specGamma(sp, chain)
-		if err != nil {
-			return nil, err
-		}
 		sc.Detector = sim.AdvancedDetector
-		sc.CappedGamma = gamma
+		// A deterministic strategy is its own Γ (sim.Scenario.Gamma); the
+		// robust ones and an injected map go through specGamma.
+		if _, self := strat.(chaff.TrajectoryMapper); sp.Gamma != nil || !self {
+			if sc.CappedGamma, err = specGamma(sp, chain); err != nil {
+				return nil, err
+			}
+		}
 	}
 	res, err := sim.Run(ctx, sc, sp.options(shard))
 	if err != nil {

@@ -30,8 +30,10 @@ type DetectorKind int
 const (
 	// BasicDetector is the ML detector of Section III (Eq. 1).
 	BasicDetector DetectorKind = iota
-	// AdvancedDetector is the strategy-aware eavesdropper of Section VI-A;
-	// Scenario.Gamma or Scenario.CappedGamma must be set.
+	// AdvancedDetector is the strategy-aware eavesdropper of Section VI-A.
+	// It needs Scenario.Gamma or Scenario.CappedGamma, unless the
+	// Strategy is a chaff.TrajectoryMapper: then the strategy is its own
+	// Γ.
 	AdvancedDetector
 )
 
@@ -46,10 +48,16 @@ type Scenario struct {
 	// Horizon is the trajectory length T.
 	Horizon int
 	// Detector selects the eavesdropper; AdvancedDetector requires Gamma
-	// or CappedGamma.
+	// or CappedGamma when Strategy is not a chaff.TrajectoryMapper.
 	Detector DetectorKind
 	// Gamma is the strategy map the advanced eavesdropper assumes the
 	// user employs (normally the deterministic variant of Strategy).
+	// When Gamma and CappedGamma are both nil and Strategy is a
+	// chaff.TrajectoryMapper, the eavesdropper uses Strategy's own Γ and
+	// takes each run's first chaff to be Γ(user) instead of computing it
+	// again: the strategy's chaffs must then be Γ(user), replicated, as
+	// every mapper in package chaff generates them. Set Gamma for a
+	// strategy whose chaffs differ from its Γ (the robust ROO, RML, RMO).
 	Gamma detect.GammaFunc
 	// CappedGamma, when set, replaces Gamma: the same map taking the
 	// co-location cap, which lets OO's Γ stop early (see
@@ -62,6 +70,7 @@ type Scenario struct {
 }
 
 func (sc *Scenario) validate() error {
+	_, mapper := sc.Strategy.(chaff.TrajectoryMapper)
 	switch {
 	case sc.Chain == nil:
 		return errors.New("sim: scenario needs a chain")
@@ -71,8 +80,8 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("sim: NumChaffs %d must be >= 1", sc.NumChaffs)
 	case sc.Horizon < 1:
 		return fmt.Errorf("sim: Horizon %d must be >= 1", sc.Horizon)
-	case sc.Detector == AdvancedDetector && sc.Gamma == nil && sc.CappedGamma == nil:
-		return errors.New("sim: advanced detector requires Gamma")
+	case sc.Detector == AdvancedDetector && sc.Gamma == nil && sc.CappedGamma == nil && !mapper:
+		return fmt.Errorf("sim: advanced detector requires Gamma: strategy %s is not its own Γ", sc.Strategy.Name())
 	}
 	return nil
 }
@@ -109,10 +118,22 @@ func (sc *Scenario) newDetector() (detect.BlockScorer, error) {
 	case BasicDetector:
 		return detect.NewMLDetector(sc.Chain), nil
 	case AdvancedDetector:
-		if sc.CappedGamma != nil {
+		switch {
+		case sc.CappedGamma != nil:
 			return detect.NewCappedAdvancedDetector(sc.Chain, sc.CappedGamma)
+		case sc.Gamma != nil:
+			return detect.NewAdvancedDetector(sc.Chain, sc.Gamma)
 		}
-		return detect.NewAdvancedDetector(sc.Chain, sc.Gamma)
+		// The strategy is its own Γ, and runBlock puts its first chaff,
+		// Γ(user), right after the user. OO shares its plans' Viterbi
+		// snapshot with its Γ and proves most Γ(chaff) misses from costs.
+		if oo, ok := sc.Strategy.(*chaff.OO); ok {
+			return detect.NewSelfGammaDetector(sc.Chain, oo.GammaWithin, oo.ProvesMiss)
+		}
+		gamma := sc.Strategy.(chaff.TrajectoryMapper).Gamma
+		return detect.NewSelfGammaDetector(sc.Chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
+			return gamma(user)
+		}, nil)
 	default:
 		return nil, fmt.Errorf("sim: unknown detector kind %d", sc.Detector)
 	}
