@@ -251,18 +251,28 @@ func Evaluate(e Evaluation) (*Result, error) {
 		Precision: e.Precision,
 	}
 	if e.Advanced {
-		// Only a genuinely missing Γ (IM, Rollout) falls back to the
-		// basic detector; a failing Γ construction (e.g. the ApproxDP
-		// solver rejecting the chain) or an unknown strategy surfaces
-		// instead of being silently swallowed. The probed Γ, in its
-		// capped form, is injected into the spec so the runner does not
-		// construct it twice.
-		switch gamma, err := chaff.CappedGammaByName(e.Strategy, e.Chain); {
-		case err == nil:
-			spec.Advanced = true
-			spec.Gamma = gamma
-		case !errors.Is(err, ErrNoGamma):
+		// A deterministic strategy (a chaff.TrajectoryMapper) is left to
+		// the runner, which takes it as its own Γ. For the others only a
+		// genuinely missing Γ (IM, Rollout) falls back to the basic
+		// detector; a failing construction (e.g. the ApproxDP solver
+		// rejecting the chain) or an unknown strategy surfaces instead
+		// of being silently swallowed. The probed Γ, in its capped form,
+		// is injected into the spec so the runner does not construct it
+		// twice.
+		strat, err := chaff.NewByName(e.Strategy, e.Chain)
+		if err != nil {
 			return nil, err
+		}
+		if _, self := strat.(chaff.TrajectoryMapper); self {
+			spec.Advanced = true
+		} else {
+			switch gamma, err := chaff.CappedGammaByName(e.Strategy, e.Chain); {
+			case err == nil:
+				spec.Advanced = true
+				spec.Gamma = gamma
+			case !errors.Is(err, ErrNoGamma):
+				return nil, err
+			}
 		}
 	}
 	rep, err := RunJob(context.Background(), Job{Spec: spec})

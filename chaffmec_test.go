@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"chaffmec/internal/coordinator"
+	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
 )
 
@@ -208,7 +209,7 @@ func TestEvaluateAdvancedGammaFallback(t *testing.T) {
 	}
 }
 
-// TestEvaluateAdvancedOOCappedGamma: Evaluate injects OO's capped Γ.
+// TestEvaluateAdvancedOOCappedGamma: Evaluate takes OO as its own Γ.
 // Its result must equal, bit for bit, a Job with the full Γ injected.
 func TestEvaluateAdvancedOOCappedGamma(t *testing.T) {
 	model, err := BuildModel(ModelSpatiallySkewed, 10, 2017)
@@ -238,6 +239,43 @@ func TestEvaluateAdvancedOOCappedGamma(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.PerSlot, want.PerSlot) || got.Overall != want.Overall {
 		t.Fatalf("capped Γ Evaluate %v, full Γ job %v", got.PerSlot, want.PerSlot)
+	}
+}
+
+// TestEvaluateAdvancedSelfGamma: for a deterministic strategy an
+// advanced Evaluate injects no Γ, so it runs exactly the Job of the same
+// spec without Gamma — the runner's one-plan self-Γ path — bit for bit.
+func TestEvaluateAdvancedSelfGamma(t *testing.T) {
+	model, err := BuildModel(ModelSpatiallySkewed, 10, 2017)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"OO", "MO", "ApproxDP"} {
+		got, err := Evaluate(Evaluation{
+			Chain: model, Strategy: name, NumChaffs: 1, Horizon: 40, Runs: 48, Seed: 9, Advanced: true, Workers: 2,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rep, err := RunJob(context.Background(), Job{Spec: ScenarioSpec{
+			Kind: "single", Chain: model, Strategy: name, NumChaffs: 1, Horizon: 40, Runs: 48, Seed: 9,
+			Advanced: true, Workers: 2,
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := rep.Summary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := rep.SeriesStats(report.SeriesDetection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.PerSlot, want.PerSlot) || got.Overall != want.Overall ||
+			!reflect.DeepEqual(got.Detection, det.Mean()) || got.Runs != want.Runs {
+			t.Fatalf("%s: Evaluate %v, Job without Γ %v", name, got.PerSlot, want.PerSlot)
+		}
 	}
 }
 

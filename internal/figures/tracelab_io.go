@@ -56,8 +56,15 @@ func (lab *TraceLab) Encode(w io.Writer) error {
 	// Chain: sparse rows (delta-coded positive columns) + steady state.
 	n := lab.Chain.NumStates()
 	e.uvarint(uint64(n))
-	for _, row := range lab.Chain.Matrix() {
-		e.sparse(row)
+	for i := 0; i < n; i++ {
+		succ := lab.Chain.Successors(i)
+		e.uvarint(uint64(len(succ)))
+		prev := 0
+		for _, j := range succ {
+			e.varint(int64(j - prev))
+			prev = j
+			e.float(lab.Chain.Prob(i, j))
+		}
 	}
 	e.sparse(pi)
 
@@ -113,7 +120,7 @@ func DecodeTraceLab(r io.Reader) (*TraceLab, error) {
 	// The chain stays sparse until the towers confirm its state count:
 	// its dense form is n² floats, which no count alone may ask for.
 	n := d.length("state count")
-	rows := make([][]sparseEntry, 0, min(n, labPrealloc))
+	rows := make([]markov.SparseRow, 0, min(n, labPrealloc))
 	for i := 0; i < n && d.err == nil; i++ {
 		rows = append(rows, d.sparse(n))
 	}
@@ -153,11 +160,12 @@ func DecodeTraceLab(r io.Reader) (*TraceLab, error) {
 		return nil, fmt.Errorf("figures: decoding lab: %d towers for %d chain states", len(towers), n)
 	}
 
-	p := make([][]float64, n)
-	for i, row := range rows {
-		p[i] = dense(n, row)
+	// The towers confirmed n, so π may now take its dense form.
+	piDense := make([]float64, n)
+	for k, j := range pi.Cols {
+		piDense[j] = pi.Vals[k]
 	}
-	lab.Chain, err = markov.NewWithStationary(p, dense(n, pi))
+	lab.Chain, err = markov.NewSparseWithStationary(rows, piDense)
 	if err != nil {
 		return nil, fmt.Errorf("figures: decoding lab: %w", err)
 	}
@@ -285,36 +293,30 @@ func (d *labDecoder) string() string {
 	return b.String()
 }
 
-// sparseEntry is one stored element of a sparse vector.
-type sparseEntry struct {
-	j int
-	x float64
-}
-
-// sparse reads one sparse vector of length n, keeping its entries in
-// stream order.
-func (d *labDecoder) sparse(n int) []sparseEntry {
+// sparse reads one sparse vector of length n; its columns must be
+// strictly ascending, as the encoder writes them.
+func (d *labDecoder) sparse(n int) markov.SparseRow {
 	nnz := d.length("sparse entries")
-	out := make([]sparseEntry, 0, min(nnz, labPrealloc))
+	out := markov.SparseRow{
+		Cols: make([]int, 0, min(nnz, labPrealloc)),
+		Vals: make([]float64, 0, min(nnz, labPrealloc)),
+	}
 	prev := int64(0)
 	for k := 0; k < nnz && d.err == nil; k++ {
 		j := prev + d.varint()
-		if d.err == nil && (j < 0 || j >= int64(n)) {
+		switch {
+		case d.err != nil:
+		case j < 0 || j >= int64(n):
 			d.err = fmt.Errorf("sparse column %d outside [0,%d)", j, n)
-			return nil
+		case k > 0 && j <= prev:
+			d.err = fmt.Errorf("sparse column %d follows column %d", j, prev)
+		}
+		if d.err != nil {
+			return markov.SparseRow{}
 		}
 		prev = j
-		out = append(out, sparseEntry{j: int(j), x: d.float()})
-	}
-	return out
-}
-
-// dense expands sparse entries to a length-n vector; a later entry for
-// the same column overwrites an earlier one.
-func dense(n int, es []sparseEntry) []float64 {
-	out := make([]float64, n)
-	for _, e := range es {
-		out[e.j] = e.x
+		out.Cols = append(out.Cols, int(j))
+		out.Vals = append(out.Vals, d.float())
 	}
 	return out
 }

@@ -22,7 +22,8 @@ import (
 const ProbTolerance = 1e-9
 
 // Chain is an immutable discrete-time Markov chain over states 0..N-1.
-// The zero value is not usable; construct chains with New.
+// The zero value is not usable; construct chains with New or one of its
+// variants.
 //
 // The transition matrix and its log live in flat row-major arrays
 // (index from*n+to): the sampling and scoring hot paths walk contiguous
@@ -65,46 +66,118 @@ type Chain struct {
 // New validates p as a row-stochastic matrix and returns the chain.
 // It copies p, so the caller may reuse the backing slices.
 func New(p [][]float64) (*Chain, error) {
-	n := len(p)
+	c, err := alloc(len(p))
+	if err != nil {
+		return nil, err
+	}
+	for i, row := range p {
+		if len(row) != c.n {
+			return nil, fmt.Errorf("markov: row %d has %d entries, want %d", i, len(row), c.n)
+		}
+		if c.succ[i], err = c.fillRow(i, nil, row, nil); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// SparseRow is one row of a transition matrix in sparse form: Vals[k]
+// is the probability of column Cols[k]. Columns are strictly ascending,
+// and every column not listed holds zero.
+type SparseRow struct {
+	Cols []int
+	Vals []float64
+}
+
+// NewSparseWithStationary is NewWithStationary over a matrix given as
+// sparse rows: it builds the chain NewWithStationary builds from the
+// rows expanded to dense form, bit for bit and with the same errors,
+// without the dense rows. A listed zero is stored (−0 keeps its sign
+// bit) but is not a successor. A row whose columns are out of range,
+// out of order or repeated is an error. Neither rows nor pi is
+// retained.
+func NewSparseWithStationary(rows []SparseRow, pi []float64) (*Chain, error) {
+	c, err := alloc(len(rows))
+	if err != nil {
+		return nil, err
+	}
+	nnz := 0
+	for _, r := range rows {
+		nnz += len(r.Cols)
+	}
+	for i := range c.logp {
+		c.logp[i] = math.Inf(-1)
+	}
+	succ := make([]int, 0, nnz)
+	for i, r := range rows {
+		if len(r.Cols) != len(r.Vals) {
+			return nil, fmt.Errorf("markov: row %d has %d columns for %d values", i, len(r.Cols), len(r.Vals))
+		}
+		start := len(succ)
+		if succ, err = c.fillRow(i, r.Cols, r.Vals, succ); err != nil {
+			return nil, err
+		}
+		c.succ[i] = succ[start:len(succ):len(succ)]
+	}
+	if err := c.pinStationary(pi); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// alloc returns an n-state chain with zeroed matrices.
+func alloc(n int) (*Chain, error) {
 	if n == 0 {
 		return nil, errors.New("markov: empty transition matrix")
 	}
-	c := &Chain{
+	return &Chain{
 		n:    n,
 		p:    make([]float64, n*n),
 		logp: make([]float64, n*n),
 		succ: make([][]int, n),
-	}
-	for i, row := range p {
-		if len(row) != n {
-			return nil, fmt.Errorf("markov: row %d has %d entries, want %d", i, len(row), n)
-		}
-		sum := 0.0
-		cp := c.p[i*n : (i+1)*n]
-		lg := c.logp[i*n : (i+1)*n]
-		var succ []int
-		for j, v := range row {
-			if math.IsNaN(v) || v < 0 || v > 1+ProbTolerance {
-				return nil, fmt.Errorf("markov: P[%d][%d] = %v is not a probability", i, j, v)
+	}, nil
+}
+
+// fillRow validates row i's entries — vals[k] at column cols[k], or at
+// column k when cols is nil — and stores them and their logs, in column
+// order. It returns succ with the row's successors (the positive
+// entries' columns) appended.
+func (c *Chain) fillRow(i int, cols []int, vals []float64, succ []int) ([]int, error) {
+	n := c.n
+	cp := c.p[i*n : (i+1)*n]
+	lg := c.logp[i*n : (i+1)*n]
+	start := len(succ)
+	sum := 0.0
+	for k, v := range vals {
+		j := k
+		if cols != nil {
+			j = cols[k]
+			if j < 0 || j >= n {
+				return nil, fmt.Errorf("markov: row %d column %d outside [0,%d)", i, j, n)
 			}
-			sum += v
-			cp[j] = v
-			if v > 0 {
-				lg[j] = math.Log(v)
-				succ = append(succ, j)
-			} else {
-				lg[j] = math.Inf(-1)
+			if k > 0 && j <= cols[k-1] {
+				return nil, fmt.Errorf("markov: row %d column %d follows column %d", i, j, cols[k-1])
 			}
 		}
-		if math.Abs(sum-1) > ProbTolerance {
-			return nil, fmt.Errorf("markov: row %d sums to %v, want 1", i, sum)
+		if math.IsNaN(v) || v < 0 || v > 1+ProbTolerance {
+			return nil, fmt.Errorf("markov: P[%d][%d] = %v is not a probability", i, j, v)
 		}
-		if len(succ) == 0 {
-			return nil, fmt.Errorf("markov: row %d has no positive transition", i)
+		sum += v
+		cp[j] = v
+		if v > 0 {
+			lg[j] = math.Log(v)
+			succ = append(succ, j)
+		} else {
+			lg[j] = math.Inf(-1)
 		}
-		c.succ[i] = succ
 	}
-	return c, nil
+	if math.Abs(sum-1) > ProbTolerance {
+		return nil, fmt.Errorf("markov: row %d sums to %v, want 1", i, sum)
+	}
+	if len(succ) == start {
+		return nil, fmt.Errorf("markov: row %d has no positive transition", i)
+	}
+	return succ, nil
 }
 
 // MustNew is like New but panics on error. It is intended for tests and
@@ -129,23 +202,32 @@ func NewWithStationary(p [][]float64, pi []float64) (*Chain, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := c.pinStationary(pi); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// pinStationary validates pi as a distribution over the chain's states
+// and pins a copy of it as the steady state.
+func (c *Chain) pinStationary(pi []float64) error {
 	if len(pi) != c.n {
-		return nil, fmt.Errorf("markov: stationary distribution length %d, want %d", len(pi), c.n)
+		return fmt.Errorf("markov: stationary distribution length %d, want %d", len(pi), c.n)
 	}
 	sum := 0.0
 	cp := make([]float64, len(pi))
 	for i, v := range pi {
 		if math.IsNaN(v) || v < 0 || v > 1+ProbTolerance {
-			return nil, fmt.Errorf("markov: π[%d] = %v is not a probability", i, v)
+			return fmt.Errorf("markov: π[%d] = %v is not a probability", i, v)
 		}
 		cp[i] = v
 		sum += v
 	}
 	if math.Abs(sum-1) > 1e-6 {
-		return nil, fmt.Errorf("markov: stationary distribution sums to %v, want 1", sum)
+		return fmt.Errorf("markov: stationary distribution sums to %v, want 1", sum)
 	}
 	c.steadyOnce.Do(func() { c.steady = cp })
-	return c, nil
+	return nil
 }
 
 // NumStates returns the number of states N.

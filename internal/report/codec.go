@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"chaffmec/internal/engine"
 )
@@ -60,18 +61,37 @@ var binaryMagic = [4]byte{'C', 'M', 'R', '1'}
 // instead of attempting a multi-GB allocation.
 const maxDecodeLen = 1 << 28
 
+// gzipWriters pools the gzip writers of WriteReportsBinary: each holds
+// a deflate compressor of about 1 MB that gzip.NewWriter allocates and
+// zeroes, and a campaign frames one envelope per worker response, banked
+// shard and checkpoint. Reset restarts a pooled writer's stream, so its
+// bytes equal a fresh writer's.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+
 // WriteReportsBinary encodes reports in the compact binary format,
 // gzip-framed when compress is set. The encoding streams: nothing is
 // buffered beyond bufio/gzip block granularity.
 func WriteReportsBinary(w io.Writer, reports []*Report, compress bool) error {
-	var bw *bufio.Writer
-	var gz *gzip.Writer
-	if compress {
-		gz = gzip.NewWriter(w)
-		bw = bufio.NewWriter(gz)
-	} else {
-		bw = bufio.NewWriter(w)
+	if !compress {
+		return encodeBinary(w, reports)
 	}
+	gz := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(gz)
+	gz.Reset(w)
+	return encodeBinaryGzip(gz, reports)
+}
+
+// encodeBinaryGzip encodes reports through gz and closes its frame.
+func encodeBinaryGzip(gz *gzip.Writer, reports []*Report) error {
+	if err := encodeBinary(gz, reports); err != nil {
+		return err
+	}
+	return gz.Close()
+}
+
+// encodeBinary writes the unframed binary layout to w.
+func encodeBinary(w io.Writer, reports []*Report) error {
+	bw := bufio.NewWriter(w)
 	e := &binEncoder{w: bw}
 	e.write(binaryMagic[:])
 	e.uvarint(uint64(len(reports)))
@@ -81,13 +101,7 @@ func WriteReportsBinary(w io.Writer, reports []*Report, compress bool) error {
 	if e.err != nil {
 		return e.err
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if gz != nil {
-		return gz.Close()
-	}
-	return nil
+	return bw.Flush()
 }
 
 // binEncoder writes the binary layout, latching the first error so the

@@ -2,8 +2,10 @@ package report
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"math"
+	"sync"
 	"testing"
 
 	"chaffmec/internal/engine"
@@ -238,4 +240,86 @@ func TestBinaryEncodeRejectsBrokenSpine(t *testing.T) {
 	if err := WriteReportsBinary(&bytes.Buffer{}, []*Report{rep}, false); err == nil {
 		t.Fatal("non-contiguous spine encoded")
 	}
+}
+
+// gzipCorpus is the codec tests' envelope corpus: shards of one job,
+// the edge shapes (no spec or scalars, an empty shard, odd float bits)
+// and an empty report list.
+func gzipCorpus(t testing.TB) [][]*Report {
+	lean := buildPart(t, 0, 7, 7)
+	lean.Spec = nil
+	lean.Scalars = nil
+	odd := buildPart(t, 0, 2, 2)
+	track := engine.NewSeriesStatsAt(2, 0)
+	for _, x := range [][]float64{{1e-310, math.Copysign(0, -1)}, {1e150, 5e-324}} {
+		if err := track.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	odd.Series[SeriesTracking] = track.Snapshot()
+	return [][]*Report{
+		{buildPart(t, 0, 13, 29), buildPart(t, 13, 29, 29)},
+		{buildPart(t, 0, 7, 29)}, {lean}, {buildPart(t, 4, 4, 9)}, {odd}, {},
+	}
+}
+
+// freshGzipEncode frames reps through a gzip writer of its own, the
+// reference the pooled writers must reproduce byte for byte.
+func freshGzipEncode(t testing.TB, reps []*Report) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeBinaryGzip(gzip.NewWriter(&buf), reps); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPooledGzipMatchesFreshWriter: a pooled, reused gzip writer frames
+// every corpus envelope into exactly the bytes a fresh writer does,
+// whatever it framed before (each envelope is encoded three times,
+// interleaved with the others).
+func TestPooledGzipMatchesFreshWriter(t *testing.T) {
+	corpus := gzipCorpus(t)
+	for round := 0; round < 3; round++ {
+		for i, reps := range corpus {
+			var buf bytes.Buffer
+			if err := WriteReportsBinary(&buf, reps, true); err != nil {
+				t.Fatal(err)
+			}
+			if want := freshGzipEncode(t, reps); !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("round %d, envelope %d: pooled gzip frame differs from a fresh writer's", round, i)
+			}
+		}
+	}
+}
+
+// TestConcurrentGzipEncode encodes the corpus from many goroutines at
+// once through the shared pool (run it under -race): every frame must
+// equal a fresh writer's.
+func TestConcurrentGzipEncode(t *testing.T) {
+	corpus := gzipCorpus(t)
+	want := make([][]byte, len(corpus))
+	for i, reps := range corpus {
+		want[i] = freshGzipEncode(t, reps)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := (g + k) % len(corpus)
+				var buf bytes.Buffer
+				if err := WriteReportsBinary(&buf, corpus[i], true); err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Errorf("goroutine %d: envelope %d framed differently", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

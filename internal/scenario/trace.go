@@ -31,11 +31,12 @@ import (
 // the cache lock behind a per-entry Once: concurrent jobs wanting the
 // SAME lab block on one build, while lookups of other configs proceed.
 //
-// Next to the lab an entry keeps its ML view, derived once on the first
-// trace job's demand and dropped with the lab: the fleet's score table
-// (detect.Fleet), since the fleet is the same in every run and chunk,
-// and the fleet ranked by tracked-ness, from which TraceUser picks the
-// protected user.
+// Next to the lab an entry keeps what trace jobs derive from it, each
+// once on first demand and dropped with the lab: its ML view — the
+// fleet's score table (detect.Fleet), since the fleet is the same in
+// every run and chunk, and the fleet ranked by tracked-ness, from which
+// TraceUser picks the protected user — and the tracking series of every
+// stream-free job shape asked for (see traceSeriesKey).
 type traceLabEntry struct {
 	once sync.Once
 	lab  *figures.TraceLab
@@ -45,6 +46,30 @@ type traceLabEntry struct {
 	fleet    *detect.Fleet
 	ranking  []int // fleet indices, most tracked first
 	viewErr  error
+
+	seriesMu sync.Mutex
+	series   map[traceSeriesKey]*traceSeries
+}
+
+// traceSeriesKey names the one tracking series a trace job computes when
+// its runs draw nothing from their streams: chaff-free, or a
+// chaff.TrajectoryMapper strategy (every chaff is Γ(user)) scored by the
+// basic eavesdropper or by the strategy-aware one with the strategy's
+// own Γ. Every run of such a job observes the same fleet and chaffs, so
+// with the lab fixed the series depends on these fields alone.
+type traceSeriesKey struct {
+	strategy string // canonical strategy name, "" for chaff-free
+	chaffs   int
+	user     int // fleet index of the protected user
+	advanced bool
+}
+
+// traceSeries is one key's series, computed once and then shared
+// read-only by every run of every job with that key.
+type traceSeries struct {
+	once   sync.Once
+	series []float64
+	err    error
 }
 
 var traceLabCache = struct {
@@ -53,6 +78,7 @@ var traceLabCache = struct {
 	order  []figures.TraceConfig // oldest first
 	builds int                   // observability for tests
 	views  int                   // ML views derived; observability for tests
+	series int                   // fixed series computed; observability for tests
 }{labs: map[figures.TraceConfig]*traceLabEntry{}}
 
 const traceLabCacheCap = 4
@@ -123,6 +149,22 @@ func (e *traceLabEntry) view() (*detect.Fleet, []int, error) {
 	return e.fleet, e.ranking, e.viewErr
 }
 
+// fixedSeries returns the entry's slot for key, creating it on first
+// use; the caller fills it through its once.
+func (e *traceLabEntry) fixedSeries(key traceSeriesKey) *traceSeries {
+	e.seriesMu.Lock()
+	defer e.seriesMu.Unlock()
+	fs, ok := e.series[key]
+	if !ok {
+		if e.series == nil {
+			e.series = map[traceSeriesKey]*traceSeries{}
+		}
+		fs = &traceSeries{}
+		e.series[key] = fs
+	}
+	return fs
+}
+
 // buildTraceLab is the cold-build path, a seam the cache tests stub.
 var buildTraceLab = figures.BuildTraceLab
 
@@ -169,7 +211,7 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 }
 
 // ResetTraceLabCache empties the shared lab cache, the labs' ML views
-// with it. Tests and perfbench use it to force the next trace job
+// and fixed series with it. Tests and perfbench use it to force the next trace job
 // through loadOrBuildTraceLab.
 func ResetTraceLabCache() {
 	c := &traceLabCache
@@ -197,6 +239,26 @@ type traceWorker struct {
 	chaffBufs []markov.Trajectory
 	ll        []float64
 	ws        *detect.Workspace
+}
+
+func newTraceWorker(numChaffs, T int, advanced bool) *traceWorker {
+	w := &traceWorker{
+		chaffBufs: make([]markov.Trajectory, numChaffs),
+		ll:        make([]float64, numChaffs),
+	}
+	for i := range w.chaffBufs {
+		w.chaffBufs[i] = make(markov.Trajectory, T)
+	}
+	if advanced {
+		w.ws = detect.GetWorkspace()
+	}
+	return w
+}
+
+func (w *traceWorker) release() {
+	if w.ws != nil {
+		w.ws.Release()
+	}
 }
 
 // runTraceFleet is the basic-ML trace kernel: it generates each run's
@@ -272,17 +334,66 @@ func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer *detect.A
 // tracked user. The eavesdropper (basic ML, or strategy-aware when
 // Advanced) observes all fleet trajectories plus the chaffs; the
 // reported series is the protected user's per-slot tracking accuracy
-// averaged over the chaff streams. The basic eavesdropper scores each
-// run's chaffs against the lab's fleet table, which is built once per
-// lab; the strategy-aware one filters survivors per run and so re-scores
-// the packed fleet in every run. With no Strategy the runs are
-// chaff-free (and therefore identical — a deterministic baseline).
+// averaged over the chaff streams. See newTraceJob for the kernels.
 //
 // Spec fields used: Nodes (fleet size, default 174), Horizon (the
 // observation window in one-minute slots), TraceUser (tracked-ness
 // rank), Strategy/NumChaffs/Advanced, ModelSeed (fleet generation seed;
 // 0 uses Seed).
 func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
+	job, err := newTraceJob(sp)
+	if err != nil {
+		return nil, err
+	}
+	lab := job.lab
+	o := sp.options(shard).Normalized()
+	start, _ := o.Range()
+	track := engine.NewSeriesStatsAt(lab.Horizon, start)
+
+	// Only chaff generation draws from the run streams. The chunk width
+	// is tune.BlockSize (chunking never changes results).
+	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
+		NewWorker:  job.newWorker,
+		FreeWorker: job.freeWorker,
+		RunBlock:   job.runBlock,
+		BlockSize:  tune.BlockSize(lab.Chain, len(lab.Trajectories)+job.numChaffs, lab.Horizon),
+		Accumulate: func(run int, series []float64) error {
+			return track.Add(series)
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep := sp.envelope(shard)
+	rep.Horizon = lab.Horizon
+	rep.Series = map[string]engine.SeriesSnapshot{
+		report.SeriesTracking: track.Snapshot(),
+	}
+	return rep, nil
+}
+
+// traceJob is a trace spec resolved against its lab entry: the engine
+// callbacks that produce each block's tracking series.
+type traceJob struct {
+	lab        *figures.TraceLab
+	numChaffs  int
+	newWorker  func(int) (*traceWorker, error)
+	freeWorker func(*traceWorker)
+	runBlock   func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error
+}
+
+// newTraceJob resolves sp's lab, protected user and kernel.
+//
+// A chaff-free job, or one whose strategy is a chaff.TrajectoryMapper
+// with no injected Γ, draws nothing from the run streams, so all its
+// runs are one run: the lab entry computes that run's series once per
+// traceSeriesKey, through the per-run kernel below at width 1, and every
+// block hands it out read-only, with no worker scratch. Otherwise the
+// basic eavesdropper scores each run's chaffs against the lab's fleet
+// table, which is built once per lab (runTraceFleet), and the
+// strategy-aware one filters survivors per run and so re-scores the
+// packed fleet in every run (runTraceBlock).
+func newTraceJob(sp Spec) (*traceJob, error) {
 	if sp.Advanced && sp.Strategy == "" {
 		return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
 	}
@@ -311,15 +422,15 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	}
 	user := ranking[sp.TraceUser]
 
+	job := &traceJob{lab: lab}
 	var strat chaff.Strategy
-	numChaffs := 0
 	if sp.Strategy != "" {
 		if strat, err = chaff.NewByName(sp.Strategy, lab.Chain); err != nil {
 			return nil, err
 		}
-		numChaffs = sp.NumChaffs
+		job.numChaffs = sp.NumChaffs
 	}
-	runBlock := func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+	job.runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 		return runTraceFleet(fleet, lab.Trajectories[user], strat, user, w, rngs, out)
 	}
 	if sp.Advanced {
@@ -331,49 +442,47 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 		if err != nil {
 			return nil, err
 		}
-		runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+		job.runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
 		}
 	}
 
-	o := sp.options(shard).Normalized()
-	start, _ := o.Range()
-	track := engine.NewSeriesStatsAt(lab.Horizon, start)
-
-	// Only chaff generation draws from the run streams. The chunk width
-	// is tune.BlockSize (chunking never changes results).
-	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
-		NewWorker: func(int) (*traceWorker, error) {
-			w := &traceWorker{
-				chaffBufs: make([]markov.Trajectory, numChaffs),
-				ll:        make([]float64, numChaffs),
-			}
-			for i := range w.chaffBufs {
-				w.chaffBufs[i] = make(markov.Trajectory, lab.Horizon)
-			}
-			if sp.Advanced {
-				w.ws = detect.GetWorkspace()
-			}
-			return w, nil
-		},
-		FreeWorker: func(w *traceWorker) {
-			if w.ws != nil {
-				w.ws.Release()
-			}
-		},
-		RunBlock:  runBlock,
-		BlockSize: tune.BlockSize(lab.Chain, len(lab.Trajectories)+numChaffs, lab.Horizon),
-		Accumulate: func(run int, series []float64) error {
-			return track.Add(series)
-		},
-	})
-	if err != nil {
-		return nil, err
+	if _, mapper := strat.(chaff.TrajectoryMapper); (strat != nil && !mapper) || sp.Gamma != nil {
+		job.newWorker = func(int) (*traceWorker, error) {
+			return newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced), nil
+		}
+		job.freeWorker = (*traceWorker).release
+		return job, nil
 	}
-	rep := sp.envelope(shard)
-	rep.Horizon = lab.Horizon
-	rep.Series = map[string]engine.SeriesSnapshot{
-		report.SeriesTracking: track.Snapshot(),
+	key := traceSeriesKey{chaffs: job.numChaffs, user: user, advanced: sp.Advanced}
+	if strat != nil {
+		key.strategy = strat.Name()
 	}
-	return rep, nil
+	fixed := entry.fixedSeries(key)
+	perRun := job.runBlock
+	compute := func() {
+		c := &traceLabCache
+		c.Lock()
+		c.series++
+		c.Unlock()
+		// The strategy draws nothing, so run 0 stands for every run; its
+		// nil stream would fault on a draw.
+		w := newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced)
+		defer w.release()
+		one := make([][]float64, 1)
+		if fixed.err = perRun(w, 0, []*rand.Rand{nil}, one); fixed.err == nil {
+			fixed.series = one[0]
+		}
+	}
+	job.runBlock = func(_ *traceWorker, _ int, _ []*rand.Rand, out [][]float64) error {
+		fixed.once.Do(compute)
+		if fixed.err != nil {
+			return fixed.err
+		}
+		for r := range out {
+			out[r] = fixed.series // read-only: Accumulate copies it
+		}
+		return nil
+	}
+	return job, nil
 }

@@ -318,8 +318,18 @@ func TestTraceBatchMatchesScalar(t *testing.T) {
 	moUser2.TraceUser = 2
 	im3 := base
 	im3.Strategy, im3.NumChaffs = "IM", 3
+	// Stream-free shapes beyond the ones above, each its own fixed
+	// series: two advanced MO chaffs at TraceUser 1, two advanced OO
+	// chaffs, and the chaff-free run at TraceUser 3.
+	mo2AdvUser1 := adv
+	mo2AdvUser1.NumChaffs, mo2AdvUser1.TraceUser = 2, 1
+	oo2Adv := ooAdv
+	oo2Adv.NumChaffs = 2
+	freeUser3 := base
+	freeUser3.TraceUser = 3
 	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im,
-		"ML2": ml2, "MO-user2": moUser2, "IM3": im3} {
+		"ML2": ml2, "MO-user2": moUser2, "IM3": im3,
+		"MO2-advanced-user1": mo2AdvUser1, "OO2-advanced": oo2Adv, "chaff-free-user3": freeUser3} {
 		want := traceScalar(t, sp)
 		for _, workers := range []int{1, 4} {
 			sp.Workers = workers

@@ -9,6 +9,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"chaffmec/internal/geo"
@@ -203,15 +204,23 @@ func QuantizeTracks(tracks [][]geo.Point, q *geo.Quantizer) []markov.Trajectory 
 // ChainEstimator fits the empirical mobility model of Section VII-B.1
 // incrementally: trajectories are Add-ed one at a time (the streaming
 // counterpart of EstimateChain, used by the trace-lab build to fold the
-// fleet in without holding every trajectory's counts twice). Counts live
-// in one flat row-major array, matching the flat layout the fitted chain
-// itself uses.
+// fleet in without holding every trajectory's counts twice). Counts are
+// sparse, as the fitted rows are: each row keeps its observed successors
+// in ascending order with their counts, so a fit costs the transitions
+// seen, not the square of the cell count.
 type ChainEstimator struct {
 	n      int
-	counts []float64 // from*n+to → pooled transition counts
+	rows   []countRow // from → observed successors and their counts
 	visits []float64
 	total  float64
 	added  int
+}
+
+// countRow is one row's pooled transition counts: counts[k] is the
+// number of observed moves to cols[k], cols strictly ascending.
+type countRow struct {
+	cols   []int
+	counts []float64
 }
 
 // NewChainEstimator returns an empty estimator over numCells cells.
@@ -221,7 +230,7 @@ func NewChainEstimator(numCells int) (*ChainEstimator, error) {
 	}
 	return &ChainEstimator{
 		n:      numCells,
-		counts: make([]float64, numCells*numCells),
+		rows:   make([]countRow, numCells),
 		visits: make([]float64, numCells),
 	}, nil
 }
@@ -235,7 +244,13 @@ func (e *ChainEstimator) Add(tr markov.Trajectory) error {
 		e.visits[s]++
 		e.total++
 		if t > 0 {
-			e.counts[tr[t-1]*e.n+s]++
+			r := &e.rows[tr[t-1]]
+			k, seen := slices.BinarySearch(r.cols, s)
+			if !seen {
+				r.cols = slices.Insert(r.cols, k, s)
+				r.counts = slices.Insert(r.counts, k, 0)
+			}
+			r.counts[k]++
 		}
 	}
 	e.added++
@@ -247,8 +262,10 @@ func (e *ChainEstimator) Added() int { return e.added }
 
 // Chain builds the estimated chain: pooled transition counts
 // row-normalised, empirical visit frequencies as the stationary
-// distribution, and a self-loop for states never left. Bit-identical to
-// EstimateChain over the same trajectories in the same order.
+// distribution, and a self-loop for states never left. Each row sums its
+// nonzero counts in column order, the terms and order a dense sum over
+// the row adds up, so the chain is bit-identical to normalising the
+// dense count matrix.
 func (e *ChainEstimator) Chain() (*markov.Chain, error) {
 	if e.added == 0 {
 		return nil, errors.New("trace: no trajectories to fit")
@@ -256,28 +273,36 @@ func (e *ChainEstimator) Chain() (*markov.Chain, error) {
 	if e.total == 0 {
 		return nil, errors.New("trace: empty trajectories")
 	}
-	p := make([][]float64, e.n)
-	for i := range p {
-		cRow := e.counts[i*e.n : (i+1)*e.n]
-		rowSum := 0.0
-		for _, v := range cRow {
-			rowSum += v
-		}
-		row := make([]float64, e.n)
-		if rowSum == 0 {
-			row[i] = 1 // never-left state: self-loop
+	nnz := 0
+	for _, r := range e.rows {
+		nnz += max(len(r.cols), 1)
+	}
+	cols := make([]int, 0, nnz)
+	vals := make([]float64, 0, nnz)
+	rows := make([]markov.SparseRow, e.n)
+	for i, r := range e.rows {
+		start := len(cols)
+		if len(r.cols) == 0 {
+			// Never-left state: self-loop.
+			cols = append(cols, i)
+			vals = append(vals, 1)
 		} else {
-			for j, v := range cRow {
-				row[j] = v / rowSum
+			rowSum := 0.0
+			for _, v := range r.counts {
+				rowSum += v
+			}
+			cols = append(cols, r.cols...)
+			for _, v := range r.counts {
+				vals = append(vals, v/rowSum)
 			}
 		}
-		p[i] = row
+		rows[i] = markov.SparseRow{Cols: cols[start:], Vals: vals[start:]}
 	}
 	pi := make([]float64, e.n)
 	for i, v := range e.visits {
 		pi[i] = v / e.total
 	}
-	return markov.NewWithStationary(p, pi)
+	return markov.NewSparseWithStationary(rows, pi)
 }
 
 // EstimateChain fits the empirical mobility model of Section VII-B.1:
