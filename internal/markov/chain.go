@@ -66,7 +66,7 @@ type Chain struct {
 // New validates p as a row-stochastic matrix and returns the chain.
 // It copies p, so the caller may reuse the backing slices.
 func New(p [][]float64) (*Chain, error) {
-	c, err := alloc(len(p))
+	c, err := emptyChain(len(p))
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +97,7 @@ type SparseRow struct {
 // out of order or repeated is an error. Neither rows nor pi is
 // retained.
 func NewSparseWithStationary(rows []SparseRow, pi []float64) (*Chain, error) {
-	c, err := alloc(len(rows))
+	c, err := emptyChain(len(rows))
 	if err != nil {
 		return nil, err
 	}
@@ -125,8 +125,8 @@ func NewSparseWithStationary(rows []SparseRow, pi []float64) (*Chain, error) {
 	return c, nil
 }
 
-// alloc returns an n-state chain with zeroed matrices.
-func alloc(n int) (*Chain, error) {
+// emptyChain returns an n-state chain with zeroed matrices.
+func emptyChain(n int) (*Chain, error) {
 	if n == 0 {
 		return nil, errors.New("markov: empty transition matrix")
 	}

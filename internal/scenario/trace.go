@@ -211,8 +211,8 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 }
 
 // ResetTraceLabCache empties the shared lab cache, the labs' ML views
-// and fixed series with it. Tests and perfbench use it to force the next trace job
-// through loadOrBuildTraceLab.
+// and fixed series with it. Tests and perfbench use it to force the
+// next trace job through loadOrBuildTraceLab.
 func ResetTraceLabCache() {
 	c := &traceLabCache
 	c.Lock()
