@@ -87,7 +87,7 @@
 // Persistent workers register themselves instead of being listed:
 // workers run RunWorkerDaemon (or `experiments -worker-daemon URL`)
 // against a registry, and the fleet follows the live membership —
-// Resume continues a banked campaign over whatever workers exist now:
+// Resume continues a journaled campaign over whatever workers exist now:
 //
 //	reg := chaffmec.NewWorkerRegistry(chaffmec.WorkerRegistryOptions{})
 //	http.Handle("/", reg.Handler()) // workers POST /v1/register here
@@ -489,8 +489,9 @@ const (
 	EventWorkerLeft = coordinator.EventWorkerLeft
 	// EventRound: one adaptive round completed and merged.
 	EventRound = coordinator.EventRound
-	// EventBanked: a shard was served from the artifact store instead
-	// of being dispatched at all.
+	// EventBanked: a run range was served from the campaign's journal
+	// in the artifact store instead of being dispatched at all (one
+	// event per journal record a round uses).
 	EventBanked = coordinator.EventBanked
 )
 
@@ -623,9 +624,10 @@ func WithProgress(fn func(FanOutEvent)) FleetOption {
 	return func(c *fleetConfig) { c.opts.Progress = fn }
 }
 
-// WithStore banks full shard Reports and per-round campaign
-// checkpoints in the artifact store: re-runs become cache hits and
-// Resume(job, nil) picks up an interrupted campaign.
+// WithStore journals full shard Reports in the artifact store, one
+// append-only journal per campaign: a re-run replays it and dispatches
+// only the runs it does not cover, so repeats become cache hits and
+// Run or Resume(job, nil) picks up an interrupted campaign.
 func WithStore(st *ArtifactStore) FleetOption {
 	return func(c *fleetConfig) { c.opts.Store = st }
 }
@@ -689,12 +691,12 @@ func (f *Fleet) Run(ctx context.Context, job Job) (*Report, error) {
 	return coordinator.RunFleet(ctx, job, f.fleet, f.opts)
 }
 
-// Resume continues a checkpointed campaign: from is a banked partial
-// Report to extend (validated like ResumeJob; the precision block may
-// differ), and a nil from loads the campaign checkpoint the last run
-// of this job banked in the artifact store (WithStore), running from
-// scratch when there is none. The finished Report is bit-for-bit the
-// uninterrupted run's.
+// Resume continues a checkpointed campaign: from is a partial Report
+// to extend (validated like ResumeJob; the precision block may
+// differ). A nil from is Run: with a store (WithStore) the campaign's
+// journal serves whatever earlier runs of this job finished, and
+// without one the job runs from scratch. The finished Report is
+// bit-for-bit the uninterrupted run's.
 func (f *Fleet) Resume(ctx context.Context, job Job, from *Report) (*Report, error) {
 	return coordinator.Resume(ctx, job, from, f.fleet, f.opts)
 }
@@ -706,7 +708,7 @@ func RunScenario(sp ScenarioSpec) (*ScenarioResult, error) { return scenario.Run
 func RunScenarioFile(path string) ([]*ScenarioResult, error) { return scenario.RunFile(path) }
 
 // ArtifactStore is the content-addressed on-disk store for derived
-// artifacts: fitted TraceLabs and banked shard Reports, keyed by the
+// artifacts: fitted TraceLabs and campaign journals, keyed by the
 // canonical hash of what produced them (spec JSON, seed stream
 // version). Re-runs of the same experiment become cache hits.
 type ArtifactStore = store.Store

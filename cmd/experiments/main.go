@@ -163,7 +163,7 @@ func realMain() int {
 		registry  = flag.String("registry", "", "serve the worker registry on this address and distribute -scenario jobs over the registered (elastic) fleet")
 		fleetMin  = flag.Int("fleet-min", 1, "with -registry: wait for this many registered workers before dispatching")
 
-		storeDir   = flag.String("store", "", "bank artifacts (fitted TraceLabs, full shard Reports) in a content-addressed store rooted at this directory; $"+store.EnvStore+" sets the same default")
+		storeDir   = flag.String("store", "", "keep artifacts (fitted TraceLabs, one journal of full shard Reports per distributed campaign) in a content-addressed store rooted at this directory; $"+store.EnvStore+" sets the same default")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this invocation to the given file (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to the given file on exit (pprof format)")
 	)

@@ -276,9 +276,9 @@ func main() {
 
 	// The artifact store persists derived results under content
 	// addresses (hash of spec + seed-stream version): with one
-	// installed, the coordinator banks every completed shard, so
-	// re-running the same experiment is served from disk — zero
-	// dispatches, surfaced as "banked" events. Trace-driven scenarios
+	// installed, the coordinator appends every completed shard to the
+	// campaign's journal, so re-running the same experiment is served
+	// from disk — zero dispatches, surfaced as "banked" events. Trace-driven scenarios
 	// likewise persist their fitted labs and skip the whole fitting
 	// pipeline on the next process. Point CHAFFMEC_STORE (or
 	// `experiments -store DIR`) at a directory for the same effect.

@@ -2,7 +2,7 @@
 // experiment API: it takes one precision-carrying Job, splits each
 // round of its Plan into contiguous engine.Span shards, dispatches them
 // to a fleet of workers over pluggable Transports (in-process, HTTP),
-// banks the Report partials that come back, retries failed shards on
+// journals the Report partials that come back, retries failed shards on
 // other workers (excluding the ones that failed them, removing workers
 // that keep failing), speculatively re-dispatches
 // stragglers to idle workers, and merges — producing a Report provably
@@ -14,8 +14,9 @@
 // announce capacity weights that drive unequal shard shares, heartbeat,
 // and are admitted or evicted between dispatches; a static []Transport
 // list is just the frozen special case (StaticOf). Resume continues a
-// campaign from a banked partial Report in the artifact store the way
-// scenario.ResumeJob does single-process.
+// campaign from a checkpoint Report the way scenario.ResumeJob does
+// single-process; with an artifact store, every campaign also resumes
+// from its own journal of shard results.
 //
 // The exactness argument stacks three established guarantees: every
 // run's streams are pure functions of (seed, run index) (internal/rng),
@@ -36,7 +37,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,14 +75,14 @@ type Options struct {
 	// retries, joins, evictions, dead workers, completed rounds). Runs
 	// on the driving goroutine.
 	Progress func(Event)
-	// Store banks full shard Reports in a content-addressed artifact
-	// store: before dispatching a shard the coordinator checks the
-	// store, and a hit resolves the shard without touching a worker —
-	// re-running an interrupted or repeated campaign only computes the
-	// missing pieces. The accumulated campaign report is banked there
-	// too after every round, which is what Resume(from=nil) picks up.
-	// Nil falls back to the process default (store.Default(); usually
-	// nil too, disabling banking).
+	// Store journals full shard Reports in a content-addressed
+	// artifact store: one append-only journal per campaign (spec and
+	// stream version), one record per shard result. A campaign replays
+	// its journal once at the start, and every run range a record
+	// covers resolves without touching a worker — re-running an
+	// interrupted or repeated campaign only computes the missing
+	// pieces. Nil falls back to the process default (store.Default();
+	// usually nil too, disabling the journal).
 	Store *store.Store
 }
 
@@ -127,8 +127,9 @@ const (
 	// EventRound: an adaptive (or the single fixed) round completed and
 	// was merged into the accumulated report.
 	EventRound EventKind = "round"
-	// EventBanked: a shard was satisfied from the artifact store
-	// without dispatching to any worker.
+	// EventBanked: a run range was satisfied from the campaign's
+	// journal in the artifact store without dispatching to any worker
+	// (one event per journal record the round uses).
 	EventBanked EventKind = "banked"
 )
 
@@ -187,22 +188,21 @@ type result struct {
 // instead of failing; cancel ctx to give up. Like the scenario layer's
 // drivers it returns the accumulated partial of the COMPLETED rounds
 // alongside any error (cancellation included): a well-formed checkpoint
-// scenario.ResumeJob — or Resume — continues from.
+// scenario.ResumeJob — or Resume — continues from. With a store
+// (Options.Store), the campaign's journal makes a re-run compute only
+// what earlier runs of the same job did not finish.
 func RunFleet(ctx context.Context, job scenario.Job, fleet Fleet, opts Options) (*report.Report, error) {
-	return runFleet(ctx, job, nil, false, fleet, opts)
+	return Resume(ctx, job, nil, fleet, opts)
 }
 
 // Resume continues a checkpointed campaign over the fleet. from is the
-// banked partial Report to extend (validated against the job exactly
-// like scenario.ResumeJob, precision block exempt); a nil from loads
-// the campaign checkpoint the last fan-out of this job banked in the
-// artifact store, and runs from scratch when there is none. The
-// finished Report is bit-for-bit the uninterrupted run's.
+// partial Report to extend (validated against the job exactly like
+// scenario.ResumeJob, precision block exempt). A nil from makes Resume
+// RunFleet: the campaign starts at run 0, and with a store it picks up
+// whatever the journal of this job already holds — which is how a
+// crashed coordinator's campaign continues. The finished Report is
+// bit-for-bit the uninterrupted run's.
 func Resume(ctx context.Context, job scenario.Job, from *report.Report, fleet Fleet, opts Options) (*report.Report, error) {
-	return runFleet(ctx, job, from, true, fleet, opts)
-}
-
-func runFleet(ctx context.Context, job scenario.Job, from *report.Report, resume bool, fleet Fleet, opts Options) (*report.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -227,16 +227,11 @@ func runFleet(ctx context.Context, job scenario.Job, from *report.Report, resume
 			return nil, err
 		}
 	}
-	var acc *report.Report
-	if resume {
-		if from != nil {
-			if acc, err = scenario.PrepareResume(job, from); err != nil {
-				return nil, err
-			}
-		} else {
-			acc = c.bankedCampaign()
-		}
+	acc, err := scenario.PrepareResume(job, from)
+	if err != nil {
+		return nil, err
 	}
+	c.replay()
 	c.sync()
 	for {
 		rp, err := plan.Next(acc)
@@ -256,7 +251,6 @@ func runFleet(ctx context.Context, job scenario.Job, from *report.Report, resume
 		} else if err := acc.Extend(round); err != nil {
 			return acc, fmt.Errorf("coordinator: extending after round [%d,%d): %w", rp.Start, rp.End, err)
 		}
-		c.bankCampaign(acc)
 		if c.opts.Progress != nil {
 			peek, err := plan.Next(acc)
 			if err != nil {
@@ -269,7 +263,6 @@ func runFleet(ctx context.Context, job scenario.Job, from *report.Report, resume
 		}
 	}
 	plan.Finalize(acc)
-	c.bankCampaign(acc)
 	return acc, nil
 }
 
@@ -277,10 +270,11 @@ type run struct {
 	job      scenario.Job
 	opts     Options
 	fleet    Fleet
-	workers  []*workerState // grows on joins; indexes are stable forever
-	byID     map[string]int // member ID -> workers index
-	st       *store.Store   // nil: no banking
-	specJSON []byte         // canonical spec bytes for shard keys
+	workers  []*workerState   // grows on joins; indexes are stable forever
+	byID     map[string]int   // member ID -> workers index
+	st       *store.Store     // nil: no journal
+	specJSON []byte           // canonical spec bytes for the journal key
+	banked   *report.Coverage // the journal's valid records, replayed once
 }
 
 // sync reconciles the dispatcher's worker table with the fleet's
@@ -319,97 +313,45 @@ func (c *run) sync() {
 	}
 }
 
-// storeKindReport namespaces banked shard reports in the artifact
-// store; storeKindCampaign the accumulated whole-campaign checkpoints.
-const (
-	storeKindReport   = "report"
-	storeKindCampaign = "campaign"
-)
+// storeKindCampaign namespaces campaign journals in the artifact
+// store.
+const storeKindCampaign = "campaign"
 
-// shardKey is a shard report's content address: the job's canonical
-// spec JSON, the rng stream version the runs draw from, and the exact
-// run range — everything the shard's bits are a pure function of.
-func (c *run) shardKey(span engine.Shard) string {
-	return store.Key(storeKindReport, string(c.specJSON), rng.StreamVersion,
-		strconv.Itoa(span.Start), strconv.Itoa(span.End))
-}
-
-// campaignKey is the accumulated campaign report's content address:
-// spec and stream, no range — each banking overwrites the last, so the
-// store always holds the newest checkpoint of this campaign.
+// campaignKey is a campaign journal's content address: the job's
+// canonical spec JSON and the rng stream version the runs draw from —
+// everything a shard's bits are a pure function of besides its run
+// range, which each record carries itself.
 func (c *run) campaignKey() string {
 	return store.Key(storeKindCampaign, string(c.specJSON), rng.StreamVersion)
 }
 
-// bankCampaign checkpoints the accumulated campaign report after a
-// round, best-effort: it is what Resume(from=nil) finds after a crash
-// of the COORDINATOR (worker crashes never need it — shard banking
-// already covers those).
-func (c *run) bankCampaign(acc *report.Report) {
-	if c.st == nil || acc == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := report.WriteReportsBinary(&buf, []*report.Report{acc}, true); err != nil {
-		return
-	}
-	c.st.Put(storeKindCampaign, c.campaignKey(), buf.Bytes()) //nolint:errcheck // best-effort
-}
-
-// bankedCampaign loads the campaign checkpoint a previous fan-out of
-// this job banked, validated exactly like an explicit resume
-// checkpoint; anything stale or invalid is evicted and ignored.
-func (c *run) bankedCampaign() *report.Report {
+// replay reads the campaign's journal once into c.banked. A record that
+// fails to decode, was drawn from another stream version, or overlaps
+// the replayed coverage without matching it is skipped: a bad record
+// only costs recomputing its runs, never the campaign.
+func (c *run) replay() {
+	c.banked = report.NewCoverage()
 	if c.st == nil {
-		return nil
+		return
 	}
-	blob, ok, err := c.st.Get(storeKindCampaign, c.campaignKey())
-	if err != nil || !ok {
-		return nil
-	}
-	if reps, err := report.DecodeReports(blob); err == nil && len(reps) == 1 {
-		if acc, err := scenario.PrepareResume(c.job, reps[0]); err == nil {
-			return acc
+	recs, _ := c.st.Records(storeKindCampaign, c.campaignKey()) //nolint:errcheck // an unreadable journal only costs a recompute
+	for _, rec := range recs {
+		reps, err := report.DecodeReports(rec)
+		if err != nil || len(reps) != 1 || reps[0].Stream != rng.StreamVersion {
+			continue
 		}
+		c.banked.Add(reps[0]) //nolint:errcheck // an overlapping record is skipped
 	}
-	c.st.Delete(storeKindCampaign, c.campaignKey()) //nolint:errcheck // eviction is best-effort
-	return nil
 }
 
-// bankedShard loads a shard's banked full report from the store,
-// re-validating what a corrupted or colliding artifact could break;
-// anything invalid is evicted so the shard just dispatches normally.
-//
-// The blob is read through the store's mapped path and decoded
-// zero-copy, so the returned report may alias the mapping: release is
-// non-nil exactly when a report is, and the caller must hold it until
-// the report's samples have been folded into owned memory (the round's
-// Merged deep-copies, so releasing after merge is safe).
-func (c *run) bankedShard(span engine.Shard) (*report.Report, func()) {
-	key := c.shardKey(span)
-	blob, release, ok, err := c.st.GetMapped(storeKindReport, key)
-	if err != nil || !ok {
-		return nil, nil
-	}
-	if reps, err := report.DecodeReports(blob); err == nil && len(reps) == 1 {
-		rep := reps[0]
-		if rep.RunStart == span.Start && rep.RunCount == span.End-span.Start && rep.Stream == rng.StreamVersion {
-			return rep, release
-		}
-	}
-	release()
-	c.st.Delete(storeKindReport, key) //nolint:errcheck // eviction is best-effort
-	return nil, nil
-}
-
-// bankShard persists one full shard report, best-effort: a failed Put
-// only costs a future cache hit.
-func (c *run) bankShard(span engine.Shard, rep *report.Report) {
+// journal appends one full shard report to the campaign's journal,
+// best-effort: a failed Append only costs a future recompute.
+func (c *run) journal(rep *report.Report) {
 	var buf bytes.Buffer
 	if err := report.WriteReportsBinary(&buf, []*report.Report{rep}, true); err != nil {
 		return
 	}
-	c.st.Put(storeKindReport, c.shardKey(span), buf.Bytes()) //nolint:errcheck // best-effort
+	c.st.Append(storeKindCampaign, c.campaignKey(), buf.Bytes()) //nolint:errcheck // best-effort
 }
 
 func (c *run) event(e Event) {
@@ -464,38 +406,25 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 			owners = append(owners, wi)
 		}
 	}
+	// Journaled run ranges resolve before any dispatch: a re-run of an
+	// interrupted or repeated campaign only computes what is missing.
+	// The replayed records are disjoint, so adding them cannot fail.
+	cov := report.NewCoverage()
+	for _, rep := range c.banked.Parts() {
+		if rep.RunStart >= start && rep.RunStart+rep.RunCount <= end {
+			cov.Add(rep) //nolint:errcheck // disjoint by construction
+			c.event(Event{Kind: EventBanked, Shard: engine.Span(rep.RunStart, rep.RunStart+rep.RunCount)})
+		}
+	}
+	// Each planned shard dispatches what the journal leaves uncovered of
+	// it; a zero share (range shorter than slots) has no gaps.
 	var shards []*shardState
 	for i, span := range scenario.SplitSpanWeighted(start, end, weights) {
-		if span.End <= span.Start {
-			continue // a zero share (range shorter than slots)
+		for _, gap := range cov.Gaps(span.Start, span.End) {
+			shards = append(shards, newShardState(engine.Span(gap[0], gap[1]), owners[i]))
 		}
-		shards = append(shards, newShardState(span, owners[i]))
 	}
-	cov := report.NewCoverage()
 	remaining := len(shards)
-	// Banked shards resolve before any dispatch: a re-run of an
-	// interrupted or repeated campaign only computes what is missing.
-	// Their reports may alias store mappings, so the mappings are held
-	// until the round's merge has folded every sample into owned memory.
-	var mappings []func()
-	defer func() {
-		for _, release := range mappings {
-			release()
-		}
-	}()
-	if c.st != nil {
-		for _, s := range shards {
-			if rep, release := c.bankedShard(s.span); rep != nil {
-				mappings = append(mappings, release)
-				if _, err := cov.Add(rep); err != nil {
-					return nil, err
-				}
-				s.resolved = true
-				remaining--
-				c.event(Event{Kind: EventBanked, Shard: s.span})
-			}
-		}
-	}
 	inflight := 0
 	// Sized for the planned fleet; a worker has at most one outstanding
 	// dispatch, so sends only block momentarily if the fleet grows
@@ -587,7 +516,7 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 					return nil, err
 				}
 				if c.st != nil {
-					c.bankShard(r.s.span, r.rep)
+					c.journal(r.rep)
 				}
 				resolve(r.s)
 				c.event(Event{Kind: EventResult, Worker: w.t.Name(), Shard: r.s.span, Wire: lastWire(w.t)})

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"syscall"
@@ -207,17 +206,16 @@ func TestCoordinatorBanksShards(t *testing.T) {
 		t.Fatalf("warm run dispatched %d shards, want 0", n)
 	}
 
-	// Corrupt one banked SHARD artifact on disk (the store also holds
-	// the campaign checkpoint under its own kind): that shard (and only
-	// that shard) dispatches again, and the result still merges
+	// Corrupt one journal record's payload on disk: that record's runs
+	// (and only those) dispatch again, and the result still merges
 	// bit-identical.
 	corrupted := false
-	err = filepath.WalkDir(filepath.Join(st.Root(), "report"), func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(filepath.Join(st.Root(), "campaign"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || corrupted {
 			return err
 		}
 		corrupted = true
-		return os.WriteFile(path, []byte("not a report envelope"), 0o644)
+		return corruptRecord(st, path, 0)
 	})
 	if err != nil || !corrupted {
 		t.Fatalf("corrupting an artifact: err=%v corrupted=%v", err, corrupted)

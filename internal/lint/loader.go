@@ -37,10 +37,10 @@ type Package struct {
 // tree type-checks each dependency once.
 //
 // Build constraints are honored for the host configuration (go/build's
-// default context): of a constrained pair like mmap_unix.go /
-// mmap_fallback.go, exactly the file the compiler would build joins the
-// package, so platform variants never collide in one type-check
-// universe. Test files are only included where Load is told to include
+// default context): of a constrained pair like internal/report's
+// decode_zerocopy.go / decode_purego.go, exactly the file the compiler
+// would build joins the package, so platform variants never collide in
+// one type-check universe. Test files are only included where Load is told to include
 // them, never in dependencies.
 type Loader struct {
 	Fset *token.FileSet

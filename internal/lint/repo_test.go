@@ -60,12 +60,12 @@ func TestDetectKernelsStayAnnotated(t *testing.T) {
 }
 
 // TestLoaderHonorsBuildConstraints pins the loader's platform file
-// selection: internal/store pairs mmap_unix.go with mmap_fallback.go
-// and internal/report pairs decode_zerocopy.go with decode_purego.go
-// behind mutually exclusive build constraints. Exactly one of each
-// pair may join the package, or type-checking collides on the shared
-// function name — which is precisely how the bug manifests if the
-// loader regresses to reading every file in the directory.
+// selection: internal/report pairs decode_zerocopy.go with
+// decode_purego.go behind mutually exclusive build constraints.
+// Exactly one of the pair may join the package, or type-checking
+// collides on the shared function name — which is precisely how the
+// bug manifests if the loader regresses to reading every file in the
+// directory.
 func TestLoaderHonorsBuildConstraints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the real tree through the source importer")

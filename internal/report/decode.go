@@ -49,10 +49,8 @@ func readBounded(r io.Reader) ([]byte, error) {
 //
 // The aliasing makes the contract explicit: the returned reports may
 // share memory with data, so the caller must keep data live and
-// unmodified for as long as the reports are in use, and must treat the
-// reports as read-only when data is (a store.GetMapped blob is mapped
-// read-only — writing through an aliased series would fault). Consumers
-// that deep-copy on use — engine.SeriesFromSnapshot, report.Merge — are
+// unmodified for as long as the reports are in use. Consumers that
+// deep-copy on use — engine.SeriesFromSnapshot, report.Merge — are
 // safe by construction. Callers that cannot honor the lifetime rule
 // should use ReadReports, whose buffer is private to its result.
 func DecodeReports(data []byte) ([]*Report, error) {

@@ -1,18 +1,26 @@
 // Package store is a content-addressed artifact store on the local
-// filesystem: blobs keyed by the canonical hash of what produced them
-// (a spec's JSON and the rng stream version), so that re-running the
-// same work is a cache hit and an interrupted campaign resumes from
-// banked partials for free.
+// filesystem: artifacts keyed by the canonical hash of what produced
+// them (a spec's JSON and the rng stream version), so that re-running
+// the same work is a cache hit and an interrupted campaign resumes from
+// its journal for free.
 //
 // Layout: <root>/<kind>/<kk>/<key>, where kind namespaces artifact
-// types ("tracelab", "report"), key is the hex SHA-256 of the inputs
-// and kk its first two hex digits (a fan-out level keeping directories
-// small). Writes go to a temp file in the same directory and rename
-// into place, so readers never observe a partial blob and concurrent
-// writers of the same key are idempotent. The store carries no
-// manifest or integrity metadata of its own: keys bind artifacts to
-// their inputs, and corruption detection is the artifact decoder's job
-// — a caller that fails to decode a blob Deletes it and rebuilds.
+// types, key is the hex SHA-256 of the inputs and kk its first two hex
+// digits (a fan-out level keeping directories small). Two kinds live
+// there: "tracelab" (one fitted trace lab per blob) and "campaign" (one
+// coordinator campaign's journal per file).
+//
+// The two kinds use the two write disciplines the store offers. Put
+// writes a whole blob to a temp file in the same directory and renames
+// it into place, so readers never observe a partial blob and concurrent
+// writers of the same key are idempotent. Append adds one
+// length-prefixed record to an O_APPEND file in a single write, so
+// concurrent appenders interleave whole records; Records reads them
+// back and cuts a torn tail (a crash mid-append) back to the last whole
+// record. The store carries no manifest or integrity metadata of its
+// own: keys bind artifacts to their inputs, and corruption detection is
+// the artifact decoder's job — a caller that fails to decode a blob
+// Deletes it and rebuilds, one that fails to decode a record skips it.
 //
 // Pruning is plain filesystem hygiene: `rm -rf <root>/<kind>` drops
 // one artifact class, removing the root drops everything; the next
@@ -21,17 +29,19 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 )
 
-// Store is a content-addressed blob store rooted at one directory.
+// Store is a content-addressed artifact store rooted at one directory.
 // All methods are safe for concurrent use, across goroutines and
 // across processes sharing the root.
 type Store struct {
@@ -99,29 +109,15 @@ func (s *Store) Get(kind, key string) (blob []byte, ok bool, err error) {
 	return blob, true, nil
 }
 
-// GetMapped returns the blob stored under (kind, key) as a READ-ONLY
-// view backed, where the platform allows, by a memory mapping of the
-// blob's file instead of a heap copy — the read path for envelopes big
-// enough that copying them through the page cache costs more than the
-// decode (the coordinator's banked shard reports). release frees the
-// mapping and is non-nil exactly when ok; the caller must not use blob
-// — or anything aliasing it, such as reports from
-// report.DecodeReports — after calling it, and must never write
-// through the view (a mapped page is write-protected). On platforms
-// without mmap this degrades to Get plus a no-op release.
+// GetMapped is Get plus a release func that does nothing. It is kept
+// for callers written against the former memory-mapped read path (the
+// benchmark's store probe); new code calls Get.
 func (s *Store) GetMapped(kind, key string) (blob []byte, release func(), ok bool, err error) {
-	p, err := s.path(kind, key)
-	if err != nil {
-		return nil, nil, false, err
+	blob, ok, err = s.Get(kind, key)
+	if !ok {
+		return blob, nil, ok, err
 	}
-	blob, release, err = mapFile(p)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, false, nil
-	}
-	if err != nil {
-		return nil, nil, false, fmt.Errorf("store: %w", err)
-	}
-	return blob, release, true, nil
+	return blob, func() {}, true, nil
 }
 
 // Put stores blob under (kind, key) atomically: a reader concurrently
@@ -158,6 +154,93 @@ func (s *Store) Put(kind, key string, blob []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
+}
+
+// recordPrefix is the size of a journal record's length prefix: the
+// payload length as a little-endian uint32.
+const recordPrefix = 4
+
+// Append adds record to the journal stored under (kind, key), creating
+// it if absent. The length prefix and the payload go out in one write
+// to an O_APPEND file, so appenders sharing the journal — goroutines or
+// processes — interleave whole records and never split one another's.
+// A crash mid-write leaves a torn tail, which the next Records cuts off.
+func (s *Store) Append(kind, key string, record []byte) error {
+	p, err := s.path(kind, key)
+	if err != nil {
+		return err
+	}
+	if uint64(len(record)) > math.MaxUint32 {
+		return fmt.Errorf("store: %d-byte record exceeds the journal's 4 GiB frame", len(record))
+	}
+	frame := make([]byte, recordPrefix+len(record))
+	binary.LittleEndian.PutUint32(frame, uint32(len(record)))
+	copy(frame[recordPrefix:], record)
+	const flags = os.O_WRONLY | os.O_APPEND | os.O_CREATE
+	f, err := os.OpenFile(p, flags, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		f, err = os.OpenFile(p, flags, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	_, err = f.Write(frame)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// Records returns the whole records of the journal stored under (kind,
+// key), in append order; an absent journal has none. A torn tail — a
+// prefix, or a length that runs past the end of the file — is truncated
+// back to the last whole record, so the next Append frames correctly.
+// Another process's Append may still be landing when the tail looks
+// torn, so Records reads the journal a second time before it cuts; an
+// Append that is still in flight then may lose its record. A record
+// only saves recomputing what it holds, so a lost one costs a
+// recompute, never a wrong result.
+func (s *Store) Records(kind, key string) ([][]byte, error) {
+	p, err := s.path(kind, key)
+	if err != nil {
+		return nil, err
+	}
+	for attempt := 0; ; attempt++ {
+		data, err := os.ReadFile(p)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		var recs [][]byte
+		off := 0
+		for len(data)-off >= recordPrefix {
+			n := binary.LittleEndian.Uint32(data[off:])
+			if uint64(n) > uint64(len(data)-off-recordPrefix) {
+				break
+			}
+			end := off + recordPrefix + int(n)
+			recs = append(recs, data[off+recordPrefix:end:end])
+			off = end
+		}
+		if off == len(data) {
+			return recs, nil
+		}
+		if attempt == 0 {
+			continue
+		}
+		if err := os.Truncate(p, int64(off)); err != nil {
+			return recs, fmt.Errorf("store: cutting a torn journal tail: %w", err)
+		}
+		return recs, nil
+	}
 }
 
 // Delete drops the artifact stored under (kind, key); deleting an

@@ -48,7 +48,7 @@ func TestPutGetDelete(t *testing.T) {
 		t.Fatalf("Get = %q ok=%v err=%v", got, ok, err)
 	}
 	// The same key under another kind is a distinct artifact.
-	if _, ok, _ := s.Get("report", key); ok {
+	if _, ok, _ := s.Get("campaign", key); ok {
 		t.Fatal("kinds share a namespace")
 	}
 	// Re-put replaces.
@@ -72,11 +72,11 @@ func TestPutGetDelete(t *testing.T) {
 func TestLayoutAndValidation(t *testing.T) {
 	s := open(t)
 	key := Key("anything")
-	if err := s.Put("report", key, []byte("x")); err != nil {
+	if err := s.Put("tracelab", key, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	// The documented layout — prune docs and humans depend on it.
-	want := filepath.Join(s.Root(), "report", key[:2], key)
+	want := filepath.Join(s.Root(), "tracelab", key[:2], key)
 	if _, err := os.Stat(want); err != nil {
 		t.Fatalf("blob not at documented path: %v", err)
 	}
@@ -91,13 +91,19 @@ func TestLayoutAndValidation(t *testing.T) {
 
 	for _, bad := range [][2]string{
 		{"", key}, {"a/b", key}, {"..", key},
-		{"report", ""}, {"report", "x"}, {"report", "../../etc/passwd"},
+		{"tracelab", ""}, {"tracelab", "x"}, {"tracelab", "../../etc/passwd"},
 	} {
 		if err := s.Put(bad[0], bad[1], []byte("x")); err == nil {
 			t.Fatalf("Put(%q,%q) accepted", bad[0], bad[1])
 		}
 		if _, _, err := s.Get(bad[0], bad[1]); err == nil {
 			t.Fatalf("Get(%q,%q) accepted", bad[0], bad[1])
+		}
+		if err := s.Append(bad[0], bad[1], []byte("x")); err == nil {
+			t.Fatalf("Append(%q,%q) accepted", bad[0], bad[1])
+		}
+		if _, err := s.Records(bad[0], bad[1]); err == nil {
+			t.Fatalf("Records(%q,%q) accepted", bad[0], bad[1])
 		}
 	}
 }
@@ -112,11 +118,11 @@ func TestConcurrentSameKey(t *testing.T) {
 			defer wg.Done()
 			blob := bytes.Repeat([]byte{byte('a' + i)}, 4096)
 			for j := 0; j < 20; j++ {
-				if err := s.Put("report", key, blob); err != nil {
+				if err := s.Put("tracelab", key, blob); err != nil {
 					t.Error(err)
 					return
 				}
-				got, ok, err := s.Get("report", key)
+				got, ok, err := s.Get("tracelab", key)
 				if err != nil || !ok {
 					t.Errorf("Get ok=%v err=%v", ok, err)
 					return
@@ -131,6 +137,76 @@ func TestConcurrentSameKey(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+func TestAppendRecords(t *testing.T) {
+	s := open(t)
+	key := Key("journal")
+	if recs, err := s.Records("campaign", key); err != nil || recs != nil {
+		t.Fatalf("missing journal: records=%q err=%v, want none", recs, err)
+	}
+	want := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{0xab}, 5000)}
+	for _, rec := range want {
+		if err := s.Append("campaign", key, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkRecords(t, s, key, want)
+	// Journals and blobs share the layout.
+	if _, err := os.Stat(filepath.Join(s.Root(), "campaign", key[:2], key)); err != nil {
+		t.Fatalf("journal not at the documented path: %v", err)
+	}
+}
+
+// TestRecordsTruncatesTornTail cuts the journal's last record inside
+// its length prefix and inside its payload: either way Records returns
+// the whole records before it, and an Append after the cut reads back
+// whole.
+func TestRecordsTruncatesTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  int // bytes of the last frame kept
+	}{{"inside the length prefix", recordPrefix - 1}, {"inside the payload", recordPrefix + 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t)
+			key := Key("torn", tc.name)
+			whole := [][]byte{[]byte("alpha"), []byte("beta")}
+			for _, rec := range append(whole, []byte("gamma-is-cut")) {
+				if err := s.Append("campaign", key, rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := filepath.Join(s.Root(), "campaign", key[:2], key)
+			good := int64(2*recordPrefix + len("alpha") + len("beta"))
+			if err := os.Truncate(p, good+int64(tc.cut)); err != nil {
+				t.Fatal(err)
+			}
+			checkRecords(t, s, key, whole)
+			if fi, err := os.Stat(p); err != nil || fi.Size() != good {
+				t.Fatalf("journal after the cut: size=%v err=%v, want %d bytes", fi.Size(), err, good)
+			}
+			if err := s.Append("campaign", key, []byte("delta")); err != nil {
+				t.Fatal(err)
+			}
+			checkRecords(t, s, key, append(whole, []byte("delta")))
+		})
+	}
+}
+
+func checkRecords(t *testing.T, s *Store, key string, want [][]byte) {
+	t.Helper()
+	got, err := s.Records("campaign", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+		}
+	}
 }
 
 func TestDefaultFromEnv(t *testing.T) {
