@@ -77,12 +77,18 @@ type Options struct {
 	Progress func(Event)
 	// Store journals full shard Reports in a content-addressed
 	// artifact store: one append-only journal per campaign (spec and
-	// stream version), one record per shard result. A campaign replays
-	// its journal once at the start, and every run range a record
-	// covers resolves without touching a worker — re-running an
+	// stream version), one record per shard result — the envelope
+	// bytes the worker sent when its transport keeps them
+	// (EnvelopeReporter), the report encoded otherwise. Records are
+	// appended off the dispatch loop and are all in the store before
+	// the round's EventRound and before Resume returns. A campaign
+	// replays its journal once at the start, and every run range a
+	// record covers resolves without touching a worker — re-running an
 	// interrupted or repeated campaign only computes the missing
-	// pieces. Nil falls back to the process default (store.Default();
-	// usually nil too, disabling the journal).
+	// pieces. A spec with an injected Chain or Gamma, which the key
+	// cannot see, is refused when a store is set. Nil falls back to the
+	// process default (store.Default(); usually nil too, disabling the
+	// journal).
 	Store *store.Store
 }
 
@@ -125,7 +131,8 @@ const (
 	// it still counts if it lands, and queued work re-plans elsewhere.
 	EventWorkerLeft EventKind = "worker-left"
 	// EventRound: an adaptive (or the single fixed) round completed and
-	// was merged into the accumulated report.
+	// was merged into the accumulated report; with a store, every
+	// EventResult of the round is already a journal record.
 	EventRound EventKind = "round"
 	// EventBanked: a run range was satisfied from the campaign's
 	// journal in the artifact store without dispatching to any worker
@@ -172,10 +179,11 @@ func newShardState(span engine.Shard, pref int) *shardState {
 }
 
 type result struct {
-	wi  int
-	s   *shardState
-	rep *report.Report
-	err error
+	wi       int
+	s        *shardState
+	rep      *report.Report
+	envelope []byte // the bytes rep decoded from, if the transport kept them
+	err      error
 }
 
 // RunFleet fans one whole Job out over an elastic fleet: membership is
@@ -222,6 +230,11 @@ func Resume(ctx context.Context, job scenario.Job, from *report.Report, fleet Fl
 		c.st = store.Default()
 	}
 	if c.st != nil {
+		// Neither injection is in the spec's JSON, so a journal keyed by
+		// it would hand one campaign's records to another.
+		if job.Spec.Chain != nil || job.Spec.Gamma != nil {
+			return nil, errors.New("coordinator: a spec with an injected Chain or Gamma cannot key a campaign journal; run it without a store")
+		}
 		c.specJSON, err = json.Marshal(job.Spec)
 		if err != nil {
 			return nil, err
@@ -344,14 +357,50 @@ func (c *run) replay() {
 	}
 }
 
-// journal appends one full shard report to the campaign's journal,
-// best-effort: a failed Append only costs a future recompute.
-func (c *run) journal(rep *report.Report) {
-	var buf bytes.Buffer
-	if err := report.WriteReportsBinary(&buf, []*report.Report{rep}, true); err != nil {
-		return
-	}
-	c.st.Append(storeKindCampaign, c.campaignKey(), buf.Bytes()) //nolint:errcheck // best-effort
+// record is one resolved full shard result on its way to the journal:
+// the bytes the worker sent, or, from a transport that keeps none, the
+// report to encode.
+type record struct {
+	rep      *report.Report
+	envelope []byte
+}
+
+// journaler appends one round's records to the campaign's journal on
+// its own goroutine, in the order the dispatch loop resolved them, so a
+// store write never holds up the next dispatch. Appends are
+// best-effort: a failed one only costs a future recompute.
+type journaler struct {
+	recs chan record
+	done chan struct{}
+}
+
+// startJournal starts the round's appender; capacity is the round's
+// planned shard count, so the dispatch loop's sends rarely wait.
+func (c *run) startJournal(capacity int) *journaler {
+	jr := &journaler{recs: make(chan record, capacity), done: make(chan struct{})}
+	key := c.campaignKey()
+	go func() {
+		defer close(jr.done)
+		var buf bytes.Buffer
+		for rec := range jr.recs {
+			blob := rec.envelope
+			if blob == nil {
+				buf.Reset()
+				if err := report.WriteReportsBinary(&buf, []*report.Report{rec.rep}, true); err != nil {
+					continue
+				}
+				blob = buf.Bytes()
+			}
+			c.st.Append(storeKindCampaign, key, blob) //nolint:errcheck // best-effort
+		}
+	}()
+	return jr
+}
+
+// close waits until every record sent is in the store.
+func (jr *journaler) close() {
+	close(jr.recs)
+	<-jr.done
 }
 
 func (c *run) event(e Event) {
@@ -426,6 +475,11 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 	}
 	remaining := len(shards)
 	inflight := 0
+	var jr *journaler
+	if c.st != nil {
+		jr = c.startJournal(len(shards))
+		defer jr.close()
+	}
 	// Sized for the planned fleet; a worker has at most one outstanding
 	// dispatch, so sends only block momentarily if the fleet grows
 	// mid-round — and every send is matched by a receive (the select
@@ -450,7 +504,11 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 		c.event(Event{Kind: EventDispatch, Worker: w.t.Name(), Shard: s.span})
 		go func() {
 			rep, err := w.t.Run(dctx, scenario.Job{Spec: c.job.Spec, Shard: s.span})
-			results <- result{wi: wi, s: s, rep: rep, err: err}
+			r := result{wi: wi, s: s, rep: rep, err: err}
+			if er, ok := w.t.(EnvelopeReporter); ok && err == nil {
+				r.envelope = er.LastEnvelope()
+			}
+			results <- r
 		}()
 	}
 	resolve := func(s *shardState) {
@@ -515,8 +573,8 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 				if _, err := cov.Add(r.rep); err != nil {
 					return nil, err
 				}
-				if c.st != nil {
-					c.journal(r.rep)
+				if jr != nil {
+					jr.recs <- record{rep: r.rep, envelope: r.envelope}
 				}
 				resolve(r.s)
 				c.event(Event{Kind: EventResult, Worker: w.t.Name(), Shard: r.s.span, Wire: lastWire(w.t)})

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"chaffmec/internal/engine"
+	"chaffmec/internal/markov"
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
@@ -205,5 +209,194 @@ func TestConcurrentCoordinatorsShareJournal(t *testing.T) {
 	}
 	if n := third.count(EventDispatch); n != 0 {
 		t.Fatalf("third run dispatched %d shards, want 0", n)
+	}
+}
+
+// TestJournalKeyCoversInjectedChain runs two in-process campaigns on
+// one store whose specs differ only in the injected Chain, which the
+// spec's JSON, and so the journal key, leaves out. The second campaign
+// must never return the first one's journaled report: either it runs
+// its own runs or it refuses to journal a key that cannot tell the two
+// apart.
+func TestJournalKeyCoversInjectedChain(t *testing.T) {
+	st, err := store.Open(t.TempDir() + "/artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := scenario.Spec{Name: "injected", Kind: "single", Strategy: "IM", NumChaffs: 1,
+		Horizon: 10, Runs: 40, Seed: 3}
+	for i, rows := range [][][]float64{
+		{{0.8, 0.1, 0.1}, {0.1, 0.8, 0.1}, {0.1, 0.1, 0.8}},
+		{{0.2, 0.4, 0.4}, {0.4, 0.2, 0.4}, {0.4, 0.4, 0.2}},
+	} {
+		chain, err := markov.New(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.Chain = chain
+		want := single(t, sp)
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(InProcessFleet(2)...), Options{Store: st})
+		if err != nil {
+			continue // refused: nothing journaled under a key that misses the chain
+		}
+		if norm(t, got) != norm(t, want) {
+			t.Fatalf("campaign %d returned another chain's journaled report instead of its own", i)
+		}
+	}
+
+	// An injected Γ decides which trajectories the detector removes and
+	// is no more in the key: with a store, such a spec is refused.
+	adv := testSpec()
+	adv.Advanced = true
+	adv.Gamma = func(u markov.Trajectory, _ int) (markov.Trajectory, error) { return u, nil }
+	if _, err := RunFleet(context.Background(), scenario.Job{Spec: adv},
+		StaticOf(InProcessFleet(1)...), Options{Store: st}); err == nil {
+		t.Fatal("a spec with an injected Gamma was journaled under a key that leaves it out")
+	}
+}
+
+// bodyTap is an http.RoundTripper that keeps a copy of every response
+// body the client reads.
+type bodyTap struct {
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func (b *bodyTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	b.mu.Lock()
+	b.bodies = append(b.bodies, data)
+	b.mu.Unlock()
+	resp.Body = io.NopCloser(bytes.NewReader(data))
+	return resp, nil
+}
+
+// unframed serves h's report responses as the plain binary envelope
+// instead of the gzip frame: the same report in other valid bytes,
+// which an encoder on the coordinator's side would not reproduce.
+func unframed(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		reps, err := report.DecodeReports(rec.Body.Bytes())
+		if err != nil {
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes()) //nolint:errcheck // test server
+			return
+		}
+		w.WriteHeader(rec.Code)
+		report.WriteReportsBinary(w, reps, false) //nolint:errcheck // test server
+	})
+}
+
+// TestJournalRecordsAreWorkerBytes runs a campaign over two HTTP
+// Handler workers with a store, one of them answering in the unframed
+// binary envelope: every journal record is, byte for byte, a response
+// body the client read, and the journal still replays into the
+// single-process report.
+func TestJournalRecordsAreWorkerBytes(t *testing.T) {
+	st, err := store.Open(t.TempDir() + "/artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := &bodyTap{}
+	client := &http.Client{Transport: tap}
+	var fleet []Transport
+	for _, h := range []http.Handler{Handler(context.Background()), unframed(Handler(context.Background()))} {
+		srv := httptest.NewServer(h)
+		defer srv.Close()
+		fleet = append(fleet, &HTTP{URL: srv.URL, Client: client})
+	}
+	sp := testSpec()
+	want := single(t, sp)
+	log := &eventLog{}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(fleet...),
+		Options{Store: st, Progress: log.add})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, want) {
+		t.Fatal("HTTP campaign differs from the single-process report")
+	}
+	_, recs, _, err := journalRecords(st, journalFile(t, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != log.count(EventResult) {
+		t.Fatalf("journal holds %d records for %d results", len(recs), log.count(EventResult))
+	}
+	tap.mu.Lock()
+	defer tap.mu.Unlock()
+	for i, rec := range recs {
+		found := false
+		for _, body := range tap.bodies {
+			found = found || bytes.Equal(rec, body)
+		}
+		if !found {
+			t.Fatalf("journal record %d (%d bytes) is no response body the client read", i, len(rec))
+		}
+	}
+
+	warm := &eventLog{}
+	if got, err = RunFleet(context.Background(), scenario.Job{Spec: sp}, StaticOf(fleet...),
+		Options{Store: st, Progress: warm.add}); err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, want) || warm.count(EventDispatch) != 0 {
+		t.Fatalf("replaying the worker bytes: %d dispatches, report equal %v",
+			warm.count(EventDispatch), norm(t, got) == norm(t, want))
+	}
+}
+
+// TestJournalDurableAtRound: inside Progress, when a round's EventRound
+// fires, the store already holds a record for every EventResult so far
+// — the appends run off the dispatch loop, but never past the round.
+func TestJournalDurableAtRound(t *testing.T) {
+	st, err := store.Open(t.TempDir() + "/artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := adaptiveSpec()
+	key := ""
+	results, rounds := 0, 0
+	progress := func(e Event) {
+		switch e.Kind {
+		case EventResult:
+			results++
+		case EventRound:
+			rounds++
+			if key == "" {
+				paths, _ := filepath.Glob(filepath.Join(st.Root(), "campaign", "*", "*"))
+				if len(paths) != 1 {
+					t.Errorf("round %d: %d campaign journals, want 1", rounds, len(paths))
+					return
+				}
+				key = filepath.Base(paths[0])
+			}
+			recs, err := st.Records("campaign", key)
+			if err != nil || len(recs) != results {
+				t.Errorf("round %d: journal holds %d records (err %v) for %d results", rounds, len(recs), err, results)
+			}
+		}
+	}
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(InProcessFleet(2)...), Options{Store: st, Progress: progress})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm(t, got) != norm(t, single(t, sp)) {
+		t.Fatal("journaled adaptive campaign differs from the single-process report")
+	}
+	if rounds < 2 || results == 0 {
+		t.Fatalf("%d rounds, %d results: want an adaptive campaign of several rounds", rounds, results)
 	}
 }

@@ -75,6 +75,16 @@ type WireReporter interface {
 	LastWire() WireStats
 }
 
+// EnvelopeReporter is implemented by transports that keep the encoded
+// count-1 envelope their most recent Run decoded its full report from
+// (nil after a partial or a failure). The coordinator journals those
+// bytes as the shard's record instead of encoding the report again;
+// other transports' reports are encoded. Like LastWire, it is read
+// after Run returns.
+type EnvelopeReporter interface {
+	LastEnvelope() []byte
+}
+
 // countingReader counts the bytes drawn through it.
 type countingReader struct {
 	r io.Reader
@@ -167,7 +177,8 @@ type HTTP struct {
 	// Client overrides http.DefaultClient.
 	Client *http.Client
 
-	lastWire WireStats
+	lastWire     WireStats
+	lastEnvelope []byte
 }
 
 // Name implements Transport.
@@ -180,6 +191,10 @@ func (t *HTTP) Name() string {
 
 // LastWire implements WireReporter.
 func (t *HTTP) LastWire() WireStats { return t.lastWire }
+
+// LastEnvelope implements EnvelopeReporter: the response body of the
+// most recent Run's full (200) result.
+func (t *HTTP) LastEnvelope() []byte { return t.lastEnvelope }
 
 // httpRetries and httpBackoff shape the transient-error retry: two
 // in-place retries, 50ms then 200ms.
@@ -200,7 +215,7 @@ func (t *HTTP) Run(ctx context.Context, job scenario.Job) (*report.Report, error
 	if err != nil {
 		return nil, err
 	}
-	t.lastWire = WireStats{}
+	t.lastWire, t.lastEnvelope = WireStats{}, nil
 	backoff := httpBackoff
 	for attempt := 0; ; attempt++ {
 		rep, err := t.post(ctx, blob)
@@ -244,7 +259,10 @@ func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 	}()
 	switch resp.StatusCode {
 	case http.StatusOK, http.StatusPartialContent:
-		rep, gotEnc, derr := decodeReportStream(cr)
+		// Keep the bytes a full report decodes from: they are its
+		// journal record as they stand.
+		var body bytes.Buffer
+		rep, gotEnc, derr := decodeReportStream(io.TeeReader(cr, &body))
 		t.lastWire.Encoding = gotEnc
 		if derr != nil {
 			return nil, derr
@@ -252,6 +270,7 @@ func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 		if resp.StatusCode == http.StatusPartialContent {
 			return rep, fmt.Errorf("%w: %s", ErrPartial, t.Name())
 		}
+		t.lastEnvelope = body.Bytes()
 		return rep, nil
 	default:
 		body, _ := io.ReadAll(io.LimitReader(cr, 4096))

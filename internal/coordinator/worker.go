@@ -37,14 +37,14 @@ const (
 )
 
 // runShard executes exactly the job's shard in about workerChunks
-// contiguous chunks, extending a partial report after each chunk and
-// calling afterChunk (the injected-crash seam; may be nil) once each
-// completes. On error — cancellation
-// (SIGTERM in a worker process) included — the prefix report of the
-// COMPLETED chunks is returned alongside the error: a resumable
-// checkpoint covering [start, k), exactly round checkpointing applied
-// inside one shard. A whole-range job (no shard) is delegated to the
-// scenario layer's own (adaptive, resumable) round loop.
+// contiguous chunks, calling afterChunk (the injected-crash seam; may be
+// nil) once each completes, and extends the first chunk's report with
+// the others once, at the end. On error — cancellation (SIGTERM in a
+// worker process) included — the prefix report of the COMPLETED chunks
+// is returned alongside the error: a resumable checkpoint covering
+// [start, k), exactly round checkpointing applied inside one shard. A
+// whole-range job (no shard) is delegated to the scenario layer's own
+// (adaptive, resumable) round loop.
 func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*report.Report, error) {
 	if job.Shard.IsWhole() {
 		return scenario.RunAdaptive(ctx, job, nil)
@@ -55,22 +55,25 @@ func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*r
 	}
 	start, end := job.Shard.Range(plan.FixedRuns())
 	chunk := min(max((end-start+workerChunks-1)/workerChunks, minChunk), maxChunk)
-	var acc *report.Report
+	var done []*report.Report
 	for i, at := 0, start; at < end; i, at = i+1, at+chunk {
-		rep, err := scenario.RunJob(ctx, scenario.Job{Spec: job.Spec, Shard: engine.Span(at, min(at+chunk, end))})
-		if err != nil {
-			return acc, err // acc: the completed-chunk prefix
+		var rep *report.Report
+		if rep, err = scenario.RunJob(ctx, scenario.Job{Spec: job.Spec, Shard: engine.Span(at, min(at+chunk, end))}); err != nil {
+			break
 		}
-		if acc == nil {
-			acc = rep
-		} else if err := acc.Extend(rep); err != nil {
-			return acc, err
-		}
+		done = append(done, rep)
 		if afterChunk != nil {
 			afterChunk(i)
 		}
 	}
-	return acc, nil
+	if len(done) == 0 {
+		return nil, err
+	}
+	// A failed Extend leaves the first chunk, itself a prefix, as it was.
+	if xerr := done[0].Extend(done[1:]...); xerr != nil {
+		return done[0], xerr
+	}
+	return done[0], err // on error: the completed-chunk prefix
 }
 
 // validateJob refuses a job that never was runnable — no kind or an

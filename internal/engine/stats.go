@@ -26,9 +26,13 @@ import (
 // Internally an accumulator holds a "spine": the canonical decomposition
 // of its covered run range into maximal aligned dyadic intervals
 // [m·2^j, (m+1)·2^j), at most ~2·log2(n) of them, left to right. Add
-// appends a one-run leaf and greedily combines sibling intervals; Merge
-// appends another accumulator's spine (which must start exactly where
-// this one ends) and combines the same way. Mean/StdErr fold the spine
+// appends a one-run leaf and greedily combines sibling intervals;
+// AddRepeated(x, n) appends n runs of one series x as the aligned dyadic
+// nodes they fill, each a pure function of x and its width, and is
+// bit-identical to n calls of Add(x) (the trace kind's stream-free jobs
+// fold a whole chunk of identical runs with it); Merge appends another
+// accumulator's spine (which must start exactly where this one ends)
+// and combines the same way. Mean/StdErr fold the spine
 // left-to-right. Interval statistics combine with Chan et al.'s parallel
 // Welford update, so the numerical quality matches the previous
 // streaming-Welford implementation (pairwise reduction is, if anything,
@@ -107,6 +111,42 @@ func (s *SeriesStats) Add(x []float64) error {
 	s.spine = append(s.spine, leaf)
 	s.next++
 	s.collapse()
+	return nil
+}
+
+// AddRepeated folds n runs that all carry the series x: bit-identical
+// to n calls of Add(x), in O(T·log² n) — O(T·log n) for an aligned
+// range — instead of O(T·n). A dyadic node over 2^j identical leaves is
+// combine of two copies of its 2^(j-1) child (combine is a pure
+// function of its inputs), so each maximal aligned dyadic interval of
+// [next, next+n) is built from Add's leaf by j doublings and appended,
+// then collapsed the way Add collapses its leaf.
+func (s *SeriesStats) AddRepeated(x []float64, n int) error {
+	if len(x) != s.t {
+		return fmt.Errorf("engine: series length %d, want %d", len(x), s.t)
+	}
+	if n < 0 {
+		return fmt.Errorf("engine: %d repeated series", n)
+	}
+	end := s.next + int64(n)
+	for s.next < end {
+		size := int64(1)
+		for s.next%(2*size) == 0 && s.next+2*size <= end {
+			size *= 2
+		}
+		node := seriesNode{start: s.next, n: size, mean: s.buf(), m2: s.buf()}
+		copy(node.mean, x)
+		clear(node.m2)
+		// combine works slot by slot, reading both sides of a slot
+		// before writing it, so combining a node with itself equals
+		// combining it with a copy.
+		for half := int64(1); half < size; half *= 2 {
+			combine(float64(half), float64(half), node.mean, node.m2, node.mean, node.m2)
+		}
+		s.spine = append(s.spine, node)
+		s.next += size
+		s.collapse()
+	}
 	return nil
 }
 
@@ -230,15 +270,34 @@ type SeriesSnapshot struct {
 	Nodes []StatNode `json:"nodes,omitempty"`
 }
 
+// blocks carves n capped length-T blocks out of one allocation (nil
+// blocks when T is 0), so that copying a spine costs two allocations
+// instead of two per node.
+func blocks(n, T int) [][]float64 {
+	out := make([][]float64, n)
+	if T == 0 {
+		return out
+	}
+	backing := make([]float64, n*T)
+	for i := range out {
+		out[i] = backing[i*T : (i+1)*T : (i+1)*T]
+	}
+	return out
+}
+
 // Snapshot captures the accumulator state (a deep copy).
 func (s *SeriesStats) Snapshot() SeriesSnapshot {
 	snap := SeriesSnapshot{T: s.t, Next: s.next}
-	for _, node := range s.spine {
-		snap.Nodes = append(snap.Nodes, StatNode{
-			Start: node.start, N: node.n,
-			Mean: append([]float64(nil), node.mean...),
-			M2:   append([]float64(nil), node.m2...),
-		})
+	if len(s.spine) == 0 {
+		return snap
+	}
+	bufs := blocks(2*len(s.spine), s.t)
+	snap.Nodes = make([]StatNode, len(s.spine))
+	for i, node := range s.spine {
+		mean, m2 := bufs[2*i], bufs[2*i+1]
+		copy(mean, node.mean)
+		copy(m2, node.m2)
+		snap.Nodes[i] = StatNode{Start: node.start, N: node.n, Mean: mean, M2: m2}
 	}
 	return snap
 }
@@ -251,6 +310,7 @@ func SeriesFromSnapshot(snap SeriesSnapshot) (*SeriesStats, error) {
 	}
 	s := &SeriesStats{t: snap.T, next: snap.Next}
 	pos := int64(-1)
+	var bufs [][]float64
 	for i, node := range snap.Nodes {
 		if node.N < 1 || node.Start < 0 {
 			return nil, fmt.Errorf("engine: snapshot node %d covers invalid range [%d,%d)", i, node.Start, node.Start+node.N)
@@ -262,11 +322,14 @@ func SeriesFromSnapshot(snap SeriesSnapshot) (*SeriesStats, error) {
 			return nil, fmt.Errorf("engine: snapshot node %d starts at %d, want %d (contiguous)", i, node.Start, pos)
 		}
 		pos = node.Start + node.N
-		s.spine = append(s.spine, seriesNode{
-			start: node.Start, n: node.N,
-			mean: append([]float64(nil), node.Mean...),
-			m2:   append([]float64(nil), node.M2...),
-		})
+		if bufs == nil {
+			bufs = blocks(2*len(snap.Nodes), snap.T)
+			s.spine = make([]seriesNode, 0, len(snap.Nodes))
+		}
+		mean, m2 := bufs[2*i], bufs[2*i+1]
+		copy(mean, node.Mean)
+		copy(m2, node.M2)
+		s.spine = append(s.spine, seriesNode{start: node.Start, n: node.N, mean: mean, m2: m2})
 	}
 	if pos >= 0 && pos != snap.Next {
 		return nil, fmt.Errorf("engine: snapshot ends at run %d but declares next run %d", pos, snap.Next)

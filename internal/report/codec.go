@@ -61,12 +61,21 @@ var binaryMagic = [4]byte{'C', 'M', 'R', '1'}
 // instead of attempting a multi-GB allocation.
 const maxDecodeLen = 1 << 28
 
+// gzipLevel is the deflate level of every gzip frame the codec writes.
+// Envelopes are a few KB, and the default level's Reset zeroes ~640 KB
+// of hash tables per frame; BestSpeed's is a small fraction of that,
+// for frames a few percent larger.
+const gzipLevel = gzip.BestSpeed
+
 // gzipWriters pools the gzip writers of WriteReportsBinary: each holds
-// a deflate compressor of about 1 MB that gzip.NewWriter allocates and
-// zeroes, and a campaign frames one envelope per worker response, banked
-// shard and checkpoint. Reset restarts a pooled writer's stream, so its
-// bytes equal a fresh writer's.
-var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
+// a deflate compressor that allocating costs far more than reusing, and
+// a campaign frames one envelope per worker response, journal record
+// and checkpoint. Reset restarts a pooled writer's stream, so its bytes
+// equal a fresh writer's at the same level.
+var gzipWriters = sync.Pool{New: func() any {
+	gz, _ := gzip.NewWriterLevel(io.Discard, gzipLevel) //nolint:errcheck // a valid constant level
+	return gz
+}}
 
 // WriteReportsBinary encodes reports in the compact binary format,
 // gzip-framed when compress is set. The encoding streams: nothing is

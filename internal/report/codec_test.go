@@ -263,12 +263,17 @@ func gzipCorpus(t testing.TB) [][]*Report {
 	}
 }
 
-// freshGzipEncode frames reps through a gzip writer of its own, the
-// reference the pooled writers must reproduce byte for byte.
+// freshGzipEncode frames reps through a gzip writer of its own at the
+// codec's level, the reference the pooled writers must reproduce byte
+// for byte.
 func freshGzipEncode(t testing.TB, reps []*Report) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := encodeBinaryGzip(gzip.NewWriter(&buf), reps); err != nil {
+	gz, err := gzip.NewWriterLevel(&buf, gzipLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := encodeBinaryGzip(gz, reps); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

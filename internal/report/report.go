@@ -269,7 +269,8 @@ func Merge(parts ...*Report) (*Report, error) {
 			return nil, fmt.Errorf("report: cannot merge %s of %q: stream %q vs %q — partials drew from different generators",
 				shard, p.Name, p.Stream, first.Stream)
 		}
-		if len(first.Spec) > 0 && len(p.Spec) > 0 && !bytes.Equal(compactJSON(first.Spec), compactJSON(p.Spec)) {
+		if len(first.Spec) > 0 && len(p.Spec) > 0 && !bytes.Equal(first.Spec, p.Spec) &&
+			!bytes.Equal(compactJSON(first.Spec), compactJSON(p.Spec)) {
 			return nil, fmt.Errorf("report: cannot merge %q: partials declare different specs (offending %s)", first.Name, shard)
 		}
 		if want := out.RunStart + out.RunCount; p.RunStart != want {

@@ -153,6 +153,14 @@ func TestMergeValidation(t *testing.T) {
 		t.Fatalf("cross-spec merge accepted: %v", err)
 	}
 
+	// Specs that differ only in whitespace are one spec: the raw bytes
+	// differ, the compacted JSON does not.
+	spaced := buildPart(t, 5, 10, 10)
+	spaced.Spec = json.RawMessage("{ \"kind\": \"single\",\n  \"strategy\": \"MO\" }")
+	if _, err := Merge(a, spaced); err != nil {
+		t.Fatalf("specs differing only in whitespace refused: %v", err)
+	}
+
 	missing := buildPart(t, 5, 10, 10)
 	delete(missing.Scalars, "sq")
 	if _, err := Merge(a, missing); err == nil {

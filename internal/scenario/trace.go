@@ -334,7 +334,10 @@ func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer *detect.A
 // tracked user. The eavesdropper (basic ML, or strategy-aware when
 // Advanced) observes all fleet trajectories plus the chaffs; the
 // reported series is the protected user's per-slot tracking accuracy
-// averaged over the chaff streams. See newTraceJob for the kernels.
+// averaged over the chaff streams. A stream-free job skips the engine:
+// every run of its range carries the lab's one series, folded in closed
+// form by SeriesStats.AddRepeated, bit-identical to folding it once per
+// run. See newTraceJob for the kernels.
 //
 // Spec fields used: Nodes (fleet size, default 174), Horizon (the
 // observation window in one-minute slots), TraceUser (tracked-ness
@@ -347,22 +350,37 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	}
 	lab := job.lab
 	o := sp.options(shard).Normalized()
-	start, _ := o.Range()
+	start, end := o.Range()
 	track := engine.NewSeriesStatsAt(lab.Horizon, start)
 
-	// Only chaff generation draws from the run streams. The chunk width
-	// is tune.BlockSize (chunking never changes results).
-	err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
-		NewWorker:  job.newWorker,
-		FreeWorker: job.freeWorker,
-		RunBlock:   job.runBlock,
-		BlockSize:  tune.BlockSize(lab.Chain, len(lab.Trajectories)+job.numChaffs, lab.Horizon),
-		Accumulate: func(run int, series []float64) error {
-			return track.Add(series)
-		},
-	})
-	if err != nil {
-		return nil, err
+	if job.fixed != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		if end > start {
+			series, err := job.fixed()
+			if err != nil {
+				return nil, err
+			}
+			if err := track.AddRepeated(series, end-start); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		// Only chaff generation draws from the run streams. The chunk
+		// width is tune.BlockSize (chunking never changes results).
+		err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
+			NewWorker:  job.newWorker,
+			FreeWorker: (*traceWorker).release,
+			RunBlock:   job.runBlock,
+			BlockSize:  tune.BlockSize(lab.Chain, len(lab.Trajectories)+job.numChaffs, lab.Horizon),
+			Accumulate: func(run int, series []float64) error {
+				return track.Add(series)
+			},
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	rep := sp.envelope(shard)
 	rep.Horizon = lab.Horizon
@@ -372,27 +390,29 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	return rep, nil
 }
 
-// traceJob is a trace spec resolved against its lab entry: the engine
-// callbacks that produce each block's tracking series.
+// traceJob is a trace spec resolved against its lab entry: either the
+// one series every run of a stream-free job carries (fixed), or the
+// engine callbacks that produce each block's tracking series.
 type traceJob struct {
-	lab        *figures.TraceLab
-	numChaffs  int
-	newWorker  func(int) (*traceWorker, error)
-	freeWorker func(*traceWorker)
-	runBlock   func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error
+	lab       *figures.TraceLab
+	numChaffs int
+	fixed     func() ([]float64, error)
+	newWorker func(int) (*traceWorker, error)
+	runBlock  func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error
 }
 
 // newTraceJob resolves sp's lab, protected user and kernel.
 //
 // A chaff-free job, or one whose strategy is a chaff.TrajectoryMapper
 // with no injected Γ, draws nothing from the run streams, so all its
-// runs are one run: the lab entry computes that run's series once per
-// traceSeriesKey, through the per-run kernel below at width 1, and every
-// block hands it out read-only, with no worker scratch. Otherwise the
-// basic eavesdropper scores each run's chaffs against the lab's fleet
-// table, which is built once per lab (runTraceFleet), and the
-// strategy-aware one filters survivors per run and so re-scores the
-// packed fleet in every run (runTraceBlock).
+// runs are one run: job.fixed returns that run's series, which the lab
+// entry computes once per traceSeriesKey, lazily on the first call,
+// through the per-run kernel below at width 1, and runTrace folds it
+// over the whole range without the engine. Otherwise the basic
+// eavesdropper scores each run's chaffs against the lab's fleet table,
+// which is built once per lab (runTraceFleet), and the strategy-aware
+// one filters survivors per run and so re-scores the packed fleet in
+// every run (runTraceBlock).
 func newTraceJob(sp Spec) (*traceJob, error) {
 	if sp.Advanced && sp.Strategy == "" {
 		return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
@@ -430,7 +450,7 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		}
 		job.numChaffs = sp.NumChaffs
 	}
-	job.runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+	kernel := func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 		return runTraceFleet(fleet, lab.Trajectories[user], strat, user, w, rngs, out)
 	}
 	if sp.Advanced {
@@ -442,16 +462,16 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		job.runBlock = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+		kernel = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
 			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
 		}
 	}
 
 	if _, mapper := strat.(chaff.TrajectoryMapper); (strat != nil && !mapper) || sp.Gamma != nil {
+		job.runBlock = kernel
 		job.newWorker = func(int) (*traceWorker, error) {
 			return newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced), nil
 		}
-		job.freeWorker = (*traceWorker).release
 		return job, nil
 	}
 	key := traceSeriesKey{chaffs: job.numChaffs, user: user, advanced: sp.Advanced}
@@ -459,7 +479,6 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		key.strategy = strat.Name()
 	}
 	fixed := entry.fixedSeries(key)
-	perRun := job.runBlock
 	compute := func() {
 		c := &traceLabCache
 		c.Lock()
@@ -470,19 +489,13 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		w := newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced)
 		defer w.release()
 		one := make([][]float64, 1)
-		if fixed.err = perRun(w, 0, []*rand.Rand{nil}, one); fixed.err == nil {
+		if fixed.err = kernel(w, 0, []*rand.Rand{nil}, one); fixed.err == nil {
 			fixed.series = one[0]
 		}
 	}
-	job.runBlock = func(_ *traceWorker, _ int, _ []*rand.Rand, out [][]float64) error {
+	job.fixed = func() ([]float64, error) {
 		fixed.once.Do(compute)
-		if fixed.err != nil {
-			return fixed.err
-		}
-		for r := range out {
-			out[r] = fixed.series // read-only: Accumulate copies it
-		}
-		return nil
+		return fixed.series, fixed.err // read-only: AddRepeated copies it
 	}
 	return job, nil
 }

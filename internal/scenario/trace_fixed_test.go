@@ -120,44 +120,53 @@ func TestTraceFixedSeriesOncePerLab(t *testing.T) {
 	}
 }
 
-// TestTraceFixedChunkAllocs: once its series is cached, a 32-run chunk
-// of a stream-free (MO) trace job allocates nothing, where a chunk of
-// IM chaffs, which draw, allocates its block's one result backing.
+// TestTraceFixedChunkAllocs: once its series is cached, a chunk of a
+// stream-free (MO) trace job folds its runs in closed form, so a warm
+// aligned 256-run chunk allocates exactly what a 32-run one does, where
+// a chunk of IM chaffs, which draw, allocates its block's one result
+// backing.
 func TestTraceFixedChunkAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace lab build")
 	}
+	mo := Spec{Kind: "trace", Nodes: 40, Horizon: 25, Seed: 6, Strategy: "MO", NumChaffs: 1}.withDefaults()
+	chunkAllocs := func(width int) float64 {
+		run := func() {
+			if _, err := runTrace(context.Background(), mo, engine.Span(0, width)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the lab, its view and the series
+		return testing.AllocsPerRun(20, run)
+	}
+	if narrow, wide := chunkAllocs(32), chunkAllocs(256); narrow != wide {
+		t.Errorf("MO: %v allocations per warm 32-run chunk, %v per 256-run chunk, want equal", narrow, wide)
+	}
+
 	const width = 32
 	rngs := make([]*rand.Rand, width)
 	for i := range rngs {
 		rngs[i] = rng.NewRun(6, i)
 	}
 	out := make([][]float64, width)
-	for _, c := range []struct {
-		strategy string
-		want     float64
-	}{{"MO", 0}, {"IM", 1}} {
-		job, err := newTraceJob(Spec{Kind: "trace", Nodes: 40, Horizon: 25, Seed: 6, Strategy: c.strategy, NumChaffs: 1})
-		if err != nil {
+	job, err := newTraceJob(Spec{Kind: "trace", Nodes: 40, Horizon: 25, Seed: 6, Strategy: "IM", NumChaffs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := job.newWorker(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.release()
+	if err := job.runBlock(w, 0, rngs, out); err != nil { // warm the fleet view
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if err := job.runBlock(w, 0, rngs, out); err != nil {
 			t.Fatal(err)
 		}
-		var w *traceWorker
-		if job.newWorker != nil {
-			if w, err = job.newWorker(0); err != nil {
-				t.Fatal(err)
-			}
-			defer job.freeWorker(w)
-		}
-		if err := job.runBlock(w, 0, rngs, out); err != nil { // warm the series
-			t.Fatal(err)
-		}
-		got := testing.AllocsPerRun(20, func() {
-			if err := job.runBlock(w, 0, rngs, out); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got != c.want {
-			t.Errorf("%s: %v allocations per warm %d-run chunk, want %v", c.strategy, got, width, c.want)
-		}
+	})
+	if got != 1 {
+		t.Errorf("IM: %v allocations per warm %d-run chunk, want 1", got, width)
 	}
 }
