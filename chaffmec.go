@@ -25,9 +25,10 @@
 // Execution is also adaptive and resumable: a spec carrying a
 // ScenarioPrecision block runs in SE-targeted rounds, stopping as soon
 // as the tracked standard error reaches the goal instead of burning a
-// fixed run count; any (partial) Report doubles as a checkpoint that
-// ResumeJob extends — later or elsewhere — into the bit-for-bit result
-// of the uninterrupted run (ExtendReport is the underlying primitive).
+// fixed run count; a Fleet with an artifact store (WithStore) journals
+// every finished shard, so re-running an interrupted job computes only
+// what is missing and finishes as the bit-for-bit result of the
+// uninterrupted run.
 //
 // Beneath the Job/Report surface sit:
 //
@@ -63,17 +64,14 @@
 //	b, _ := chaffmec.RunJob(ctx, chaffmec.Job{Spec: spec, Shard: chaffmec.Shard{Index: 1, Count: 2}})
 //	whole, _ := chaffmec.MergeReports(a, b) // bit-identical to the unsharded run
 //
-// Or let the precision target pick the run count (and checkpoint/resume
-// long jobs):
+// Or let the precision target pick the run count, and journal long
+// jobs in an artifact store so an interrupted one continues:
 //
 //	spec.Precision = &chaffmec.ScenarioPrecision{TargetSE: 0.005, MaxRuns: 100_000}
-//	rep, err := chaffmec.RunJob(ctx, chaffmec.Job{Spec: spec})
-//	if err != nil && rep != nil { // interrupted: rep holds the completed rounds
-//		chaffmec.WriteReports("ckpt.json", []*chaffmec.Report{rep})
-//	}
-//	// later, anywhere:
-//	parts, _ := chaffmec.ReadReports("ckpt.json")
-//	rep, _ = chaffmec.ResumeJob(ctx, chaffmec.Job{Spec: spec}, parts[0])
+//	st, _ := chaffmec.OpenStore("bank")
+//	fleet, _ := chaffmec.NewFleet(chaffmec.WithInProcessWorkers(1), chaffmec.WithStore(st))
+//	rep, err := fleet.Run(ctx, chaffmec.Job{Spec: spec})
+//	// interrupted? Run it again on the same store: only the gaps run.
 //
 // Or fan the job out over a worker fleet — the coordinator shards each
 // round by the members' capacity weights, retries failures and
@@ -86,13 +84,14 @@
 //
 // Persistent workers register themselves instead of being listed:
 // workers run RunWorkerDaemon (or `experiments -worker-daemon URL`)
-// against a registry, and the fleet follows the live membership —
-// Resume continues a journaled campaign over whatever workers exist now:
+// against a registry, and the fleet follows the live membership — with
+// a store, Run continues a journaled campaign over whatever workers
+// exist now:
 //
 //	reg := chaffmec.NewWorkerRegistry(chaffmec.WorkerRegistryOptions{})
 //	http.Handle("/", reg.Handler()) // workers POST /v1/register here
-//	fleet, _ := chaffmec.NewFleet(chaffmec.WithRegistry(reg))
-//	rep, _ := fleet.Resume(ctx, chaffmec.Job{Spec: spec}, nil)
+//	fleet, _ := chaffmec.NewFleet(chaffmec.WithRegistry(reg), chaffmec.WithStore(st))
+//	rep, _ := fleet.Run(ctx, chaffmec.Job{Spec: spec})
 //
 // Evaluate remains the one-call convenience wrapper over the same
 // registry for callers holding a custom Chain. See examples/ for
@@ -371,8 +370,8 @@ type (
 	// standard-error goal on a named series or scalar, with run-count
 	// bounds. A job carrying one runs in SE-targeted rounds.
 	ScenarioPrecision = scenario.Precision
-	// AdaptiveRound describes one completed round of an adaptive or
-	// resumed job (the progress unit of RunAdaptiveJob).
+	// AdaptiveRound describes one completed round of a job (the
+	// progress unit of RunAdaptiveJob).
 	AdaptiveRound = scenario.Round
 )
 
@@ -390,26 +389,11 @@ func RunJob(ctx context.Context, job Job) (*Report, error) { return scenario.Run
 // completed round to progress (nil: silent): SE-targeted when the spec
 // carries a precision block, a single fixed round otherwise. On error —
 // including ctx cancellation mid-round — the partial Report accumulated
-// from the completed rounds is returned alongside the error: a
-// well-formed checkpoint ResumeJob continues from.
+// from the completed rounds is returned alongside the error. To
+// continue an interrupted job, run it on a Fleet with a store.
 func RunAdaptiveJob(ctx context.Context, job Job, progress func(AdaptiveRound)) (*Report, error) {
 	return scenario.RunAdaptive(ctx, job, progress)
 }
-
-// ResumeJob continues a checkpointed job from a previously emitted
-// (partial) Report — in this process, later, or on another host. The
-// checkpoint must belong to the same experiment (its precision block may
-// differ: tightening the target on resume is legal); the finished
-// Report is bit-for-bit the one an uninterrupted run yields.
-func ResumeJob(ctx context.Context, job Job, from *Report) (*Report, error) {
-	return scenario.ResumeJob(ctx, job, from, nil)
-}
-
-// ExtendReport appends continuation partials — each starting exactly
-// where the accumulated coverage ends — to r in place: the low-level
-// primitive behind ResumeJob for callers orchestrating rounds
-// themselves (e.g. handing workers "extend this report until SE ≤ ε").
-func ExtendReport(r *Report, parts ...*Report) error { return r.Extend(parts...) }
 
 // MergeReports combines partial reports of one experiment (complementary
 // shards, in any order) into one report; merging a complete set
@@ -552,9 +536,10 @@ func WorkerHandler(ctx context.Context) http.Handler {
 }
 
 // Fleet is a configured worker fleet: the one distributed entry point.
-// Build it with NewFleet, then Run jobs over it (or Resume checkpointed
-// campaigns). A Fleet is reusable across jobs; elastic membership
-// (WithRegistry) is re-read continuously while a job runs.
+// Build it with NewFleet, then Run jobs over it; with a store, running a
+// job again continues its journaled campaign. A Fleet is reusable
+// across jobs; elastic membership (WithRegistry) is re-read
+// continuously while a job runs.
 type Fleet struct {
 	fleet coordinator.Fleet
 	opts  coordinator.Options
@@ -626,8 +611,10 @@ func WithProgress(fn func(FanOutEvent)) FleetOption {
 
 // WithStore journals full shard Reports in the artifact store, one
 // append-only journal per campaign: a re-run replays it and dispatches
-// only the runs it does not cover, so repeats become cache hits and
-// Run or Resume(job, nil) picks up an interrupted campaign.
+// only the runs it does not cover, so repeats become cache hits and Run
+// picks up an interrupted campaign. The journal is keyed by what a
+// run's bits depend on, so a re-run with another Runs, Workers or
+// precision block still finds it.
 func WithStore(st *ArtifactStore) FleetOption {
 	return func(c *fleetConfig) { c.opts.Store = st }
 }
@@ -687,18 +674,11 @@ func NewFleet(options ...FleetOption) (*Fleet, error) {
 // Report is bit-identical (up to summed wall clock) to RunJob's —
 // SE-targeted adaptive rounds included. Like RunAdaptiveJob it returns
 // the accumulated partial of the completed rounds alongside any error.
+// With a store (WithStore) the campaign's journal serves whatever
+// earlier runs of this job finished; the finished Report is still
+// bit-for-bit the uninterrupted run's.
 func (f *Fleet) Run(ctx context.Context, job Job) (*Report, error) {
 	return coordinator.RunFleet(ctx, job, f.fleet, f.opts)
-}
-
-// Resume continues a checkpointed campaign: from is a partial Report
-// to extend (validated like ResumeJob; the precision block may
-// differ). A nil from is Run: with a store (WithStore) the campaign's
-// journal serves whatever earlier runs of this job finished, and
-// without one the job runs from scratch. The finished Report is
-// bit-for-bit the uninterrupted run's.
-func (f *Fleet) Resume(ctx context.Context, job Job, from *Report) (*Report, error) {
-	return coordinator.Resume(ctx, job, from, f.fleet, f.opts)
 }
 
 // RunScenario executes one scenario spec whole and digests the report.

@@ -346,9 +346,10 @@ func TestRunJobShardMergeFacade(t *testing.T) {
 }
 
 // TestAdaptiveResumeFacade drives the checkpoint-restart surface:
-// Evaluate with a precision target adapts its run count; RunAdaptiveJob,
-// ResumeJob and ExtendReport reproduce the uninterrupted run bit-for-bit
-// from a mid-job checkpoint.
+// Evaluate with a precision target adapts its run count; an adaptive
+// job on a store-backed fleet, interrupted after its first round and
+// run again on the same store, reproduces RunAdaptiveJob's
+// uninterrupted run bit-for-bit without re-running the first round.
 func TestAdaptiveResumeFacade(t *testing.T) {
 	ctx := context.Background()
 	chain, err := BuildModel(ModelNonSkewed, 10, 7)
@@ -375,46 +376,48 @@ func TestAdaptiveResumeFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Checkpoint after the first round, through a file, then resume.
+	// Interrupt after the first round.
+	st, err := OpenStore(filepath.Join(t.TempDir(), "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx2, cancel := context.WithCancel(ctx)
-	partial, err := RunAdaptiveJob(ctx2, job, func(r AdaptiveRound) { cancel() })
-	if !errors.Is(err, context.Canceled) || partial == nil {
-		t.Fatalf("interrupted job: rep %v err %v", partial, err)
-	}
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := WriteReports(path, []*Report{partial}); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadReports(path)
+	defer cancel()
+	covered := 0
+	first, err := NewFleet(WithInProcessWorkers(1), WithStore(st), WithProgress(func(e FanOutEvent) {
+		if e.Kind == EventRound && covered == 0 {
+			covered = e.Round.Covered
+			cancel()
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ResumeJob(ctx, job, back[0])
+	partial, err := first.Run(ctx2, job)
+	if !errors.Is(err, context.Canceled) || partial == nil || partial.RunCount != covered {
+		t.Fatalf("interrupted job: rep %v err %v, want the %d runs of round 1", partial, err, covered)
+	}
+
+	// Run again on the same store.
+	var redone []Shard
+	again, err := NewFleet(WithInProcessWorkers(1), WithStore(st), WithProgress(func(e FanOutEvent) {
+		if e.Kind == EventDispatch && e.Shard.Start < covered {
+			redone = append(redone, e.Shard)
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
+	}
+	resumed, err := again.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(redone) != 0 {
+		t.Fatalf("re-run dispatched journaled runs again: %v", redone)
 	}
 	resumed.ElapsedMS = whole.ElapsedMS
 	if !reflect.DeepEqual(whole, resumed) {
 		t.Fatalf("resumed report differs from uninterrupted run:\n%+v\n%+v", resumed, whole)
-	}
-
-	// ExtendReport is the primitive: a later explicit-range shard of the
-	// same experiment extends a partial in place.
-	first, err := RunJob(ctx, Job{Spec: ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1,
-		Horizon: 10, Runs: 20, Seed: 5}, Shard: Shard{Index: 0, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := RunJob(ctx, Job{Spec: ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1,
-		Horizon: 10, Runs: 20, Seed: 5}, Shard: Shard{Index: 1, Count: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ExtendReport(first, second); err != nil {
-		t.Fatal(err)
-	}
-	if !first.Complete() || first.RunCount != 20 {
-		t.Fatalf("extended report covers [%d,%d) of %d", first.RunStart, first.RunStart+first.RunCount, first.TotalRuns)
 	}
 }
 
@@ -540,8 +543,25 @@ func TestNewFleetFacade(t *testing.T) {
 	}
 }
 
-// TestFleetResumeFacade: Resume over a store-backed fleet finishes a
-// campaign from its banked checkpoint without re-running covered runs.
+// hangAfterFirst runs its first shard in process and hangs on every
+// later one until the dispatch is cancelled.
+type hangAfterFirst struct {
+	coordinator.InProcess
+	calls int
+}
+
+func (h *hangAfterFirst) Run(ctx context.Context, job Job) (*Report, error) {
+	if h.calls++; h.calls == 1 {
+		return h.InProcess.Run(ctx, job)
+	}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestFleetResumeFacade: a store-backed fleet campaign cancelled after
+// its first shard, run again on the same store, finishes without
+// re-running that shard, and a third run of the finished campaign
+// dispatches nothing.
 func TestFleetResumeFacade(t *testing.T) {
 	ctx := context.Background()
 	spec := ScenarioSpec{Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10, Runs: 40, Seed: 5}
@@ -562,34 +582,60 @@ func TestFleetResumeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fleet, err := NewFleet(WithInProcessWorkers(2), WithStore(st))
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var done []Shard
+	interrupted, err := NewFleet(WithWorkers(&hangAfterFirst{}), WithStore(st), WithProgress(func(e FanOutEvent) {
+		if e.Kind == EventResult {
+			done = append(done, e.Shard)
+			cancel()
+		}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fleet.Run(ctx, Job{Spec: spec}); err != nil {
-		t.Fatal(err)
+	if _, err := interrupted.Run(cctx, Job{Spec: spec}); !errors.Is(err, context.Canceled) || len(done) != 1 {
+		t.Fatalf("interrupted campaign: err %v after %d shards, want context.Canceled after 1", err, len(done))
 	}
-	// The banked campaign resolves the resumed job without dispatching.
-	var dispatches int
-	resumed, err := NewFleet(
+
+	var dispatched []Shard
+	banked := 0
+	fleet, err := NewFleet(
 		WithInProcessWorkers(2), WithStore(st),
 		WithProgress(func(e FanOutEvent) {
-			if e.Kind == EventDispatch {
-				dispatches++
+			switch e.Kind {
+			case EventDispatch:
+				dispatched = append(dispatched, e.Shard)
+			case EventBanked:
+				banked++
 			}
 		}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := resumed.Resume(ctx, Job{Spec: spec}, nil)
+	got, err := fleet.Run(ctx, Job{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm(got) != norm(want) {
 		t.Fatal("resumed campaign differs from RunJob")
 	}
-	if dispatches != 0 {
-		t.Fatalf("finished campaign re-dispatched %d shards, want 0", dispatches)
+	for _, sh := range dispatched {
+		if sh.Start < done[0].End && done[0].Start < sh.End {
+			t.Fatalf("re-run dispatched %s, which the journal holds (%s)", sh, done[0])
+		}
+	}
+	if banked != 1 || len(dispatched) == 0 {
+		t.Fatalf("re-run banked %d records, dispatched %d shards; want 1 and the rest", banked, len(dispatched))
+	}
+
+	// The finished campaign resolves without dispatching.
+	dispatched, banked = nil, 0
+	if got, err = fleet.Run(ctx, Job{Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if norm(got) != norm(want) || len(dispatched) != 0 {
+		t.Fatalf("finished campaign re-dispatched %d shards (report equal %v), want 0", len(dispatched), norm(got) == norm(want))
 	}
 }

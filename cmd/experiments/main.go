@@ -30,36 +30,40 @@
 // to -report, and renders complete scenarios exactly like an unsharded
 // -scenario run.
 //
-// # Adaptive precision targets and checkpoint/resume
+// # Adaptive precision targets and continuing a run
 //
 // A scenario entry carrying a "precision" block — or every entry, when
 // -target-se is given — runs adaptively: runs are added in rounds until
 // the tracked standard error reaches the target (stopping between the
 // block's min_runs and max_runs), with per-round progress on stderr.
-// Interrupting a run (Ctrl-C) writes the partial envelopes accumulated
-// from the completed rounds to -report; -resume continues such a
-// checkpoint — later, or on another host — and the finished result is
-// bit-for-bit the uninterrupted run's:
 //
-//	experiments -scenario scenarios.json -target-se 0.005 -report ckpt.json
-//	^C                                            # partial rounds saved
-//	experiments -resume ckpt.json -report done.json
+// Every -scenario run is a coordinator campaign (internal/coordinator),
+// over one in-process worker unless a fleet flag below is given. With
+// -store, each campaign journals its finished shards in the artifact
+// store, and the journal is the checkpoint: re-run the same command on
+// the same -store after an interrupt (Ctrl-C), and only the missing
+// runs execute. The re-run may change a scenario's runs, workers or
+// precision block — none of them changes what a run computes — and its
+// result is bit-for-bit the uninterrupted run of the new config:
 //
-// Without -scenario, -resume reconstructs each job from the checkpoint's
-// spec echo. The trace figures accept the same precision flags:
-// -fig 9b,10 -target-se 0.01 adapts each grid cell's chaff-stream count
-// and the CSVs gain per-cell error-bar columns.
+//	experiments -scenario scenarios.json -target-se 0.005 -store bank
+//	^C                                            # finished shards journaled
+//	experiments -scenario scenarios.json -target-se 0.002 -store bank
+//
+// An interrupted run still writes the partial envelopes of its
+// completed rounds to -report. The trace figures accept the same
+// precision flags: -fig 9b,10 -target-se 0.01 adapts each grid cell's
+// chaff-stream count and the CSVs gain per-cell error-bar columns.
 //
 // # Distributed fan-out
 //
-// -workers N runs every scenario through the coordinator
-// (internal/coordinator): each round of the job is split into
-// contiguous shards dispatched to N local worker processes (this
-// binary started as -worker-daemon against a registry on a loopback
-// port, fixed once all N have registered), failed or straggling shards
-// are retried on other workers, and the partials merge into the
-// bit-for-bit single-process Report — adaptive -target-se rounds
-// included. The workers are SIGTERMed and reaped when the command
+// -workers N runs every scenario's campaign over a fleet instead: each
+// round of the job is split into contiguous shards dispatched to N
+// local worker processes (this binary started as -worker-daemon
+// against a registry on a loopback port, fixed once all N have
+// registered), failed or straggling shards are retried on other
+// workers, and the partials merge into the bit-for-bit single-process
+// Report — adaptive -target-se rounds included. The workers are SIGTERMed and reaped when the command
 // exits, however it exits:
 //
 //	experiments -scenario scenarios.json -workers 4 -report out.json
@@ -95,10 +99,9 @@
 // address), and is evicted when its heartbeats stop — its in-flight
 // shards are re-dispatched. A worker on a foreign rng stream version
 // or GOARCH, or announcing none, is refused at registration with HTTP
-// 409 (its results could not merge bit-identically).
-// -resume also distributes: the coordinator extends a checkpoint over
-// whichever fleet is up and the finished Report is byte-for-byte the
-// uninterrupted run's.
+// 409 (its results could not merge bit-identically). -store journals a
+// fleet campaign like a local one, so a re-run continues over whichever
+// fleet is up.
 //
 // Performance is measured by the separate perfbench module
 // (`bash perfbench/run.sh`), not by this command.
@@ -108,7 +111,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -145,14 +147,13 @@ func realMain() int {
 		cellRuns = flag.Int("cellruns", 1, "chaff streams averaged per Fig. 9(b)/10 grid cell (the minimum with -target-se)")
 		scenFile = flag.String("scenario", "", "JSON scenario config to run instead of the paper figures (kinds: "+strings.Join(scenario.Kinds(), ", ")+")")
 		shardArg = flag.String("shard", "", "run scenarios as shard i/n of their run range (requires -scenario and -report)")
-		repFile  = flag.String("report", "", "write raw Report envelopes (JSON array) to this file")
+		repFile  = flag.String("report", "", "write raw Report envelopes (JSON array) to this file; an interrupted -scenario run writes the partial envelopes of its completed rounds")
 		merge    = flag.Bool("merge", false, "merge the Report files given as positional arguments")
 		targetSE = flag.Float64("target-se", 0, "adaptive stopping: std-error goal for scenarios without their own precision block, and for Fig. 9(b)/10 grid cells")
 		minRuns  = flag.Int("min-runs", 0, "adaptive stopping: run floor before -target-se may stop an experiment")
 		maxRuns  = flag.Int("max-runs", 0, "adaptive stopping: run cap when -target-se is unattainable (default: the scenario's runs)")
-		resume   = flag.String("resume", "", "resume the checkpointed Report envelopes in this file (with -scenario to validate against the config, else from the spec echoes)")
 
-		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (this binary started as -worker-daemon against an in-process registry)")
+		workers   = flag.Int("workers", 0, "distribute -scenario jobs over this many local worker processes (this binary started as -worker-daemon against an in-process registry) instead of this process")
 		connect   = flag.String("connect", "", "comma-separated base URLs of -serve workers to distribute -scenario jobs to instead of local workers")
 		serveAddr = flag.String("serve", "", "serve the worker HTTP API (POST /v1/run, GET /v1/healthz) on this address; with -worker-daemon, the daemon's listen address")
 		crashWkr  = flag.Int("crash-worker", -1, "fault injection: local worker i of -workers crashes mid-shard on its first dispatch (CI retry proof)")
@@ -163,7 +164,7 @@ func realMain() int {
 		registry  = flag.String("registry", "", "serve the worker registry on this address and distribute -scenario jobs over the registered (elastic) fleet")
 		fleetMin  = flag.Int("fleet-min", 1, "with -registry: wait for this many registered workers before dispatching")
 
-		storeDir   = flag.String("store", "", "keep artifacts (fitted TraceLabs, one journal of full shard Reports per distributed campaign) in a content-addressed store rooted at this directory; $"+store.EnvStore+" sets the same default")
+		storeDir   = flag.String("store", "", "keep artifacts (fitted TraceLabs, one journal of full shard Reports per -scenario campaign) in a content-addressed store rooted at this directory; re-running a -scenario command on the same store runs only what its journals lack; $"+store.EnvStore+" sets the same default")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of this invocation to the given file (pprof format)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to the given file on exit (pprof format)")
 	)
@@ -211,9 +212,9 @@ func realMain() int {
 	}
 
 	// Ctrl-C / SIGTERM cancels between runs; scenario paths then persist
-	// the partial rounds to -report as a resumable checkpoint, and the
-	// worker modes answer the checkpointed prefix of the shard they are
-	// in.
+	// the partial rounds to -report (the -store journal already holds
+	// the finished shards), and the worker modes answer the checkpointed
+	// prefix of the shard they are in.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -243,7 +244,7 @@ func realMain() int {
 	}
 
 	if *workers > 0 || *connect != "" || *registry != "" {
-		err := distributedFlagErr(*workers, *connect, *registry, *shardArg, *resume, *merge, *scenFile)
+		err := distributedFlagErr(*workers, *connect, *registry, *shardArg, *merge, *scenFile)
 		var fleet coordinator.Fleet
 		var shutdown func()
 		if err == nil {
@@ -259,11 +260,8 @@ func realMain() int {
 			}
 		}
 		if err == nil {
-			if *resume != "" {
-				err = resumeScenarios(*resume, *scenFile, *outDir, *repFile, flagPrec, fleetResumeOne(ctx, fleet))
-			} else {
-				err = runScenariosDistributed(ctx, *scenFile, *outDir, *repFile, flagPrec, fleet)
-			}
+			fmt.Fprintf(os.Stderr, "experiments: distributing over %d workers\n", len(fleet.Members()))
+			err = runScenarios(ctx, *scenFile, *outDir, *repFile, flagPrec, fleet, coordinator.Options{})
 		}
 		if shutdown != nil {
 			shutdown()
@@ -281,27 +279,13 @@ func realMain() int {
 		}
 		return 0
 	}
-	if *resume != "" {
-		err := fmt.Errorf("-resume cannot combine with -shard (a resumed job extends its whole run range)")
-		if *shardArg == "" {
-			err = resumeScenarios(*resume, *scenFile, *outDir, *repFile, flagPrec,
-				func(job scenario.Job, from *report.Report, name string) (*report.Report, error) {
-					return scenario.ResumeJob(ctx, job, from, roundProgress(name))
-				})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 1
-		}
-		return 0
-	}
 	if *shardArg != "" {
 		shard, err := parseShard(*shardArg)
 		if err == nil && flagPrec != nil {
 			// A shard executes exactly its assigned slice; silently
 			// running it fixed would let the user believe the partial was
 			// SE-targeted.
-			err = fmt.Errorf("-target-se cannot combine with -shard (a shard executes its fixed slice; run the job whole, or checkpoint and -resume it)")
+			err = fmt.Errorf("-target-se cannot combine with -shard (a shard executes its fixed slice; run the job whole)")
 		}
 		if err == nil && *scenFile == "" {
 			err = fmt.Errorf("-shard needs -scenario")
@@ -319,7 +303,7 @@ func realMain() int {
 		return 0
 	}
 	if *scenFile != "" {
-		if err := runScenarios(ctx, *scenFile, *outDir, *repFile, flagPrec); err != nil {
+		if err := runScenarios(ctx, *scenFile, *outDir, *repFile, flagPrec, localFleet, localOptions); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			return 1
 		}
@@ -464,45 +448,27 @@ func applyPrecision(sp scenario.Spec, prec *scenario.Precision) scenario.Spec {
 	return sp
 }
 
-// roundProgress reports one scenario's adaptive rounds on stderr, so a
-// long job shows runs completed and current-vs-target SE as it works.
-func roundProgress(name string) scenario.Progress {
-	return func(r scenario.Round) {
-		status := "continuing"
-		if r.Done {
-			status = "done"
-		}
-		if math.IsNaN(r.SE) || r.Target <= 0 {
-			fmt.Fprintf(os.Stderr, "%-30s round [%d,%d): %d runs (%s)\n",
-				name, r.Start, r.End, r.Covered, status)
-			return
-		}
-		fmt.Fprintf(os.Stderr, "%-30s round [%d,%d): %d runs, se %.4g vs target %.4g (%s)\n",
-			name, r.Start, r.End, r.Covered, r.SE, r.Target, status)
-	}
-}
+// localFleet is the fleet a -scenario run without -workers, -connect or
+// -registry runs over: one worker executing in this process.
+var localFleet = coordinator.StaticOf(&coordinator.InProcess{})
 
-// runScenarios executes a JSON scenario config — adaptively for entries
-// with a precision block (or under -target-se): per-scenario headline
-// numbers and an ASCII chart on stdout, round progress on stderr, one
-// CSV per scenario under outDir, and (when repFile is set) the raw
-// Report envelopes as JSON. On failure — including an interrupt
-// mid-round — the envelopes completed so far, plus the failing
-// scenario's partial rounds, are still written to repFile: a checkpoint
-// -resume continues from.
-func runScenarios(ctx context.Context, path, outDir, repFile string, prec *scenario.Precision) error {
-	return runScenarioEntries(path, outDir, repFile, prec,
-		func(sp scenario.Spec, name string) (*report.Report, error) {
-			return scenario.RunAdaptive(ctx, scenario.Job{Spec: sp}, roundProgress(name))
-		})
-}
+// localOptions hand the local worker each round whole: a retry or
+// straggler re-dispatch has no other worker to go to, so a second
+// shard per round would only add a shard's set-up cost.
+var localOptions = coordinator.Options{ShardsPerWorker: 1}
 
-// runScenarioEntries is the config-execution loop runScenarios and its
-// distributed variant share: run every entry through runOne, persist
-// the (possibly partial) envelopes to repFile, and render completed
-// results.
-func runScenarioEntries(path, outDir, repFile string, prec *scenario.Precision,
-	runOne func(sp scenario.Spec, name string) (*report.Report, error)) error {
+// runScenarios executes a JSON scenario config, every entry a
+// coordinator campaign over the fleet — fixed jobs as one sharded
+// round, precision-targeted ones (or every one under -target-se) as
+// SE-driven extension rounds: per-scenario headline numbers and an
+// ASCII chart on stdout, progress on stderr, one CSV per scenario under
+// outDir, and (when repFile is set) the raw Report envelopes as JSON.
+// The merged reports are bit-identical whatever the fleet. On failure —
+// including an interrupt mid-round — the envelopes completed so far,
+// plus the failing scenario's partial rounds, are still written to
+// repFile; with a store, a re-run continues from the campaigns'
+// journals.
+func runScenarios(ctx context.Context, path, outDir, repFile string, prec *scenario.Precision, fleet coordinator.Fleet, opts coordinator.Options) error {
 	specs, err := scenario.LoadFile(path)
 	if err != nil {
 		return err
@@ -515,7 +481,10 @@ func runScenarioEntries(path, outDir, repFile string, prec *scenario.Precision,
 		if name == "" {
 			name = sp.Kind
 		}
-		rep, err := runOne(sp, name)
+		var tally *wireTally
+		opts.Progress, tally = campaignProgress(name)
+		rep, err := coordinator.RunFleet(ctx, scenario.Job{Spec: sp}, fleet, opts)
+		tally.summary(name)
 		if rep != nil {
 			reps = append(reps, rep)
 		}
@@ -527,12 +496,12 @@ func runScenarioEntries(path, outDir, repFile string, prec *scenario.Precision,
 	if repFile != "" && len(reps) > 0 {
 		if err := report.WriteFile(repFile, reps); err != nil {
 			if failed != nil {
-				return fmt.Errorf("%w (and writing checkpoint: %v)", failed, err)
+				return fmt.Errorf("%w (and writing partial envelopes: %v)", failed, err)
 			}
 			return err
 		}
 		if failed != nil {
-			fmt.Fprintf(os.Stderr, "wrote checkpoint %s (%d envelopes; resume with -resume %s)\n", repFile, len(reps), repFile)
+			fmt.Fprintf(os.Stderr, "wrote partial envelopes %s (%d envelopes; re-run with the same -store to continue)\n", repFile, len(reps))
 		} else {
 			fmt.Printf("wrote %s\n", repFile)
 		}
@@ -542,96 +511,6 @@ func runScenarioEntries(path, outDir, repFile string, prec *scenario.Precision,
 	}
 	results := make([]*scenario.Result, 0, len(reps))
 	for _, rep := range reps {
-		res, err := scenario.ResultOf(rep)
-		if err != nil {
-			return err
-		}
-		results = append(results, res)
-	}
-	return renderScenarioResults(results, outDir)
-}
-
-// resumeScenarios continues the checkpointed envelopes in resumePath:
-// each entry is validated against the corresponding config entry (when
-// scenPath is given; extra config entries run from scratch) or
-// reconstructed from its spec echo, extended with the rounds the
-// uninterrupted run would have executed — via resumeOne, single-process
-// or fleet-distributed — and the updated envelopes are written back
-// (to repFile, defaulting to the checkpoint itself).
-func resumeScenarios(resumePath, scenPath, outDir, repFile string, prec *scenario.Precision,
-	resumeOne func(scenario.Job, *report.Report, string) (*report.Report, error)) error {
-	ckpt, err := report.ReadFile(resumePath)
-	if err != nil {
-		return err
-	}
-	var jobs []scenario.Job
-	if scenPath != "" {
-		specs, err := scenario.LoadFile(scenPath)
-		if err != nil {
-			return err
-		}
-		if len(ckpt) > len(specs) {
-			return fmt.Errorf("checkpoint %s has %d envelopes, config %s only %d scenarios", resumePath, len(ckpt), scenPath, len(specs))
-		}
-		for _, sp := range specs {
-			jobs = append(jobs, scenario.Job{Spec: sp})
-		}
-	} else {
-		for _, rep := range ckpt {
-			job, err := scenario.JobFromReport(rep)
-			if err != nil {
-				return err
-			}
-			jobs = append(jobs, job)
-		}
-	}
-	out := repFile
-	if out == "" {
-		out = resumePath
-	}
-	reps := append([]*report.Report(nil), ckpt...)
-	reps = append(reps, make([]*report.Report, len(jobs)-len(ckpt))...)
-	var failed error
-	for i, job := range jobs {
-		job.Spec = applyPrecision(job.Spec, prec)
-		name := job.Spec.Name
-		if name == "" {
-			name = job.Spec.Kind
-		}
-		var from *report.Report
-		if i < len(ckpt) {
-			from = ckpt[i]
-		}
-		rep, err := resumeOne(job, from, name)
-		if rep != nil {
-			reps[i] = rep
-		}
-		if err != nil {
-			failed = fmt.Errorf("resuming entry %d: %w", i, err)
-			break
-		}
-	}
-	written := reps
-	for len(written) > 0 && written[len(written)-1] == nil {
-		written = written[:len(written)-1] // scenarios never started
-	}
-	if err := report.WriteFile(out, written); err != nil {
-		if failed != nil {
-			return fmt.Errorf("%w (and writing checkpoint: %v)", failed, err)
-		}
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if failed != nil {
-		return failed
-	}
-	var results []*scenario.Result
-	for _, rep := range written {
-		if !rep.Complete() {
-			fmt.Printf("%-30s INCOMPLETE: runs [%d,%d) of %d\n",
-				rep.Name, rep.RunStart, rep.RunStart+rep.RunCount, rep.TotalRuns)
-			continue
-		}
 		res, err := scenario.ResultOf(rep)
 		if err != nil {
 			return err

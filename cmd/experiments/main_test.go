@@ -22,6 +22,7 @@ import (
 	"chaffmec/internal/figures"
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
+	"chaffmec/internal/store"
 )
 
 func TestSlug(t *testing.T) {
@@ -117,7 +118,7 @@ func TestRunScenariosFromJSONConfig(t *testing.T) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenarios(context.Background(), cfgPath, outDir, "", nil); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, outDir, "", nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"scenario_multiuser-advanced.csv", "scenario_mixed-population.csv", "scenario_big-grid.csv"} {
@@ -125,7 +126,7 @@ func TestRunScenariosFromJSONConfig(t *testing.T) {
 			t.Fatalf("missing CSV %s: %v", want, err)
 		}
 	}
-	if err := runScenarios(context.Background(), filepath.Join(dir, "missing.json"), outDir, "", nil); err == nil {
+	if err := runScenarios(context.Background(), filepath.Join(dir, "missing.json"), outDir, "", nil, localFleet, localOptions); err == nil {
 		t.Fatal("missing config accepted")
 	}
 }
@@ -149,7 +150,7 @@ func TestRunScenariosDeduplicatesCSVNames(t *testing.T) {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := runScenarios(context.Background(), cfgPath, outDir, "", nil); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, outDir, "", nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"scenario_single.csv", "scenario_single_2.csv"} {
@@ -206,7 +207,7 @@ func TestShardAndMergeWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	wholePath := filepath.Join(dir, "whole.json")
-	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), wholePath, nil); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), wholePath, nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	merged, err := report.ReadFile(mergedPath)
@@ -303,7 +304,7 @@ func TestAdaptiveScenarioCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	repPath := filepath.Join(dir, "rep.json")
-	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), repPath, nil); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), repPath, nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	reps, err := report.ReadFile(repPath)
@@ -326,7 +327,7 @@ func TestAdaptiveScenarioCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := runScenarios(context.Background(), cfg2Path, t.TempDir(), repPath,
-		&scenario.Precision{TargetSE: 1e-9, MinRuns: 4, MaxRuns: 12}); err != nil {
+		&scenario.Precision{TargetSE: 1e-9, MinRuns: 4, MaxRuns: 12}, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	if reps, err = report.ReadFile(repPath); err != nil {
@@ -337,10 +338,25 @@ func TestAdaptiveScenarioCLI(t *testing.T) {
 	}
 }
 
+// tapTransport runs jobs in this process after showing each dispatch
+// to hook; an error from hook fails the dispatch instead.
+type tapTransport struct {
+	coordinator.InProcess
+	hook func(scenario.Job) error
+}
+
+func (t *tapTransport) Run(ctx context.Context, job scenario.Job) (*report.Report, error) {
+	if err := t.hook(job); err != nil {
+		return nil, err
+	}
+	return t.InProcess.Run(ctx, job)
+}
+
 // TestResumeWorkflowCLI is the CLI-layer bitwise resume guarantee: a
-// partial envelope file (here: shard 0/2, exactly what an interrupted
-// run checkpoints) resumed through -resume — with the config, and again
-// from the spec echoes alone — equals the unsharded run bit-for-bit.
+// -store run interrupted in its second scenario, re-run on the same
+// store, runs only the second scenario and writes envelopes equal to
+// the uninterrupted run's bit-for-bit — locally and over a fleet. The
+// -resume flag of the file checkpoint is gone.
 func TestResumeWorkflowCLI(t *testing.T) {
 	dir := t.TempDir()
 	cfgPath := filepath.Join(dir, "scenarios.json")
@@ -356,7 +372,7 @@ func TestResumeWorkflowCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	wholePath := filepath.Join(dir, "whole.json")
-	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), wholePath, nil); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), wholePath, nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	whole, err := report.ReadFile(wholePath)
@@ -384,52 +400,61 @@ func TestResumeWorkflowCLI(t *testing.T) {
 		}
 	}
 
-	// localResume is the single-process per-entry driver realMain wires
-	// in when no fleet flag is given.
-	localResume := func(job scenario.Job, from *report.Report, name string) (*report.Report, error) {
-		return scenario.ResumeJob(context.Background(), job, from, nil)
-	}
-
-	// With the config.
-	ckptPath := filepath.Join(dir, "ckpt.json")
-	if err := runShard(context.Background(), cfgPath, engine.Shard{Index: 0, Count: 2}, ckptPath); err != nil {
+	st, err := store.Open(filepath.Join(dir, "bank"))
+	if err != nil {
 		t.Fatal(err)
 	}
+	opts := localOptions
+	opts.Store = st
+
+	// Interrupted: the first scenario finishes, the second is cancelled
+	// at its first dispatch ("Ctrl-C").
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	interrupt := &tapTransport{hook: func(job scenario.Job) error {
+		if job.Spec.Name == "rs-mec" {
+			cancel()
+			return context.Canceled
+		}
+		return nil
+	}}
+	partialPath := filepath.Join(dir, "partial.json")
+	if err := runScenarios(ctx, cfgPath, t.TempDir(), partialPath, nil, coordinator.StaticOf(interrupt), opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if partial, err := report.ReadFile(partialPath); err != nil || len(partial) != 1 {
+		t.Fatalf("interrupted run wrote %d envelopes (err %v), want the finished scenario's", len(partial), err)
+	}
+
+	// Re-run on the same store: only the interrupted scenario runs.
+	var mu sync.Mutex
+	dispatched := map[string]int{}
+	tap := &tapTransport{hook: func(job scenario.Job) error {
+		mu.Lock()
+		defer mu.Unlock()
+		dispatched[job.Spec.Name]++
+		return nil
+	}}
 	outPath := filepath.Join(dir, "resumed.json")
-	if err := resumeScenarios(ckptPath, cfgPath, t.TempDir(), outPath, nil, localResume); err != nil {
+	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), outPath, nil, coordinator.StaticOf(tap), opts); err != nil {
 		t.Fatal(err)
 	}
 	compare(outPath)
+	if dispatched["rs-single"] != 0 || dispatched["rs-mec"] == 0 {
+		t.Fatalf("re-run dispatched %v, want only rs-mec", dispatched)
+	}
 
-	// From the spec echoes alone (checkpoint shipped to another host),
-	// writing back to the checkpoint file itself.
-	if err := runShard(context.Background(), cfgPath, engine.Shard{Index: 0, Count: 2}, ckptPath); err != nil {
+	// Over a fleet, the same journal serves both scenarios.
+	fleetPath := filepath.Join(dir, "fleet.json")
+	if err := runScenarios(context.Background(), cfgPath, t.TempDir(), fleetPath, nil,
+		coordinator.StaticOf(coordinator.InProcessFleet(2)...), coordinator.Options{Store: st}); err != nil {
 		t.Fatal(err)
 	}
-	if err := resumeScenarios(ckptPath, "", t.TempDir(), "", nil, localResume); err != nil {
-		t.Fatal(err)
-	}
-	compare(ckptPath)
+	compare(fleetPath)
 
-	// Resumed over a fleet: the coordinator extends the same checkpoint
-	// distributed, to the same bytes.
-	if err := runShard(context.Background(), cfgPath, engine.Shard{Index: 0, Count: 2}, ckptPath); err != nil {
-		t.Fatal(err)
-	}
-	fleet := coordinator.StaticOf(coordinator.InProcessFleet(2)...)
-	if err := resumeScenarios(ckptPath, cfgPath, t.TempDir(), "", nil,
-		fleetResumeOne(context.Background(), fleet)); err != nil {
-		t.Fatal(err)
-	}
-	compare(ckptPath)
-
-	// A checkpoint with more envelopes than the config has entries is
-	// rejected; a missing checkpoint file errors.
-	if err := resumeScenarios(ckptPath, filepath.Join(dir, "missing.json"), t.TempDir(), "", nil, localResume); err == nil {
-		t.Fatal("missing config accepted")
-	}
-	if err := resumeScenarios(filepath.Join(dir, "missing.json"), "", t.TempDir(), "", nil, localResume); err == nil {
-		t.Fatal("missing checkpoint accepted")
+	cmd, stderr := experimentsCmd(t, "", "-resume", partialPath)
+	if err := cmd.Run(); err == nil || !strings.Contains(stderr.String(), "flag provided but not defined: -resume") {
+		t.Fatalf("-resume: err = %v\n%s", err, stderr)
 	}
 }
 
@@ -440,7 +465,6 @@ func TestDistributedFlagValidation(t *testing.T) {
 		name                     string
 		workers                  int
 		connect, registry, shard string
-		resume                   string
 		merge                    bool
 		scen                     string
 	}{
@@ -452,26 +476,18 @@ func TestDistributedFlagValidation(t *testing.T) {
 		{name: "with merge", workers: 2, scen: "s.json", merge: true},
 	}
 	for _, tc := range cases {
-		if err := distributedFlagErr(tc.workers, tc.connect, tc.registry, tc.shard, tc.resume, tc.merge, tc.scen); err == nil {
+		if err := distributedFlagErr(tc.workers, tc.connect, tc.registry, tc.shard, tc.merge, tc.scen); err == nil {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 	}
-	if err := distributedFlagErr(4, "", "", "", "", false, "s.json"); err != nil {
+	if err := distributedFlagErr(4, "", "", "", false, "s.json"); err != nil {
 		t.Fatalf("valid -workers rejected: %v", err)
 	}
-	if err := distributedFlagErr(0, "http://a,http://b", "", "", "", false, "s.json"); err != nil {
+	if err := distributedFlagErr(0, "http://a,http://b", "", "", false, "s.json"); err != nil {
 		t.Fatalf("valid -connect rejected: %v", err)
 	}
-	if err := distributedFlagErr(0, "", ":9000", "", "", false, "s.json"); err != nil {
+	if err := distributedFlagErr(0, "", ":9000", "", false, "s.json"); err != nil {
 		t.Fatalf("valid -registry rejected: %v", err)
-	}
-	// -resume distributes fine now (the coordinator extends checkpoints
-	// over the fleet), with or without the config.
-	if err := distributedFlagErr(2, "", "", "", "c.json", false, "s.json"); err != nil {
-		t.Fatalf("distributed -resume rejected: %v", err)
-	}
-	if err := distributedFlagErr(2, "", "", "", "c.json", false, ""); err != nil {
-		t.Fatalf("distributed -resume without config rejected: %v", err)
 	}
 	// Fleet construction rejects bad selections before any worker starts.
 	if f, err := connectFleet(" http://a:1 ,, http://b:2 "); err != nil || len(f.Members()) != 2 {
@@ -584,7 +600,7 @@ func TestWorkersSpawnDaemons(t *testing.T) {
 		return string(blob)
 	}
 	whole := filepath.Join(dir, "whole.json")
-	if err := runScenarios(context.Background(), cfg, t.TempDir(), whole, nil); err != nil {
+	if err := runScenarios(context.Background(), cfg, t.TempDir(), whole, nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	want := normalized(whole)
@@ -719,12 +735,12 @@ func TestRunScenariosDistributed(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := filepath.Join(dir, "whole.json")
-	if err := runScenarios(context.Background(), cfg, t.TempDir(), whole, nil); err != nil {
+	if err := runScenarios(context.Background(), cfg, t.TempDir(), whole, nil, localFleet, localOptions); err != nil {
 		t.Fatal(err)
 	}
 	dist := filepath.Join(dir, "dist.json")
-	if err := runScenariosDistributed(context.Background(), cfg, t.TempDir(), dist,
-		nil, coordinator.StaticOf(coordinator.InProcessFleet(3)...)); err != nil {
+	if err := runScenarios(context.Background(), cfg, t.TempDir(), dist,
+		nil, coordinator.StaticOf(coordinator.InProcessFleet(3)...), coordinator.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	a, err := report.ReadFile(whole)

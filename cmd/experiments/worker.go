@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -14,7 +15,6 @@ import (
 
 	"chaffmec/internal/coordinator"
 	"chaffmec/internal/report"
-	"chaffmec/internal/scenario"
 )
 
 // readHeaderTimeout bounds how long the worker and registry servers
@@ -205,10 +205,8 @@ func connectFleet(connect string) (coordinator.Fleet, error) {
 
 // distributedFlagErr rejects the flag combinations distribution cannot
 // honor: the fleet selectors are mutually exclusive, and the
-// coordinator owns shard planning and partial merging. -resume IS
-// honored distributed: the coordinator extends the checkpoint over the
-// fleet and the result stays bit-identical.
-func distributedFlagErr(workers int, connect, registry, shardArg, resume string, merge bool, scenFile string) error {
+// coordinator owns shard planning and partial merging.
+func distributedFlagErr(workers int, connect, registry, shardArg string, merge bool, scenFile string) error {
 	selected := 0
 	for _, on := range []bool{workers > 0, connect != "", registry != ""} {
 		if on {
@@ -218,8 +216,8 @@ func distributedFlagErr(workers int, connect, registry, shardArg, resume string,
 	switch {
 	case selected > 1:
 		return fmt.Errorf("-workers (local worker daemons), -connect (fixed remote URLs) and -registry (elastic registered fleet) are mutually exclusive; pick one")
-	case scenFile == "" && resume == "":
-		return fmt.Errorf("-workers/-connect/-registry need -scenario (or a -resume checkpoint)")
+	case scenFile == "":
+		return fmt.Errorf("-workers/-connect/-registry need -scenario")
 	case shardArg != "":
 		return fmt.Errorf("-workers/-connect/-registry cannot combine with -shard (the coordinator plans the shards)")
 	case merge:
@@ -228,18 +226,28 @@ func distributedFlagErr(workers int, connect, registry, shardArg, resume string,
 	return nil
 }
 
-// fleetProgress logs coordinator events on stderr, one scenario at a
-// time — dispatches stay quiet, everything an operator acts on
-// (retries, dead workers, store hits, completed rounds) is printed —
-// and returns a wireTally summed over every result for the end-of-job
-// wire summary.
-func fleetProgress(name string) (func(coordinator.Event), *wireTally) {
-	rounds := roundProgress(name)
+// campaignProgress logs one scenario's coordinator events on stderr —
+// dispatches stay quiet, everything an operator acts on (completed
+// rounds with runs done and current-vs-target SE, retries, dead
+// workers, store hits) is printed — and returns a wireTally summed over
+// every result for the end-of-job wire summary.
+func campaignProgress(name string) (func(coordinator.Event), *wireTally) {
 	tally := &wireTally{}
 	return func(e coordinator.Event) {
 		switch e.Kind {
 		case coordinator.EventRound:
-			rounds(e.Round)
+			r := e.Round
+			status := "continuing"
+			if r.Done {
+				status = "done"
+			}
+			if math.IsNaN(r.SE) || r.Target <= 0 {
+				fmt.Fprintf(os.Stderr, "%-30s round [%d,%d): %d runs (%s)\n",
+					name, r.Start, r.End, r.Covered, status)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "%-30s round [%d,%d): %d runs, se %.4g vs target %.4g (%s)\n",
+				name, r.Start, r.End, r.Covered, r.SE, r.Target, status)
 		case coordinator.EventResult, coordinator.EventPartial:
 			tally.add(e.Wire)
 			if e.Kind == coordinator.EventPartial {
@@ -281,8 +289,9 @@ func (t *wireTally) add(w coordinator.WireStats) {
 
 // summary renders the job's wire line, e.g.
 // "wire: 12 results over binary+gzip, 18.3 KB sent, 9.1 KB received, 4 shards banked".
+// An in-process campaign that banked nothing has no line.
 func (t *wireTally) summary(name string) {
-	if t.results == 0 && t.banked == 0 {
+	if t.sent == 0 && t.received == 0 && t.banked == 0 {
 		return
 	}
 	enc := t.encoding
@@ -291,35 +300,4 @@ func (t *wireTally) summary(name string) {
 	}
 	fmt.Fprintf(os.Stderr, "%-30s wire: %d results over %s, %.1f KB sent, %.1f KB received, %d shards banked\n",
 		name, t.results, enc, float64(t.sent)/1024, float64(t.received)/1024, t.banked)
-}
-
-// runScenariosDistributed executes a JSON scenario config like
-// runScenarios, but fans every entry out over the fleet — fixed jobs
-// as one sharded round, precision-targeted ones as SE-driven extension
-// rounds — and renders the merged (bit-identical) reports. The fleet
-// may be elastic (a registry): workers joining mid-campaign are
-// admitted, evicted ones stop receiving work.
-func runScenariosDistributed(ctx context.Context, path, outDir, repFile string, prec *scenario.Precision, fleet coordinator.Fleet) error {
-	fmt.Fprintf(os.Stderr, "experiments: distributing over %d workers\n", len(fleet.Members()))
-	return runScenarioEntries(path, outDir, repFile, prec,
-		func(sp scenario.Spec, name string) (*report.Report, error) {
-			progress, tally := fleetProgress(name)
-			rep, err := coordinator.RunFleet(ctx, scenario.Job{Spec: sp}, fleet,
-				coordinator.Options{Progress: progress})
-			tally.summary(name)
-			return rep, err
-		})
-}
-
-// fleetResumeOne adapts coordinator.Resume to resumeScenarios'
-// per-entry shape: the coordinator validates the checkpoint against
-// the job, fans only the missing run range out over the fleet, and
-// merges to the bit-identical whole.
-func fleetResumeOne(ctx context.Context, fleet coordinator.Fleet) func(scenario.Job, *report.Report, string) (*report.Report, error) {
-	return func(job scenario.Job, from *report.Report, name string) (*report.Report, error) {
-		progress, tally := fleetProgress(name)
-		rep, err := coordinator.Resume(ctx, job, from, fleet, coordinator.Options{Progress: progress})
-		tally.summary(name)
-		return rep, err
-	}
 }

@@ -7,8 +7,10 @@
 // same job split into shards and merged (bit-for-bit identical), an
 // ADAPTIVE job that picks its own run count — runs are added in rounds
 // until the tracking series' standard error reaches a target —
-// checkpoint/resume (any partial Report resumes into the exact Report
-// the uninterrupted run produces), and finally the DISTRIBUTED
+// checkpoint/restart (a job run on an artifact store journals its
+// finished shards, so running it again after an interrupt computes only
+// the gaps and yields the exact Report of the uninterrupted run), and
+// finally the DISTRIBUTED
 // coordinator: the same job fanned out over a worker fleet built with
 // chaffmec.NewFleet — first a frozen in-process fleet, then the
 // elastic shape, where persistent workers REGISTER with a live
@@ -143,19 +145,40 @@ func main() {
 	fmt.Printf("adaptive:  tracking accuracy %.3f after %d runs (SE target %.3g hit)\n",
 		adSum.Overall, adSum.Runs, adaptive.Precision.TargetSE)
 
-	// Checkpoint/restart: interrupt the same job after its first round —
-	// the partial Report that comes back with the error is a well-formed
-	// checkpoint (WriteReports/ReadReports ship it across processes or
-	// hosts) — then resume it. The resumed Report is bit-for-bit the
-	// uninterrupted one above.
+	// Checkpoint/restart: run the job on a fleet of one in-process
+	// worker with an artifact store, which journals every finished
+	// shard. Interrupt it after its first round, then run it again on
+	// the same store: only the missing runs execute, and the Report is
+	// bit-for-bit the uninterrupted one above.
+	dir, err := os.MkdirTemp("", "chaffmec-quickstart-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	journal, err := chaffmec.OpenStore(filepath.Join(dir, "journal"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	interruptCtx, cancel := context.WithCancel(ctx)
-	partial, err := chaffmec.RunAdaptiveJob(interruptCtx, chaffmec.Job{Spec: adaptive},
-		func(chaffmec.AdaptiveRound) { cancel() }) // "Ctrl-C" after round 1
+	first, err := chaffmec.NewFleet(chaffmec.WithInProcessWorkers(1), chaffmec.WithStore(journal),
+		chaffmec.WithProgress(func(e chaffmec.FanOutEvent) {
+			if e.Kind == chaffmec.EventRound {
+				cancel() // "Ctrl-C" after round 1
+			}
+		}))
+	if err != nil {
+		log.Fatal(err)
+	}
+	partial, err := first.Run(interruptCtx, chaffmec.Job{Spec: adaptive})
 	if partial == nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("interrupted after %d runs; resuming...\n", partial.RunCount)
-	resumed, err := chaffmec.ResumeJob(ctx, chaffmec.Job{Spec: adaptive}, partial)
+	fmt.Printf("interrupted after %d runs; running again on the same store...\n", partial.RunCount)
+	again, err := chaffmec.NewFleet(chaffmec.WithInProcessWorkers(1), chaffmec.WithStore(journal))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resumed, err := again.Run(ctx, chaffmec.Job{Spec: adaptive})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -240,11 +263,6 @@ func main() {
 	// fleet worker answers in). ReadReports sniffs the
 	// leading bytes, so every format reads back with the same call, and
 	// every format decodes to the bit-identical envelope.
-	dir, err := os.MkdirTemp("", "chaffmec-quickstart-*")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
 	sizes := map[chaffmec.ReportEncoding]int64{}
 	for _, enc := range []chaffmec.ReportEncoding{
 		chaffmec.EncodingJSON, chaffmec.EncodingBinary, chaffmec.EncodingBinaryGzip,
@@ -275,7 +293,7 @@ func main() {
 		float64(sizes[chaffmec.EncodingJSON])/float64(sizes[chaffmec.EncodingBinaryGzip]))
 
 	// The artifact store persists derived results under content
-	// addresses (hash of spec + seed-stream version): with one
+	// addresses (hash of spec + seed-stream version + GOARCH): with one
 	// installed, the coordinator appends every completed shard to the
 	// campaign's journal, so re-running the same experiment is served
 	// from disk — zero dispatches, surfaced as "banked" events. Trace-driven scenarios

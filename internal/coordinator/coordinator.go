@@ -13,17 +13,17 @@
 // workers (`experiments -worker-daemon`) register with the Registry,
 // announce capacity weights that drive unequal shard shares, heartbeat,
 // and are admitted or evicted between dispatches; a static []Transport
-// list is just the frozen special case (StaticOf). Resume continues a
-// campaign from a checkpoint Report the way scenario.ResumeJob does
-// single-process; with an artifact store, every campaign also resumes
-// from its own journal of shard results.
+// list is just the frozen special case (StaticOf). With an artifact
+// store, every campaign journals its shard results, and a re-run of the
+// same job continues from that journal.
 //
 // The exactness argument stacks three established guarantees: every
 // run's streams are pure functions of (seed, run index) (internal/rng),
 // the aggregates are position-aware dyadic reducers so any contiguous
 // decomposition merges bit-for-bit (internal/engine), and the round
 // boundaries come from the same scenario.Plan a single process would
-// follow — including SE-targeted adaptive extension, where each round's
+// follow (RunFleet drives scenario.RunRounds, the round loop a single
+// process runs too) — including SE-targeted adaptive extension, where each round's
 // schedule depends only on the (deterministic) accumulated report. A
 // retried or duplicated shard therefore returns the identical bytes,
 // which is what makes retry-until-merged safe rather than approximate —
@@ -37,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -76,19 +77,21 @@ type Options struct {
 	// on the driving goroutine.
 	Progress func(Event)
 	// Store journals full shard Reports in a content-addressed
-	// artifact store: one append-only journal per campaign (spec and
-	// stream version), one record per shard result — the envelope
-	// bytes the worker sent when its transport keeps them
-	// (EnvelopeReporter), the report encoded otherwise. Records are
-	// appended off the dispatch loop and are all in the store before
-	// the round's EventRound and before Resume returns. A campaign
-	// replays its journal once at the start, and every run range a
-	// record covers resolves without touching a worker — re-running an
-	// interrupted or repeated campaign only computes the missing
-	// pieces. A spec with an injected Chain or Gamma, which the key
-	// cannot see, is refused when a store is set. Nil falls back to the
-	// process default (store.Default(); usually nil too, disabling the
-	// journal).
+	// artifact store: one append-only journal per campaign, one record
+	// per shard result — the envelope bytes the worker sent when its
+	// transport keeps them (EnvelopeReporter), the report encoded
+	// otherwise. The journal is keyed by what a run's bits depend on:
+	// the spec without Runs, Workers and Precision, the stream version
+	// and GOARCH. Records are appended off the dispatch loop and are
+	// all in the store before the round's EventRound and before
+	// RunFleet returns. A campaign replays its journal once at the
+	// start, and every record inside a round of the current schedule
+	// resolves without touching a worker — re-running an interrupted,
+	// repeated, extended or re-targeted campaign only computes the
+	// missing runs. A spec with an injected Chain or Gamma, which the
+	// key cannot see, is refused when a store is set. Nil falls back
+	// to the process default (store.Default(); usually nil too,
+	// disabling the journal).
 	Store *store.Store
 }
 
@@ -170,6 +173,7 @@ type shardState struct {
 	resolved  bool
 	inflight  int
 	failures  int
+	lastErr   error        // the latest failed dispatch's cause
 	attempted map[int]bool // worker idx ever handed this shard
 	failed    map[int]bool // worker idx that failed it (never retried there)
 }
@@ -195,22 +199,13 @@ type result struct {
 // (Fleet.Updates non-nil) running out of workers WAITS for a join
 // instead of failing; cancel ctx to give up. Like the scenario layer's
 // drivers it returns the accumulated partial of the COMPLETED rounds
-// alongside any error (cancellation included): a well-formed checkpoint
-// scenario.ResumeJob — or Resume — continues from. With a store
-// (Options.Store), the campaign's journal makes a re-run compute only
-// what earlier runs of the same job did not finish.
+// alongside any error (cancellation included). With a store
+// (Options.Store), the campaign's journal is the checkpoint: a re-run
+// of the same job — after a crash or a cancel, or with another Runs,
+// Workers or precision block — computes only the runs the journal does
+// not hold, and finishes bit-for-bit as the uninterrupted run of the
+// job it was given.
 func RunFleet(ctx context.Context, job scenario.Job, fleet Fleet, opts Options) (*report.Report, error) {
-	return Resume(ctx, job, nil, fleet, opts)
-}
-
-// Resume continues a checkpointed campaign over the fleet. from is the
-// partial Report to extend (validated against the job exactly like
-// scenario.ResumeJob, precision block exempt). A nil from makes Resume
-// RunFleet: the campaign starts at run 0, and with a store it picks up
-// whatever the journal of this job already holds — which is how a
-// crashed coordinator's campaign continues. The finished Report is
-// bit-for-bit the uninterrupted run's.
-func Resume(ctx context.Context, job scenario.Job, from *report.Report, fleet Fleet, opts Options) (*report.Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -235,59 +230,28 @@ func Resume(ctx context.Context, job scenario.Job, from *report.Report, fleet Fl
 		if job.Spec.Chain != nil || job.Spec.Gamma != nil {
 			return nil, errors.New("coordinator: a spec with an injected Chain or Gamma cannot key a campaign journal; run it without a store")
 		}
-		c.specJSON, err = json.Marshal(job.Spec)
-		if err != nil {
+		if c.key, err = campaignKey(job.Spec, runtime.GOARCH); err != nil {
 			return nil, err
 		}
 	}
-	acc, err := scenario.PrepareResume(job, from)
-	if err != nil {
-		return nil, err
-	}
-	c.replay()
+	c.replay(plan.FixedRuns())
 	c.sync()
-	for {
-		rp, err := plan.Next(acc)
-		if err != nil {
-			return acc, err
-		}
-		if rp.Done {
-			break
-		}
-		round, err := c.round(ctx, rp.Start, rp.End)
-		if err != nil {
-			return acc, err
-		}
-		plan.Stamp(round)
-		if acc == nil {
-			acc = round
-		} else if err := acc.Extend(round); err != nil {
-			return acc, fmt.Errorf("coordinator: extending after round [%d,%d): %w", rp.Start, rp.End, err)
-		}
-		if c.opts.Progress != nil {
-			peek, err := plan.Next(acc)
-			if err != nil {
-				return acc, err
-			}
-			c.event(Event{Kind: EventRound, Round: scenario.Round{
-				Start: rp.Start, End: rp.End, Covered: acc.RunCount,
-				SE: peek.SE, Target: plan.Target().SE, Done: peek.Done,
-			}})
-		}
+	var progress scenario.Progress
+	if c.opts.Progress != nil {
+		progress = func(r scenario.Round) { c.event(Event{Kind: EventRound, Round: r}) }
 	}
-	plan.Finalize(acc)
-	return acc, nil
+	return scenario.RunRounds(ctx, job, c.round, progress)
 }
 
 type run struct {
-	job      scenario.Job
-	opts     Options
-	fleet    Fleet
-	workers  []*workerState   // grows on joins; indexes are stable forever
-	byID     map[string]int   // member ID -> workers index
-	st       *store.Store     // nil: no journal
-	specJSON []byte           // canonical spec bytes for the journal key
-	banked   *report.Coverage // the journal's valid records, replayed once
+	job     scenario.Job
+	opts    Options
+	fleet   Fleet
+	workers []*workerState   // grows on joins; indexes are stable forever
+	byID    map[string]int   // member ID -> workers index
+	st      *store.Store     // nil: no journal
+	key     string           // the campaign journal's key
+	banked  *report.Coverage // the journal's valid records, replayed once
 }
 
 // sync reconciles the dispatcher's worker table with the fleet's
@@ -330,31 +294,65 @@ func (c *run) sync() {
 // store.
 const storeKindCampaign = "campaign"
 
-// campaignKey is a campaign journal's content address: the job's
-// canonical spec JSON and the rng stream version the runs draw from —
-// everything a shard's bits are a pure function of besides its run
-// range, which each record carries itself.
-func (c *run) campaignKey() string {
-	return store.Key(storeKindCampaign, string(c.specJSON), rng.StreamVersion)
+// campaignKey is a campaign journal's content address: everything a
+// shard's bits are a pure function of besides its run range, which each
+// record carries itself. That is the spec's JSON without Runs, Workers
+// and Precision — they set how many runs execute and how, never what
+// any run computes — the rng stream version the runs draw from, and the
+// GOARCH that computed them (Go fuses x*y+z into one FMA on some
+// architectures, so another one may differ in the low bits).
+func campaignKey(sp scenario.Spec, arch string) (string, error) {
+	sp.Runs, sp.Workers, sp.Precision = 0, 0, nil
+	spec, err := json.Marshal(sp)
+	if err != nil {
+		return "", err
+	}
+	return store.Key(storeKindCampaign, string(spec), rng.StreamVersion, arch), nil
 }
 
 // replay reads the campaign's journal once into c.banked. A record that
 // fails to decode, was drawn from another stream version, or overlaps
 // the replayed coverage without matching it is skipped: a bad record
-// only costs recomputing its runs, never the campaign.
-func (c *run) replay() {
+// only costs recomputing its runs, never the campaign. The key leaves
+// out Runs, Workers and Precision, so a record may carry other values
+// of them in its spec echo and TotalRuns; both are re-stamped to this
+// job's — totalRuns and the echo a shard of it carries — so the
+// records merge with the shards the fleet computes.
+func (c *run) replay(totalRuns int) {
 	c.banked = report.NewCoverage()
 	if c.st == nil {
 		return
 	}
-	recs, _ := c.st.Records(storeKindCampaign, c.campaignKey()) //nolint:errcheck // an unreadable journal only costs a recompute
+	recs, _ := c.st.Records(storeKindCampaign, c.key) //nolint:errcheck // an unreadable journal only costs a recompute
+	var echo []byte
 	for _, rec := range recs {
 		reps, err := report.DecodeReports(rec)
 		if err != nil || len(reps) != 1 || reps[0].Stream != rng.StreamVersion {
 			continue
 		}
-		c.banked.Add(reps[0]) //nolint:errcheck // an overlapping record is skipped
+		rep := reps[0]
+		if echo == nil {
+			if echo, err = c.specEcho(rep.Spec); err != nil {
+				continue
+			}
+		}
+		rep.Spec, rep.TotalRuns = echo, totalRuns
+		c.banked.Add(rep) //nolint:errcheck // an overlapping record is skipped
 	}
+}
+
+// specEcho derives this job's spec echo from a journal record's: the
+// record's spec under the same key differs from this job's only in the
+// fields the key leaves out, and the echo carries them as given, so
+// setting them to this job's values yields the bytes a shard of it
+// echoes.
+func (c *run) specEcho(recorded []byte) ([]byte, error) {
+	var sp scenario.Spec
+	if err := json.Unmarshal(recorded, &sp); err != nil {
+		return nil, err
+	}
+	sp.Runs, sp.Workers, sp.Precision = c.job.Spec.Runs, c.job.Spec.Workers, c.job.Spec.Precision
+	return json.Marshal(sp)
 }
 
 // record is one resolved full shard result on its way to the journal:
@@ -378,7 +376,7 @@ type journaler struct {
 // planned shard count, so the dispatch loop's sends rarely wait.
 func (c *run) startJournal(capacity int) *journaler {
 	jr := &journaler{recs: make(chan record, capacity), done: make(chan struct{})}
-	key := c.campaignKey()
+	key := c.key
 	go func() {
 		defer close(jr.done)
 		var buf bytes.Buffer
@@ -543,8 +541,12 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 			// needs; a dynamic one falls through and waits for a join.
 			for _, s := range shards {
 				if !s.resolved {
-					return nil, fmt.Errorf("coordinator: shard %s: no worker left to run it (%d failures, %d alive workers; round still missing runs %s)",
+					err := fmt.Errorf("coordinator: shard %s: no worker left to run it (%d failures, %d alive workers; round still missing runs %s)",
 						s.span, s.failures, len(c.aliveWorkers()), gapList(cov.Gaps(start, end)))
+					if s.lastErr != nil {
+						err = fmt.Errorf("%w; last failure: %w", err, s.lastErr)
+					}
+					return nil, err
 				}
 			}
 		}
@@ -592,6 +594,9 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 				c.workerFailed(r.wi, r.err)
 				c.event(Event{Kind: EventPartial, Worker: w.t.Name(), Shard: r.s.span, Err: r.err, Wire: lastWire(w.t)})
 			default:
+				if ctx.Err() != nil {
+					return nil, ctx.Err() // cancelled under the worker, not its failure
+				}
 				err := r.err
 				if err == nil && r.rep == nil {
 					err = fmt.Errorf("coordinator: %s returned no report for shard %s", w.t.Name(), r.s.span)
@@ -600,6 +605,7 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 						w.t.Name(), r.rep.RunStart, r.rep.RunStart+r.rep.RunCount, r.s.span)
 				}
 				r.s.failures++
+				r.s.lastErr = err
 				r.s.failed[r.wi] = true
 				c.workerFailed(r.wi, err)
 				if r.s.failures >= c.opts.MaxAttempts {

@@ -266,48 +266,83 @@ func TestFleetAdaptiveLateJoin(t *testing.T) {
 	}
 }
 
-// TestResumeFleetFromCheckpoint continues a campaign from an explicit
-// banked prefix: only the remainder is dispatched and the merged report
-// is bit-identical to the uninterrupted run. A checkpoint from a
-// different experiment is refused.
+// Resume continues a campaign from its store journal, in the shape the
+// crash-recovery tests call it: the journal is the only checkpoint, so
+// from must be nil, and RunFleet replays the journal itself.
+func Resume(ctx context.Context, job scenario.Job, from *report.Report, fleet Fleet, opts Options) (*report.Report, error) {
+	if from != nil {
+		return nil, errors.New("coordinator: a campaign continues from its journal, not from a report")
+	}
+	return RunFleet(ctx, job, fleet, opts)
+}
+
+// TestResumeFleetFromCheckpoint continues a cancelled campaign from its
+// journal: the first run's worker finishes one shard and hangs on the
+// next until the campaign is cancelled; a re-run on the same store
+// dispatches only the runs that shard did not cover, and the merged
+// report is bit-identical to the uninterrupted run. A campaign of
+// another experiment on the same store banks nothing.
 func TestResumeFleetFromCheckpoint(t *testing.T) {
-	sp := testSpec()
-	want := single(t, sp)
-	prefix, err := scenario.RunJob(context.Background(),
-		scenario.Job{Spec: sp, Shard: engine.Span(0, 24)})
+	st, err := store.Open(t.TempDir() + "/artifacts")
 	if err != nil {
 		t.Fatal(err)
 	}
+	sp := testSpec()
+	want := single(t, sp)
+	once := &fakeTransport{label: "once", behave: func(call int, ctx context.Context, job scenario.Job) (*report.Report, error) {
+		if call == 0 {
+			return scenario.RunJob(ctx, job)
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var covered []engine.Shard
+	_, err = RunFleet(ctx, scenario.Job{Spec: sp}, StaticOf(once), Options{Store: st, Progress: func(e Event) {
+		if e.Kind == EventResult {
+			covered = append(covered, e.Shard)
+			cancel()
+		}
+	}})
+	if !errors.Is(err, context.Canceled) || len(covered) != 1 {
+		t.Fatalf("interrupted campaign: err %v, %d shards finished, want context.Canceled after 1", err, len(covered))
+	}
+
 	log := &eventLog{}
-	got, err := Resume(context.Background(), scenario.Job{Spec: sp}, prefix,
-		StaticOf(InProcessFleet(2)...), Options{Progress: log.add})
+	got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+		StaticOf(InProcessFleet(2)...), Options{Store: st, Progress: log.add})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm(t, got) != norm(t, want) {
-		t.Fatal("resumed campaign differs from uninterrupted single-process report")
+		t.Fatal("re-run campaign differs from uninterrupted single-process report")
 	}
 	log.mu.Lock()
 	for _, e := range log.events {
-		if e.Kind == EventDispatch && e.Shard.Start < 24 {
-			t.Fatalf("resume re-dispatched covered runs: %s", e.Shard)
+		if e.Kind == EventDispatch && e.Shard.Start < covered[0].End && covered[0].Start < e.Shard.End {
+			t.Fatalf("re-run re-dispatched covered runs: %s (journaled %s)", e.Shard, covered[0])
 		}
 	}
 	log.mu.Unlock()
-	if log.count(EventDispatch) == 0 {
-		t.Fatal("resume dispatched nothing; the remainder was never run")
+	if log.count(EventBanked) != 1 || log.count(EventDispatch) == 0 {
+		t.Fatalf("re-run banked %d records and dispatched %d shards, want 1 and the remainder",
+			log.count(EventBanked), log.count(EventDispatch))
 	}
 
 	foreign := sp
 	foreign.Seed = 8
-	otherPrefix, err := scenario.RunJob(context.Background(),
-		scenario.Job{Spec: foreign, Shard: engine.Span(0, 24)})
+	flog := &eventLog{}
+	other, err := RunFleet(context.Background(), scenario.Job{Spec: foreign},
+		StaticOf(InProcessFleet(1)...), Options{Store: st, Progress: flog.add})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(context.Background(), scenario.Job{Spec: sp}, otherPrefix,
-		StaticOf(InProcessFleet(1)...), Options{}); err == nil {
-		t.Fatal("resume accepted a checkpoint from a different experiment")
+	if n := flog.count(EventBanked); n != 0 {
+		t.Fatalf("a campaign of another experiment banked %d records", n)
+	}
+	if norm(t, other) != norm(t, single(t, foreign)) {
+		t.Fatal("foreign campaign differs from its single-process report")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -398,5 +399,131 @@ func TestJournalDurableAtRound(t *testing.T) {
 	}
 	if rounds < 2 || results == 0 {
 		t.Fatalf("%d rounds, %d results: want an adaptive campaign of several rounds", rounds, results)
+	}
+}
+
+// TestJournalKeyedByWhatBitsDependOn re-runs a campaign on the same
+// store with a changed Runs (40 → 80), Workers or a tighter precision
+// target. None of them changes a run's bits, so the re-run must find
+// the first campaign's journal and bank its first round, and still
+// finish byte for byte as a fresh-store run of the new spec.
+func TestJournalKeyedByWhatBitsDependOn(t *testing.T) {
+	forty := testSpec()
+	forty.Runs = 40
+	eighty := forty
+	eighty.Runs = 80
+	oneWorker := testSpec()
+	oneWorker.Workers = 1
+	twoWorkers := oneWorker
+	twoWorkers.Workers = 2
+	loose := adaptiveSpec()
+	tight := loose
+	tight.Precision = &scenario.Precision{TargetSE: 0.02, MinRuns: 24, MaxRuns: 200}
+	for _, tc := range []struct {
+		name        string
+		first, then scenario.Spec
+	}{
+		{"runs", forty, eighty},
+		{"workers", oneWorker, twoWorkers},
+		{"target_se", loose, tight},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir() + "/artifacts")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet := StaticOf(InProcessFleet(2)...)
+			if _, err := RunFleet(context.Background(), scenario.Job{Spec: tc.first}, fleet, Options{Store: st}); err != nil {
+				t.Fatal(err)
+			}
+			// The first round's events end at its EventRound.
+			var firstRound []Event
+			rounds := 0
+			got, err := RunFleet(context.Background(), scenario.Job{Spec: tc.then}, fleet, Options{Store: st, Progress: func(e Event) {
+				if e.Kind == EventRound {
+					rounds++
+				}
+				if rounds == 0 {
+					firstRound = append(firstRound, e)
+				}
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			banked := 0
+			for _, e := range firstRound {
+				if e.Kind == EventBanked {
+					banked++
+				}
+			}
+			if banked == 0 {
+				t.Fatal("the re-run banked nothing in its first round")
+			}
+			fresh, err := store.Open(t.TempDir() + "/fresh")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := RunFleet(context.Background(), scenario.Job{Spec: tc.then}, fleet, Options{Store: fresh})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if norm(t, got) != norm(t, want) || norm(t, got) != norm(t, single(t, tc.then)) {
+				t.Fatal("the re-run differs from a fresh-store run of its spec")
+			}
+		})
+	}
+}
+
+// TestJournalKeyedByArch copies a finished campaign's journal into two
+// fresh stores: once under the key this host computes, once under the
+// key a host of another GOARCH computes for the same spec. Only the
+// first may be read; the second campaign runs every run itself.
+func TestJournalKeyedByArch(t *testing.T) {
+	src, err := store.Open(t.TempDir() + "/src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := testSpec()
+	fleet := StaticOf(InProcessFleet(2)...)
+	if _, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{Store: src}); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, _, err := journalRecords(src, journalFile(t, src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	for _, arch := range []string{runtime.GOARCH, foreign} {
+		st, err := store.Open(t.TempDir() + "/" + arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := campaignKey(sp, arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := st.Append("campaign", key, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		log := &eventLog{}
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{Store: st, Progress: log.add})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if norm(t, got) != norm(t, single(t, sp)) {
+			t.Fatalf("%s journal: report differs from the single-process run", arch)
+		}
+		banked, dispatched := log.count(EventBanked), log.count(EventDispatch)
+		if arch == runtime.GOARCH && (banked != len(recs) || dispatched != 0) {
+			t.Fatalf("own-arch journal: %d banked, %d dispatched, want %d and 0", banked, dispatched, len(recs))
+		}
+		if arch == foreign && (banked != 0 || dispatched == 0) {
+			t.Fatalf("%s journal read on %s: %d records banked", foreign, runtime.GOARCH, banked)
+		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 //
 // The schedule is a pure function of the covered run count and its
 // observed SE, both of which are bitwise deterministic for a given
-// experiment — so a checkpointed adaptive job resumed from a serialized
-// Report executes exactly the rounds the uninterrupted job would have.
+// experiment — so a re-run that continues an interrupted adaptive job
+// from its journaled rounds executes exactly the rounds the
+// uninterrupted job would have.
 type Target struct {
 	// Series names the report series whose WORST per-slot standard error
 	// the target bounds; Scalar instead names a scalar aggregate. At most

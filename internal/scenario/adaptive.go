@@ -1,17 +1,15 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"chaffmec/internal/engine"
 	"chaffmec/internal/report"
 )
 
-// Round describes one completed round of adaptive (or resumed)
-// execution — the progress unit long jobs report.
+// Round describes one completed round of a job's round loop — the
+// progress unit long jobs report.
 type Round struct {
 	// Start and End delimit the run range the round executed.
 	Start, End int
@@ -28,138 +26,44 @@ type Round struct {
 // between rounds; a slow callback delays the next round, nothing else.
 type Progress func(Round)
 
-// RunAdaptive executes one whole job in rounds. With a precision target
-// (Spec.Precision) the schedule is SE-driven: rounds extend the covered
-// run range [0,n₁) → [n₁,n₂) → … until the tracked standard error
-// reaches the target (stopping somewhere in [MinRuns, MaxRuns]) or
-// MaxRuns is exhausted, and the final report's TotalRuns is the
-// adaptively chosen count. Without one it degenerates to a single round
-// covering the spec's fixed Runs.
+// RunAdaptive executes one whole job in rounds in this process. With a
+// precision target (Spec.Precision) the schedule is SE-driven: rounds
+// extend the covered run range [0,n₁) → [n₁,n₂) → … until the tracked
+// standard error reaches the target (stopping somewhere in [MinRuns,
+// MaxRuns]) or MaxRuns is exhausted, and the final report's TotalRuns
+// is the adaptively chosen count. Without one it degenerates to a
+// single round covering the spec's fixed Runs.
 //
 // On error — including ctx cancellation mid-round — the partial report
 // accumulated from the COMPLETED rounds is returned alongside the
-// error: a well-formed checkpoint whose coverage reflects only finished
-// rounds, resumable with ResumeJob. Because both the round schedule and
-// the per-run streams are pure functions of the (serialized) report
-// state, a resumed job reproduces the uninterrupted one bit-for-bit.
+// error: a well-formed report whose coverage reflects only finished
+// rounds.
 func RunAdaptive(ctx context.Context, job Job, progress Progress) (*report.Report, error) {
-	return extendJob(ctx, job, nil, progress)
+	return RunRounds(ctx, job, func(ctx context.Context, start, end int) (*report.Report, error) {
+		return runJobShard(ctx, Job{Spec: job.Spec, Shard: engine.Span(start, end)})
+	}, progress)
 }
 
-// ResumeJob continues a checkpointed job from a previously emitted
-// (partial) report: it validates that the report belongs to this job
-// (name, kind, seed, stream, spec — the precision block may differ; the
-// runs already executed do not depend on it), then extends coverage with
-// the rounds the uninterrupted job would have executed next. Like
-// RunAdaptive it returns the accumulated partial alongside any error.
-// from is not modified; a nil from runs the job from scratch.
-func ResumeJob(ctx context.Context, job Job, from *report.Report, progress Progress) (*report.Report, error) {
-	if from == nil {
-		return RunAdaptive(ctx, job, progress)
-	}
-	cl, err := PrepareResume(job, from)
-	if err != nil {
-		return nil, err
-	}
-	return extendJob(ctx, job, cl, progress)
-}
-
-// PrepareResume validates that a checkpoint belongs to a job and
-// returns a clone of it ready to extend: the front half of ResumeJob,
-// shared with external executors (the distributed coordinator resumes
-// a fleet campaign through it). The checkpoint must cover a prefix from
-// run 0 of the same experiment — name, kind, seed and every spec field
-// except the precision block, which only decides how many runs execute
-// and may legally change between checkpoint and resume. A fixed-count
-// job additionally must not already cover more runs than the spec
-// declares. from is not modified; a nil from returns nil (resume from
-// scratch).
-func PrepareResume(job Job, from *report.Report) (*report.Report, error) {
-	if from == nil {
-		return nil, nil
-	}
-	sp := job.Spec.withDefaults()
-	if from.RunStart != 0 {
-		return nil, fmt.Errorf("scenario: resuming %q: checkpoint covers [%d,%d), want coverage from run 0",
-			from.Name, from.RunStart, from.RunStart+from.RunCount)
-	}
-	if from.Name != sp.Name || from.Kind != sp.Kind || from.Seed != sp.Seed {
-		return nil, fmt.Errorf("scenario: resuming %q/%s (seed %d) with checkpoint %q/%s (seed %d): different experiments",
-			sp.Name, sp.Kind, sp.Seed, from.Name, from.Kind, from.Seed)
-	}
-	if err := sameSpecModuloPrecision(sp, from.Spec); err != nil {
-		return nil, err
-	}
-	plan, err := NewPlan(job.Spec)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Adaptive() && from.RunCount > plan.FixedRuns() {
-		return nil, fmt.Errorf("scenario: resuming %q: checkpoint covers %d runs, spec declares %d", sp.Name, from.RunCount, plan.FixedRuns())
-	}
-	// Re-stamp the mutable header fields the driver owns: the spec echo
-	// (the checkpoint may have been taken under a different precision
-	// block) and TotalRuns (the round loop re-stamps it per round
-	// anyway). Work on a clone — the caller's checkpoint stays intact.
-	cl := *from
-	if spec, err := json.Marshal(sp); err == nil {
-		cl.Spec = spec
-	}
-	return &cl, nil
-}
-
-// sameSpecModuloPrecision verifies a checkpoint's spec echo matches the
-// resuming spec on every field that influences the runs themselves. The
-// precision block only decides HOW MANY runs execute — never what any
-// run computes — so resuming under a tightened or loosened target is
-// legal and explicitly supported.
-func sameSpecModuloPrecision(sp Spec, echo json.RawMessage) error {
-	if len(echo) == 0 {
-		return nil // pre-envelope checkpoints carry no echo to check
-	}
-	strip := func(raw []byte) ([]byte, error) {
-		var m map[string]json.RawMessage
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return nil, err
-		}
-		delete(m, "precision")
-		return json.Marshal(m)
-	}
-	mine, err := json.Marshal(sp)
-	if err != nil {
-		return err
-	}
-	a, err := strip(mine)
-	if err != nil {
-		return err
-	}
-	b, err := strip(echo)
-	if err != nil {
-		return fmt.Errorf("scenario: resuming %q: parsing checkpoint spec echo: %w", sp.Name, err)
-	}
-	if !bytes.Equal(a, b) {
-		return fmt.Errorf("scenario: resuming %q: checkpoint was produced by a different spec (only the precision block may change)", sp.Name)
-	}
-	return nil
-}
-
-// extendJob is the round loop shared by adaptive execution and resume:
-// starting from an optional accumulated partial (owned by the caller of
-// ResumeJob, already validated and re-stamped), execute the rounds the
-// job's Plan schedules — extending the report after each — until the
-// precision target stops the job or the spec's fixed Runs are covered.
-func extendJob(ctx context.Context, job Job, acc *report.Report, progress Progress) (*report.Report, error) {
+// RunRounds is the one round loop of a whole job, shared by in-process
+// execution (RunAdaptive) and the distributed coordinator: it asks the
+// job's Plan for the next run range, has round execute [start, end) —
+// in this process, or split over a fleet — stamps and appends the
+// round's report, reports progress, and stops when the precision
+// target or the spec's fixed Runs is met. Because the schedule is a
+// pure function of the accumulated report, every executor covers the
+// same rounds and the finished report is the same bits. Like
+// RunAdaptive it returns the partial of the completed rounds alongside
+// any error.
+func RunRounds(ctx context.Context, job Job, round func(ctx context.Context, start, end int) (*report.Report, error), progress Progress) (*report.Report, error) {
 	sp := job.Spec.withDefaults()
 	if !job.Shard.IsWhole() {
-		return nil, fmt.Errorf("scenario: adaptive/resumed execution covers the whole run range, got shard %s", job.Shard)
+		return nil, fmt.Errorf("scenario: round execution covers the whole run range, got shard %s", job.Shard)
 	}
 	plan, err := NewPlan(job.Spec)
 	if err != nil {
 		return nil, err
 	}
-	if acc != nil && !plan.Adaptive() && acc.RunCount > plan.FixedRuns() {
-		return nil, fmt.Errorf("scenario: resuming %q: checkpoint covers %d runs, spec declares %d", sp.Name, acc.RunCount, plan.FixedRuns())
-	}
+	var acc *report.Report
 	for {
 		rp, err := plan.Next(acc)
 		if err != nil {
@@ -168,7 +72,7 @@ func extendJob(ctx context.Context, job Job, acc *report.Report, progress Progre
 		if rp.Done {
 			break
 		}
-		rep, err := runJobShard(ctx, Job{Spec: job.Spec, Shard: engine.Span(rp.Start, rp.End)})
+		rep, err := round(ctx, rp.Start, rp.End)
 		if err != nil {
 			return acc, err // acc: the well-formed partial of completed rounds
 		}
@@ -192,20 +96,4 @@ func extendJob(ctx context.Context, job Job, acc *report.Report, progress Progre
 	// whole adaptively chosen (or declared fixed) range.
 	plan.Finalize(acc)
 	return acc, nil
-}
-
-// JobFromReport reconstructs the Job a report was produced by, from its
-// spec echo — enough to resume a checkpoint on a host that only received
-// the report file.
-func JobFromReport(rep *report.Report) (Job, error) {
-	if len(rep.Spec) == 0 {
-		return Job{}, fmt.Errorf("scenario: report %q carries no spec echo", rep.Name)
-	}
-	var sp Spec
-	dec := json.NewDecoder(bytes.NewReader(rep.Spec))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sp); err != nil {
-		return Job{}, fmt.Errorf("scenario: parsing %q spec echo: %w", rep.Name, err)
-	}
-	return Job{Spec: sp}, nil
 }

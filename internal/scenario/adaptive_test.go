@@ -2,13 +2,10 @@ package scenario
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"math"
 	"testing"
 
 	"chaffmec/internal/engine"
-	"chaffmec/internal/report"
 )
 
 // adaptiveSpec is the shared adaptive test scenario: small enough to
@@ -18,21 +15,6 @@ func adaptiveSpec(p *Precision) Spec {
 		Name: "adapt", Kind: "single", Strategy: "MO", NumChaffs: 1,
 		Horizon: 10, Runs: 64, Seed: 11, Precision: p,
 	}
-}
-
-// roundTrip pushes a report through its JSON serialization — the
-// checkpoint file a resumed process would read back.
-func roundTrip(t *testing.T, rep *report.Report) *report.Report {
-	t.Helper()
-	blob, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back report.Report
-	if err := json.Unmarshal(blob, &back); err != nil {
-		t.Fatal(err)
-	}
-	return &back
 }
 
 // TestAdaptiveStopBounds is the acceptance criterion on stopping: an
@@ -104,77 +86,6 @@ func TestRunJobDispatchesAdaptive(t *testing.T) {
 	}
 }
 
-// TestRoundResumeEqualsWholeBitwise is the scenario-layer resume
-// guarantee: a fixed job executed as explicit-range rounds through a
-// serialized checkpoint equals the one-shot run bit-for-bit.
-func TestRoundResumeEqualsWholeBitwise(t *testing.T) {
-	sp := adaptiveSpec(nil)
-	whole, err := RunJob(context.Background(), Job{Spec: sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Round 1 in "another process": an explicit-range shard job.
-	part, err := RunJob(context.Background(), Job{Spec: sp, Shard: engine.Span(0, 13)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeJob(context.Background(), Job{Spec: sp}, roundTrip(t, part), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := marshalStable(t, resumed), marshalStable(t, whole); !json.Valid(got) || string(got) != string(want) {
-		t.Fatalf("resumed fixed job differs from one-shot run:\n%s\n%s", got, want)
-	}
-}
-
-// TestAdaptiveCancelYieldsPartialAndResumesBitwise covers the
-// cancellation contract: a context cancelled mid-round yields a
-// well-formed partial whose coverage reflects only completed rounds, and
-// resuming that partial (through JSON) reproduces the uninterrupted
-// adaptive run bit-for-bit.
-func TestAdaptiveCancelYieldsPartialAndResumesBitwise(t *testing.T) {
-	p := &Precision{TargetSE: 1e-9, MinRuns: 8, MaxRuns: 48} // 3+ rounds: 8, 16, 32, 48
-	job := Job{Spec: adaptiveSpec(p)}
-
-	uninterrupted, err := RunAdaptive(context.Background(), job, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	var rounds []Round
-	partial, err := RunAdaptive(ctx, job, func(r Round) {
-		rounds = append(rounds, r)
-		if len(rounds) == 2 {
-			cancel() // the third round dies mid-flight
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if partial == nil {
-		t.Fatal("cancelled adaptive job returned no partial")
-	}
-	if partial.RunStart != 0 || partial.RunCount != rounds[1].Covered {
-		t.Fatalf("partial covers [%d,%d), want the %d runs of the completed rounds",
-			partial.RunStart, partial.RunStart+partial.RunCount, rounds[1].Covered)
-	}
-	if partial.Complete() {
-		t.Fatal("partial claims completeness")
-	}
-	if _, err := partial.Summary(); err != nil {
-		t.Fatalf("partial not well-formed: %v", err)
-	}
-
-	resumed, err := ResumeJob(context.Background(), job, roundTrip(t, partial), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := marshalStable(t, resumed), marshalStable(t, uninterrupted); string(got) != string(want) {
-		t.Fatalf("resumed adaptive job differs from uninterrupted run:\n%s\n%s", got, want)
-	}
-}
-
 // TestAdaptiveProgressRounds checks the progress stream: contiguous
 // ranges, growing coverage, final round flagged Done.
 func TestAdaptiveProgressRounds(t *testing.T) {
@@ -204,67 +115,6 @@ func TestAdaptiveProgressRounds(t *testing.T) {
 	if rounds[0].End != p.MinRuns || next != p.MaxRuns {
 		t.Fatalf("schedule opened at %d (want %d), closed at %d (want %d)",
 			rounds[0].End, p.MinRuns, next, p.MaxRuns)
-	}
-}
-
-func TestResumeValidation(t *testing.T) {
-	sp := adaptiveSpec(nil)
-	part, err := RunJob(context.Background(), Job{Spec: sp, Shard: engine.Span(0, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wrong experiment: different seed.
-	other := sp
-	other.Seed = 999
-	if _, err := ResumeJob(context.Background(), Job{Spec: other}, part, nil); err == nil {
-		t.Fatal("cross-seed resume accepted")
-	}
-	// Different spec body (strategy) behind the same header.
-	restrat := sp
-	restrat.Strategy = "IM"
-	restrat.Name = "adapt"
-	if _, err := ResumeJob(context.Background(), Job{Spec: restrat}, part, nil); err == nil {
-		t.Fatal("cross-spec resume accepted")
-	}
-	// A checkpoint not starting at run 0 cannot seed a whole-run resume.
-	mid, err := RunJob(context.Background(), Job{Spec: sp, Shard: engine.Span(8, 16)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ResumeJob(context.Background(), Job{Spec: sp}, mid, nil); err == nil {
-		t.Fatal("mid-range checkpoint accepted")
-	}
-	// A changed precision block is explicitly allowed.
-	reprec := sp
-	reprec.Precision = &Precision{TargetSE: 1e-9, MinRuns: 4, MaxRuns: 24}
-	rep, err := ResumeJob(context.Background(), Job{Spec: reprec}, part, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.RunCount != 24 {
-		t.Fatalf("retargeted resume covers %d runs, want 24", rep.RunCount)
-	}
-	// The caller's checkpoint must stay intact.
-	if part.RunCount != 8 || part.TotalRuns != 64 {
-		t.Fatalf("ResumeJob mutated its checkpoint: %+v", part)
-	}
-}
-
-func TestJobFromReport(t *testing.T) {
-	sp := adaptiveSpec(nil)
-	rep, err := RunJob(context.Background(), Job{Spec: sp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := JobFromReport(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Spec.Kind != "single" || job.Spec.Strategy != "MO" || job.Spec.Seed != 11 || job.Spec.Runs != 64 {
-		t.Fatalf("reconstructed spec: %+v", job.Spec)
-	}
-	if _, err := JobFromReport(&report.Report{Name: "bare"}); err == nil {
-		t.Fatal("echo-less report accepted")
 	}
 }
 

@@ -7,12 +7,11 @@ import (
 	"chaffmec/internal/report"
 )
 
-// Plan is a job's round scheduler in reusable form: the one place that
-// decides which run range to cover next, shared by in-process adaptive
-// execution (RunAdaptive/ResumeJob) and by external executors — the
-// distributed coordinator asks the same Plan for its extension rounds,
-// which is what makes a fleet's round boundaries (and therefore the
-// merged Report) bit-identical to a single process's.
+// Plan is a job's round scheduler: the one place that decides which run
+// range to cover next. RunRounds follows it whoever executes the rounds
+// — this process or the distributed coordinator's fleet — which is what
+// makes a fleet's round boundaries (and therefore the merged Report)
+// bit-identical to a single process's.
 //
 // A Plan is a pure function of the spec: with a precision target the
 // schedule is SE-driven (engine.Target's NextEnd projection); without

@@ -9,14 +9,14 @@
 // different processes and merged with report.Merge, reproduce the
 // single-process Report bit-for-bit.
 //
-// Execution is adaptive and resumable through the same registry path: a
-// Spec carrying a Precision block runs in SE-targeted rounds (RunJob
-// dispatches to RunAdaptive — explicit-range shards [n₁,n₂) extend the
-// covered range until the tracked standard error meets the target), and
-// ResumeJob continues any checkpointed partial Report into the
-// bit-for-bit result of the uninterrupted run. cmd/experiments exposes
-// the layer via -scenario/-shard/-merge/-target-se/-resume; the chaffmec
-// facade via RunJob/RunAdaptiveJob/ResumeJob.
+// Execution is adaptive through the same registry path: a Spec carrying
+// a Precision block runs in SE-targeted rounds (RunJob dispatches to
+// RunAdaptive — explicit-range shards [n₁,n₂) extend the covered range
+// until the tracked standard error meets the target). RunRounds is the
+// one round loop; the distributed coordinator drives it too, and its
+// store journal is what continues an interrupted job. cmd/experiments
+// exposes the layer via -scenario/-shard/-merge/-target-se/-store; the
+// chaffmec facade via RunJob/RunAdaptiveJob and Fleet.
 //
 // Built-in kinds:
 //

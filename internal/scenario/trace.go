@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"chaffmec/internal/chaff"
@@ -171,12 +172,14 @@ var buildTraceLab = figures.BuildTraceLab
 // storeKindTraceLab namespaces persisted labs in the artifact store.
 const storeKindTraceLab = "tracelab"
 
-// traceLabStoreKey is the lab's content address: the generation config
-// and the rng stream version it was generated under (a stream bump
-// changes every synthetic trace, so old artifacts must not hit).
-func traceLabStoreKey(cfg figures.TraceConfig) string {
+// traceLabStoreKey is the lab's content address: the generation config,
+// the rng stream version it was generated under (a stream bump changes
+// every synthetic trace, so old artifacts must not hit) and the GOARCH
+// that fitted it (Go fuses x*y+z into one FMA on some architectures, so
+// a lab fitted on another one may differ in its low bits).
+func traceLabStoreKey(cfg figures.TraceConfig, arch string) string {
 	spec, _ := json.Marshal(cfg)
-	return store.Key(storeKindTraceLab, string(spec), rng.StreamVersion)
+	return store.Key(storeKindTraceLab, string(spec), rng.StreamVersion, arch)
 }
 
 // loadOrBuildTraceLab consults the artifact store before paying for a
@@ -189,7 +192,7 @@ func loadOrBuildTraceLab(cfg figures.TraceConfig) (lab *figures.TraceLab, built 
 	st := store.Default()
 	var key string
 	if st != nil {
-		key = traceLabStoreKey(cfg)
+		key = traceLabStoreKey(cfg, runtime.GOARCH)
 		if blob, ok, err := st.Get(storeKindTraceLab, key); err == nil && ok {
 			if lab, err := figures.DecodeTraceLab(bytes.NewReader(blob)); err == nil {
 				return lab, false, nil

@@ -1,11 +1,13 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,7 +205,7 @@ func TestTraceLabStoreWarmStart(t *testing.T) {
 	}
 
 	// Corrupt the artifact: the loader must evict it and rebuild.
-	key := traceLabStoreKey(cfg)
+	key := traceLabStoreKey(cfg, runtime.GOARCH)
 	if err := st.Put(storeKindTraceLab, key, []byte("corrupt")); err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +223,47 @@ func TestTraceLabStoreWarmStart(t *testing.T) {
 	}
 	if string(blob) == "corrupt" {
 		t.Fatal("corrupt artifact still in store")
+	}
+}
+
+// TestTraceLabStoreKeyedByArch: a lab stored by a host of another
+// GOARCH is never read — the key names the architecture that fitted
+// it — and the lab this host builds instead is stored under its own.
+func TestTraceLabStoreKeyedByArch(t *testing.T) {
+	st, err := store.Open(t.TempDir() + "/artifacts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.SetDefault(st)
+	t.Cleanup(func() { store.SetDefault(nil) })
+	cfg := figures.TraceConfig{
+		Seed: 6, Nodes: 40, Minutes: 20,
+		TowerClusters: 3, TowersPerCluster: 10, BackgroundTowers: 40,
+	}
+	lab, err := figures.BuildTraceLab(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	if err := lab.Encode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	calls := stubLabBuilder(t, func(figures.TraceConfig) (*figures.TraceLab, error) { return lab, nil })
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	if err := st.Put(storeKindTraceLab, traceLabStoreKey(cfg, foreign), blob.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, built, err := loadOrBuildTraceLab(cfg); err != nil || !built {
+		t.Fatalf("lab stored under the %s key was read on %s (built %v, err %v)", foreign, runtime.GOARCH, built, err)
+	}
+	if _, built, err := loadOrBuildTraceLab(cfg); err != nil || built {
+		t.Fatalf("the lab built on %s was not stored under its key (built %v, err %v)", runtime.GOARCH, built, err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d builds, want 1", n)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package store is a content-addressed artifact store on the local
 // filesystem: artifacts keyed by the canonical hash of what produced
-// them (a spec's JSON and the rng stream version), so that re-running
-// the same work is a cache hit and an interrupted campaign resumes from
-// its journal for free.
+// them (a spec's JSON, the rng stream version and the GOARCH that
+// computed them), so that re-running the same work is a cache hit and
+// an interrupted campaign resumes from its journal for free.
 //
 // Layout: <root>/<kind>/<kk>/<key>, where kind namespaces artifact
 // types, key is the hex SHA-256 of the inputs and kk its first two hex
