@@ -475,6 +475,7 @@ func runScenarios(ctx context.Context, path, outDir, repFile string, prec *scena
 	}
 	var reps []*report.Report
 	var failed error
+	joined := map[string]bool{}
 	for i, sp := range specs {
 		sp = applyPrecision(sp, prec)
 		name := sp.Name
@@ -482,7 +483,7 @@ func runScenarios(ctx context.Context, path, outDir, repFile string, prec *scena
 			name = sp.Kind
 		}
 		var tally *wireTally
-		opts.Progress, tally = campaignProgress(name)
+		opts.Progress, tally = campaignProgress(name, joined)
 		rep, err := coordinator.RunFleet(ctx, scenario.Job{Spec: sp}, fleet, opts)
 		tally.summary(name)
 		if rep != nil {

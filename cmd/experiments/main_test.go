@@ -761,3 +761,26 @@ func TestRunScenariosDistributed(t *testing.T) {
 		t.Fatal("distributed envelopes differ from single-process run")
 	}
 }
+
+// TestUnknownStrategyFailsOnce: a scenario naming a strategy no worker
+// knows is a config error, not a worker failure: the command exits 1
+// with one error naming the strategy and no retry.
+func TestUnknownStrategyFailsOnce(t *testing.T) {
+	cfg := filepath.Join(t.TempDir(), "nope.json")
+	if err := os.WriteFile(cfg, []byte(`{"scenarios":[{"kind":"single","strategy":"NOPE","runs":20,"horizon":10}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd, stderr := experimentsCmd(t, "", "-scenario", cfg, "-out", t.TempDir())
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("unknown strategy accepted:\n%s", stderr)
+	}
+	out := stderr.String()
+	if n := strings.Count(out, `unknown strategy "NOPE"`); n != 1 {
+		t.Fatalf("stderr names the unknown strategy %d times, want 1:\n%s", n, out)
+	}
+	for _, retry := range []string{"retrying elsewhere", "no worker left", "removed from the fleet"} {
+		if strings.Contains(out, retry) {
+			t.Fatalf("stderr shows a retry (%q):\n%s", retry, out)
+		}
+	}
+}

@@ -230,8 +230,11 @@ func distributedFlagErr(workers int, connect, registry, shardArg string, merge b
 // dispatches stay quiet, everything an operator acts on (completed
 // rounds with runs done and current-vs-target SE, retries, dead
 // workers, store hits) is printed — and returns a wireTally summed over
-// every result for the end-of-job wire summary.
-func campaignProgress(name string) (func(coordinator.Event), *wireTally) {
+// every result for the end-of-job wire summary. joined holds the
+// workers whose join is already printed, shared across the process's
+// campaigns: each campaign re-admits the whole fleet, but a worker's
+// join is printed once, and again only after it left.
+func campaignProgress(name string, joined map[string]bool) (func(coordinator.Event), *wireTally) {
 	tally := &wireTally{}
 	return func(e coordinator.Event) {
 		switch e.Kind {
@@ -263,8 +266,12 @@ func campaignProgress(name string) (func(coordinator.Event), *wireTally) {
 		case coordinator.EventWorkerDead:
 			fmt.Fprintf(os.Stderr, "%-30s worker %s removed from the fleet (%v)\n", name, e.Worker, e.Err)
 		case coordinator.EventWorkerJoin:
-			fmt.Fprintf(os.Stderr, "%-30s worker %s joined the fleet\n", name, e.Worker)
+			if !joined[e.Worker] {
+				joined[e.Worker] = true
+				fmt.Fprintf(os.Stderr, "%-30s worker %s joined the fleet\n", name, e.Worker)
+			}
 		case coordinator.EventWorkerLeft:
+			delete(joined, e.Worker)
 			fmt.Fprintf(os.Stderr, "%-30s worker %s left the fleet\n", name, e.Worker)
 		}
 	}, tally

@@ -28,13 +28,22 @@ import (
 // column's budget cannot bind copied from V. V depends on the chain, the
 // horizon and the exclusions but never on the user, so an OO computes it
 // once and every later plan of that horizon reads the same snapshot: one
-// Viterbi pass per OO and horizon, plus O(T·E·(i*+1)) per plan, instead
-// of the paper's worst-case O(T²L²). The snapshot holds the latest
-// horizon only: plans that alternate horizons on one OO recompute and
-// reallocate V at every switch. The robust ROO variant builds a fresh
-// OO, with its own exclusions, for every chaff, so it pays the pass on
-// every plan. Plan is safe for concurrent use; its scratch comes from a
-// shared pool.
+// Viterbi pass per OO and horizon, plus i*+1 budget columns per plan,
+// instead of the paper's worst-case O(T²L²). The snapshot holds the
+// latest horizon only: plans that alternate horizons on one OO
+// recompute and reallocate V at every switch. The robust ROO variant
+// builds a fresh OO, with its own exclusions, for every chaff, so it
+// pays the pass on every plan. Plan is safe for concurrent use; its
+// scratch comes from a shared pool.
+//
+// Every cell of V and of a budget column is one min over the cell's
+// successors, and bestSuccessor is the one scan that takes it: the
+// successors in −log P order (markov.RankedRows), stopped at the first
+// whose −log P plus the next slot's least value exceeds the best so far.
+// That bound prunes where rows are skewed (on the spatially-skewed L=10
+// chain of the advanced-oo benchmark a scan stops at about the 2.6th of
+// a row's 10 candidates), and saves little where rows are short, as on
+// the sparse trace chain, so a column costs between O(T·L) and O(T·E).
 type OO struct {
 	chain *markov.Chain
 	// excl restricts the chaff's trellis (used by the robust ROO variant);
@@ -82,6 +91,9 @@ type OOResult struct {
 type ooWork struct {
 	prev []float64 // K_t(x,i−1)
 	cur  []float64 // K_t(x,i)
+	// prevMin[t] and curMin[t] are min_x of prev's and cur's slot t, for
+	// the slots column computes: the bounds of bestSuccessor's scans.
+	prevMin, curMin []float64
 	// back holds the backpointers of columns 0..i, column after column:
 	// back[i*T*L + t*L + x] is the successor of (t,x) under budget i.
 	back []int32
@@ -139,6 +151,7 @@ func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 	w := ooPool.Get().(*ooWork)
 	defer ooPool.Put(w)
 	w.prev, w.cur = grow(w.prev, TL), grow(w.cur, TL)
+	w.prevMin, w.curMin = grow(w.prevMin, T), grow(w.curMin, T)
 	w.back = w.back[:0]
 
 	v, vBack := s.viterbiFor(T)
@@ -160,6 +173,7 @@ func (s *OO) plan(user, tr markov.Trajectory, within int) (OOResult, error) {
 			return OOResult{}, nil
 		}
 		w.prev, w.cur = w.cur, w.prev
+		w.prevMin, w.curMin = w.curMin, w.prevMin
 		w.back = slices.Grow(w.back, TL)[:(i+1)*TL]
 		s.column(w, v, vBack, user, i)
 		k, x0 := sourceFold(logPi, w.cur[:L])
@@ -210,45 +224,59 @@ func (s *OO) viterbiFor(T int) ([]float64, []int32) {
 }
 
 // viterbi fills the unconstrained column V_t(x) and its backpointers:
-// the min cost from (t,x) to the sink on the chaff's trellis.
+// the min cost from (t,x) to the sink on the chaff's trellis. It folds
+// each slot's minimum as it writes the slot, the bound of the scans of
+// the slot before.
 //
 //chaffmec:hotpath
 func (s *OO) viterbi(v []float64, back []int32, T int) {
-	c := s.chain
-	L := c.NumStates()
+	rows := s.chain.RankedSuccessors()
+	L := s.chain.NumStates()
 	inf := math.Inf(1)
 	base := (T - 1) * L
+	nextMin := inf
 	for x := 0; x < L; x++ {
 		v[base+x] = 0
 		if s.excl.Excluded(x, T-1) {
 			v[base+x] = inf
 		}
 		back[base+x] = -1
+		if v[base+x] < nextMin {
+			nextMin = v[base+x]
+		}
 	}
 	for t := T - 2; t >= 0; t-- {
 		row, next := v[t*L:(t+1)*L], v[(t+1)*L:(t+2)*L]
 		brow := back[t*L : (t+1)*L]
+		rowMin := inf
 		for x := 0; x < L; x++ {
-			row[x], brow[x] = inf, -1
-			if s.excl.Excluded(x, t) {
-				continue
+			k, kx := inf, int32(-1)
+			if !s.excl.Excluded(x, t) {
+				k, kx = bestSuccessor(rows, x, next, nextMin)
 			}
-			row[x], brow[x] = bestSuccessor(c, x, next)
+			row[x], brow[x] = k, kx
+			if k < rowMin {
+				rowMin = k
+			}
 		}
+		nextMin = rowMin
 	}
 }
 
 // column fills K_t(·,i) into w.cur and its backpointers into the last
 // column of w.back, reading column i−1 from w.prev and, read-only, V and
-// its backpointers from v and vBack.
+// its backpointers from v and vBack. It records each computed slot's
+// minimum in w.curMin as it writes the slot, for the scans of the slot
+// before it and of column i+1.
 //
 //chaffmec:hotpath
 func (s *OO) column(w *ooWork, v []float64, vBack []int32, user markov.Trajectory, i int) {
-	c := s.chain
-	L := c.NumStates()
+	rows := s.chain.RankedSuccessors()
+	L := s.chain.NumStates()
 	T := len(user)
 	inf := math.Inf(1)
 	cur, prev := w.cur, w.prev
+	curMin, prevMin := w.curMin, w.prevMin
 	back := w.back[i*T*L:]
 	// Slots t ≥ T−i: the budget cannot bind.
 	free := max(T-i, 0)
@@ -258,46 +286,77 @@ func (s *OO) column(w *ooWork, v []float64, vBack []int32, user markov.Trajector
 	if i == 0 {
 		// Base slot T−1: the user's cell needs budget 1.
 		base := (T - 1) * L
+		m := inf
 		for x := 0; x < L; x++ {
 			cur[base+x] = v[base+x]
 			if x == user[T-1] {
 				cur[base+x] = inf
 			}
 			back[base+x] = -1
+			if cur[base+x] < m {
+				m = cur[base+x]
+			}
 		}
+		curMin[T-1] = m
 		top = T - 2
+	} else if free > 0 {
+		// Slot free was copied from V; its minimum bounds slot free−1.
+		m := inf
+		for _, k := range cur[free*L : (free+1)*L] {
+			if k < m {
+				m = k
+			}
+		}
+		curMin[free] = m
 	}
 	for t := top; t >= 0; t-- {
 		row, brow := cur[t*L:(t+1)*L], back[t*L:(t+1)*L]
 		vrow := v[t*L : (t+1)*L]
 		curNext, prevNext := cur[(t+1)*L:(t+2)*L], prev[(t+1)*L:(t+2)*L]
+		m := inf
 		for x := 0; x < L; x++ {
-			row[x], brow[x] = inf, -1
+			k, kx := inf, int32(-1)
 			switch {
 			case math.IsInf(vrow[x], 1):
 				// Excluded, or no path to the sink under any budget.
 			case x != user[t]:
-				row[x], brow[x] = bestSuccessor(c, x, curNext)
+				k, kx = bestSuccessor(rows, x, curNext, curMin[t+1])
 			case i > 0:
-				row[x], brow[x] = bestSuccessor(c, x, prevNext)
+				// Column i−1 computed its slot t+1: t+1 ≤ T−i.
+				k, kx = bestSuccessor(rows, x, prevNext, prevMin[t+1])
+			}
+			row[x], brow[x] = k, kx
+			if k < m {
+				m = k
 			}
 		}
+		curMin[t] = m
 	}
 }
 
-// bestSuccessor returns min over successors x′ of −log P(x′|x) + next[x′]
-// and its argmin, or (+Inf, −1) when every successor is +Inf: a
-// successor's −log P is finite, so an infinite next[x′] never wins the
-// strict <. Successors ascend, so a tie keeps the lowest index.
+// bestSuccessor returns min over successors x′ of x of −log P(x′|x) +
+// next[x′] and its argmin, the lowest x′ among equal minima, or
+// (+Inf, −1) when next is +Inf on every successor; nextMin is min(next).
+// It is OO's one successor scan. The scan takes x's row of rows in rank
+// order, so the costs −log P ascend, and stops at the first cost c with
+// c + nextMin > best: floating-point + is monotone, so every later
+// candidate is at least c + nextMin and can neither beat nor tie best.
+// A candidate's value is the same sum a full scan takes, so the result
+// is bit for bit the full scan's. The bound prunes where a row's P is
+// skewed, and little where rows are short (a sparse chain).
 //
 //chaffmec:hotpath
-func bestSuccessor(c *markov.Chain, x int, next []float64) (float64, int32) {
-	L := len(next)
-	lp := c.LogProbs()[x*L : (x+1)*L]
+func bestSuccessor(rows *markov.RankedRows, x int, next []float64, nextMin float64) (float64, int32) {
+	to, cost := rows.RowCosts(x)
+	cost = cost[:len(to)]
 	best, bestX := math.Inf(1), int32(-1)
-	for _, xn := range c.Successors(x) {
-		if v := -lp[xn] + next[xn]; v < best {
-			best, bestX = v, int32(xn)
+	for k, xn := range to {
+		c := cost[k]
+		if c+nextMin > best {
+			break
+		}
+		if v := c + next[xn]; v < best || v == best && xn < bestX {
+			best, bestX = v, xn
 		}
 	}
 	return best, bestX

@@ -47,6 +47,18 @@ func NewByName(name string, chain *markov.Chain) (Strategy, error) {
 	}
 }
 
+// Known reports whether NewByName knows name: whether it names one of
+// Names under NewByName's case folding and trimming.
+func Known(name string) bool {
+	name = strings.ToUpper(strings.TrimSpace(name))
+	for _, n := range Names() {
+		if strings.ToUpper(n) == name {
+			return true
+		}
+	}
+	return false
+}
+
 // Names lists the registered strategy names in sorted order.
 func Names() []string {
 	n := []string{"IM", "ML", "CML", "OO", "MO", "RML", "ROO", "RMO", "Rollout", "ApproxDP"}

@@ -1,6 +1,7 @@
 package chaff
 
 import (
+	"strings"
 	"testing"
 
 	"chaffmec/internal/markov"
@@ -297,6 +298,22 @@ func TestRegistry(t *testing.T) {
 	// Case-insensitive.
 	if _, err := NewByName("oo", c); err != nil {
 		t.Fatalf("lower-case lookup failed: %v", err)
+	}
+}
+
+// TestKnownMatchesNewByName: Known says yes exactly where NewByName
+// builds a strategy, case folding and trimming included.
+func TestKnownMatchesNewByName(t *testing.T) {
+	c := modelChain(t, mobility.ModelNonSkewed)
+	names := []string{"", "nope", "O O", "OOO", " oo ", "rollout", "APPROXdp", "Mo\t"}
+	for _, name := range Names() {
+		names = append(names, name, strings.ToLower(name))
+	}
+	for _, name := range names {
+		_, err := NewByName(name, c)
+		if got := Known(name); got != (err == nil) {
+			t.Fatalf("Known(%q) = %v, NewByName error %v", name, got, err)
+		}
 	}
 }
 

@@ -593,6 +593,10 @@ func (c *run) round(ctx context.Context, start, end int) (*report.Report, error)
 				remaining++
 				c.workerFailed(r.wi, r.err)
 				c.event(Event{Kind: EventPartial, Worker: w.t.Name(), Shard: r.s.span, Err: r.err, Wire: lastWire(w.t)})
+			case errors.Is(r.err, ErrBadJob):
+				// The job, not the worker, is at fault: every worker
+				// would refuse it.
+				return nil, fmt.Errorf("coordinator: shard %s: %w", r.s.span, r.err)
 			default:
 				if ctx.Err() != nil {
 					return nil, ctx.Err() // cancelled under the worker, not its failure

@@ -44,8 +44,11 @@ type Transport interface {
 var ErrPartial = errors.New("coordinator: worker finished only part of its shard")
 
 // ErrBadJob marks worker input that never was a runnable Job: malformed
-// JSON, an unknown scenario kind, an invalid shard selector. The worker
-// Handler answers it with HTTP 400 before running anything.
+// JSON, an unknown scenario kind or strategy, an invalid shard selector.
+// The worker Handler answers it with HTTP 400 before running anything,
+// the HTTP transport reads a 400 back as ErrBadJob, and the coordinator
+// fails the campaign on it at once: another worker would refuse the
+// same job.
 var ErrBadJob = errors.New("coordinator: malformed worker job")
 
 // Content types: every worker response is a self-describing count-1
@@ -134,8 +137,12 @@ func (t *InProcess) Name() string {
 	return t.Label
 }
 
-// Run implements Transport.
+// Run implements Transport: a job the Handler would refuse fails here
+// with the same ErrBadJob.
 func (t *InProcess) Run(ctx context.Context, job scenario.Job) (*report.Report, error) {
+	if err := validateJob(job); err != nil {
+		return nil, err
+	}
 	return scenario.RunJob(ctx, job)
 }
 
@@ -272,6 +279,9 @@ func (t *HTTP) post(ctx context.Context, blob []byte) (*report.Report, error) {
 		}
 		t.lastEnvelope = body.Bytes()
 		return rep, nil
+	case http.StatusBadRequest:
+		body, _ := io.ReadAll(io.LimitReader(cr, 4096))
+		return nil, fmt.Errorf("%w: %s: HTTP 400: %s", ErrBadJob, t.Name(), tailLines(string(body)))
 	default:
 		body, _ := io.ReadAll(io.LimitReader(cr, 4096))
 		return nil, fmt.Errorf("coordinator: %s: HTTP %d: %s", t.Name(), resp.StatusCode, tailLines(string(body)))

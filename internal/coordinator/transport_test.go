@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,11 +190,12 @@ func TestHTTPWorkerDownThenFleetSurvives(t *testing.T) {
 func TestHTTPHandlerRejectsBadJob(t *testing.T) {
 	t.Run("NamedErrors", func(t *testing.T) {
 		for name, body := range map[string]string{
-			"garbage":       "{nope",
-			"missing kind":  `{"spec":{}}`,
-			"unknown kind":  `{"spec":{"kind":"no-such-kind"}}`,
-			"invalid shard": `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
-			"bad precision": `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
+			"garbage":          "{nope",
+			"missing kind":     `{"spec":{}}`,
+			"unknown kind":     `{"spec":{"kind":"no-such-kind"}}`,
+			"unknown strategy": `{"spec":{"kind":"single","strategy":"NOPE"}}`,
+			"invalid shard":    `{"spec":{"kind":"single"},"shard":{"index":5,"count":2}}`,
+			"bad precision":    `{"spec":{"kind":"single","precision":{"target_se":0.1,"series":"a","scalar":"b"}}}`,
 		} {
 			rec := postJob(t, []byte(body))
 			if rec.Code != http.StatusBadRequest {
@@ -255,5 +257,37 @@ func TestHTTPHandlerRefusesOversizedJob(t *testing.T) {
 	}
 	if _, _, err := decodeReportStream(rec.Body); err == nil {
 		t.Fatal("oversized job answered with a report: a shard ran")
+	}
+}
+
+// TestBadJobFailsCampaignAtOnce: a spec naming a strategy no worker
+// knows fails the campaign on its first refusal, in process and over
+// HTTP (a 400), with an error wrapping ErrBadJob. The refusal is booked
+// as neither a shard failure nor a worker failure, so nothing retries.
+func TestBadJobFailsCampaignAtOnce(t *testing.T) {
+	srvs := []*httptest.Server{httptest.NewServer(Handler(context.Background())), httptest.NewServer(Handler(context.Background()))}
+	for _, srv := range srvs {
+		defer srv.Close()
+	}
+	fleets := map[string]Fleet{
+		"in-process": StaticOf(InProcessFleet(2)...),
+		"http":       StaticOf(HTTPFleet(srvs[0].URL, srvs[1].URL)...),
+	}
+	specs := map[string]scenario.Spec{
+		"strategy":   {Kind: "single", Strategy: "NOPE", Horizon: 10, Runs: 60, Seed: 7},
+		"strategies": {Kind: "mixed", Strategies: []string{"MO", "NOPE"}, Horizon: 10, Runs: 60, Seed: 7},
+		"population": {Kind: "hetero", Population: []scenario.Member{{Strategy: "nope"}}, Horizon: 10, Runs: 60, Seed: 7},
+	}
+	for fname, fleet := range fleets {
+		for sname, sp := range specs {
+			var log eventLog
+			_, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{Progress: log.add})
+			if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), "unknown strategy") {
+				t.Fatalf("%s fleet, unknown %s: err = %v, want ErrBadJob naming the strategy", fname, sname, err)
+			}
+			if n := log.count(EventFailure) + log.count(EventWorkerDead); n != 0 {
+				t.Fatalf("%s fleet, unknown %s: %d failure events, want 0", fname, sname, n)
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 
+	"chaffmec/internal/chaff"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
@@ -77,15 +79,25 @@ func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*r
 }
 
 // validateJob refuses a job that never was runnable — no kind or an
-// unknown one, an invalid shard, a spec the planner rejects (a bad
-// precision block) — with an error wrapping ErrBadJob, before anything
-// runs.
+// unknown one, a strategy name chaff.NewByName does not know, an
+// invalid shard, a spec the planner rejects (a bad precision block) —
+// with an error wrapping ErrBadJob, before anything runs. An empty
+// strategy name is left to the kind, which may read it as "no chaff".
 func validateJob(job scenario.Job) error {
 	if job.Spec.Kind == "" {
 		return fmt.Errorf("%w: spec needs a kind", ErrBadJob)
 	}
 	if !slices.Contains(scenario.Kinds(), job.Spec.Kind) {
 		return fmt.Errorf("%w: unknown kind %q", ErrBadJob, job.Spec.Kind)
+	}
+	names := append([]string{job.Spec.Strategy}, job.Spec.Strategies...)
+	for _, m := range job.Spec.Population {
+		names = append(names, m.Strategy)
+	}
+	for _, name := range names {
+		if name != "" && !chaff.Known(name) {
+			return fmt.Errorf("%w: unknown strategy %q (known: %s)", ErrBadJob, name, strings.Join(chaff.Names(), ", "))
+		}
 	}
 	if err := job.Shard.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadJob, err)

@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,4 +57,39 @@ func TestExpectedDistanceZeroWhenTracked(t *testing.T) {
 			t.Fatalf("slot %d: distance %v, want 0", i, d)
 		}
 	}
+}
+
+// ExpectedDistanceSeries returns, for each slot, the expected physical
+// distance between the eavesdropper's location estimate (the cell of the
+// trajectory he picks, uniform over the tie set) and the user's true cell.
+// coord maps a cell index to planar coordinates. This complements the
+// paper's binary tracking accuracy with a geographic-error privacy metric:
+// a defense can be judged by how far it displaces the adversary's
+// estimate, not just how often the estimate is exactly right.
+func ExpectedDistanceSeries(dets [][]int, trs []markov.Trajectory, userIdx int, coord func(cell int) (x, y float64)) ([]float64, error) {
+	if userIdx < 0 || userIdx >= len(trs) {
+		return nil, fmt.Errorf("detect: user index %d outside [0,%d)", userIdx, len(trs))
+	}
+	if coord == nil {
+		return nil, errors.New("detect: nil coordinate map")
+	}
+	if len(dets) != len(trs[userIdx]) {
+		return nil, errors.New("detect: detections/trajectory length mismatch")
+	}
+	user := trs[userIdx]
+	out := make([]float64, len(dets))
+	for t, set := range dets {
+		if len(set) == 0 {
+			return nil, fmt.Errorf("detect: empty tie set at slot %d", t)
+		}
+		ux, uy := coord(user[t])
+		sum := 0.0
+		for _, u := range set {
+			gx, gy := coord(trs[u][t])
+			dx, dy := gx-ux, gy-uy
+			sum += math.Sqrt(dx*dx + dy*dy)
+		}
+		out[t] = sum / float64(len(set))
+	}
+	return out, nil
 }

@@ -6,11 +6,15 @@ import (
 	"slices"
 )
 
-// Ranked tables serve the myopic chaff step (MO, Algorithm 2), which
-// moves to the most likely next cell, or the second most likely one, by
-// log P from the previous cell (log π at the first slot). With the
-// candidates ranked once per chain, that choice is the first entry of a
-// row that passes the step's exclusions, not a scan of every successor.
+// Ranked tables serve two chaff strategies. The myopic step (MO,
+// Algorithm 2) moves to the most likely next cell, or the second most
+// likely one, by log P from the previous cell (log π at the first slot):
+// with the candidates ranked once per chain, that choice is the first
+// entry of a row that passes the step's exclusions, not a scan of every
+// successor. The optimal offline DP (OO, Algorithm 1) takes each row's
+// min over successors of −log P + K: scanning a row in rank order, its
+// −log P costs ascend, so the scan can stop at the first cost whose sum
+// with the least K of the next slot exceeds the best candidate so far.
 //
 // The ranking key is log P, not P: two distinct probabilities can round
 // to one log value, so these tables must not stand in for the P-ranked
@@ -18,10 +22,13 @@ import (
 
 // RankedRows is the chain's successor lists, each reordered by log P
 // descending with ties kept in index order, flat-encoded: row x is
-// to[off[x]:off[x+1]]. It is read-only and shared by every caller.
+// to[off[x]:off[x+1]], and cost[k] is −log P(to[k]|x), the edge's
+// Fig. 2 path length, so a row's costs ascend. It is read-only and
+// shared by every caller.
 type RankedRows struct {
-	off []int32
-	to  []int32
+	off  []int32
+	to   []int32
+	cost []float64
 }
 
 // Row returns the successors of from ordered by log P(·|from)
@@ -30,17 +37,30 @@ type RankedRows struct {
 // The returned slice must not be modified.
 func (r *RankedRows) Row(from int) []int32 { return r.to[r.off[from]:r.off[from+1]] }
 
+// RowCosts returns Row(from) and, entry for entry, −log P(·|from): the
+// costs ascend, and each is the negated LogProbs entry, bit for bit.
+// The returned slices must not be modified.
+func (r *RankedRows) RowCosts(from int) ([]int32, []float64) {
+	lo, hi := r.off[from], r.off[from+1]
+	return r.to[lo:hi], r.cost[lo:hi]
+}
+
 // RankedSuccessors returns the chain's ranked successor rows, built once
 // on first use and shared.
 func (c *Chain) RankedSuccessors() *RankedRows {
 	c.rankedOnce.Do(func() {
-		rr := RankedRows{off: make([]int32, c.n+1), to: make([]int32, 0, c.NumTransitions())}
+		e := c.NumTransitions()
+		rr := RankedRows{off: make([]int32, c.n+1), to: make([]int32, 0, e), cost: make([]float64, e)}
 		for x, succ := range c.succ {
 			lo := len(rr.to)
 			for _, y := range succ {
 				rr.to = append(rr.to, int32(y))
 			}
-			rankDescending(rr.to[lo:], c.logp[x*c.n:(x+1)*c.n])
+			lp := c.logp[x*c.n : (x+1)*c.n]
+			rankDescending(rr.to[lo:], lp)
+			for k := lo; k < len(rr.to); k++ {
+				rr.cost[k] = -lp[rr.to[k]]
+			}
 			rr.off[x+1] = int32(len(rr.to))
 		}
 		c.ranked = rr

@@ -116,3 +116,27 @@ func TestRankedConcurrentFirstUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRankedCostsNegateLogProbs: each ranked row's costs are its
+// entries' −log P bit for bit, so they ascend, on tied rows and on a
+// sparse chain.
+func TestRankedCostsNegateLogProbs(t *testing.T) {
+	for name, c := range map[string]*Chain{"tied": rankedChain(t), "sparse": batchTestChains(t)["sparse"]} {
+		n := c.NumStates()
+		rows := c.RankedSuccessors()
+		for x := 0; x < n; x++ {
+			to, cost := rows.RowCosts(x)
+			if !slices.Equal(to, rows.Row(x)) || len(cost) != len(to) {
+				t.Fatalf("%s row %d: RowCosts gives %d cells and %d costs, Row %v", name, x, len(to), len(cost), rows.Row(x))
+			}
+			for k, y := range to {
+				if want := -c.LogProbs()[x*n+int(y)]; math.Float64bits(cost[k]) != math.Float64bits(want) {
+					t.Fatalf("%s row %d, cell %d: cost %v, want %v", name, x, y, cost[k], want)
+				}
+				if k > 0 && cost[k] < cost[k-1] {
+					t.Fatalf("%s row %d: costs %v do not ascend", name, x, cost)
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -176,4 +177,40 @@ func TestTransitionLogLikelihoodImpossible(t *testing.T) {
 	if got := logPi[possible[0]] + trans; math.Abs(got-full) > 1e-12 {
 		t.Fatalf("logπ+transition = %v, LogLikelihood = %v", got, full)
 	}
+}
+
+// LogProbBatch fills dst[i] with the full-trajectory log-likelihood of
+// lane i of the slot-major SoA block states (SampleBatch layout:
+// states[t*B+i], B lanes of T slots): log π(x₀) + Σ_{t≥1} log
+// P(x_t|x_{t−1}), the per-trajectory quantity LogLikelihood computes —
+// bit-identical to it, including -Inf for impossible trajectories.
+// dst must have at least B entries and states at least B*T.
+func (c *Chain) LogProbBatch(states []int32, B, T int, dst []float64) error {
+	if B < 1 || T < 1 {
+		return fmt.Errorf("markov: LogProbBatch needs B, T >= 1, got %d, %d", B, T)
+	}
+	if len(states) < B*T {
+		return fmt.Errorf("markov: LogProbBatch block has %d entries, want %d", len(states), B*T)
+	}
+	if len(dst) < B {
+		return fmt.Errorf("markov: LogProbBatch dst has %d entries, want %d", len(dst), B)
+	}
+	n := int32(c.n)
+	for i, v := range states[:B*T] {
+		if v < 0 || v >= n {
+			return fmt.Errorf("markov: state %d at block index %d outside [0,%d)", v, i, n)
+		}
+	}
+	logPi, err := c.LogSteadyState()
+	if err != nil {
+		return err
+	}
+	dst = dst[:B]
+	for i, v := range states[:B] {
+		dst[i] = logPi[v]
+	}
+	for t := 1; t < T; t++ {
+		c.AddLogProbTile(dst, states[(t-1)*B:t*B], states[t*B:(t+1)*B])
+	}
+	return nil
 }
