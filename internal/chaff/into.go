@@ -10,7 +10,7 @@ import (
 // BlockGenerator is the allocation-aware facet of a Strategy: generate
 // chaffs directly into caller-owned trajectory buffers instead of
 // allocating fresh ones per call. The batch Monte-Carlo harnesses
-// (internal/sim, internal/multiuser, the trace scenario) keep one buffer
+// (internal/sim, the trace scenario) keep one buffer
 // set per engine worker and call GenerateInto every run, which is what
 // takes the chaff-generation side of the hot path to ~0 steady-state
 // allocations. Strategies that do not implement it fall back to

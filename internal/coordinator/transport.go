@@ -143,7 +143,8 @@ func (t *InProcess) Run(ctx context.Context, job scenario.Job) (*report.Report, 
 	if err := validateJob(job); err != nil {
 		return nil, err
 	}
-	return scenario.RunJob(ctx, job)
+	rep, err := scenario.RunJob(ctx, job)
+	return rep, asBadJob(err)
 }
 
 // InProcessFleet returns n in-process workers.

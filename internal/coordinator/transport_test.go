@@ -261,9 +261,10 @@ func TestHTTPHandlerRefusesOversizedJob(t *testing.T) {
 }
 
 // TestBadJobFailsCampaignAtOnce: a spec naming a strategy no worker
-// knows fails the campaign on its first refusal, in process and over
-// HTTP (a 400), with an error wrapping ErrBadJob. The refusal is booked
-// as neither a shard failure nor a worker failure, so nothing retries.
+// knows, or one its kind refuses (scenario.ErrBadSpec), fails the
+// campaign on its first refusal, in process and over HTTP (a 400), with
+// an error wrapping ErrBadJob. The refusal is booked as neither a shard
+// failure nor a worker failure, so nothing retries.
 func TestBadJobFailsCampaignAtOnce(t *testing.T) {
 	srvs := []*httptest.Server{httptest.NewServer(Handler(context.Background())), httptest.NewServer(Handler(context.Background()))}
 	for _, srv := range srvs {
@@ -273,20 +274,27 @@ func TestBadJobFailsCampaignAtOnce(t *testing.T) {
 		"in-process": StaticOf(InProcessFleet(2)...),
 		"http":       StaticOf(HTTPFleet(srvs[0].URL, srvs[1].URL)...),
 	}
-	specs := map[string]scenario.Spec{
-		"strategy":   {Kind: "single", Strategy: "NOPE", Horizon: 10, Runs: 60, Seed: 7},
-		"strategies": {Kind: "mixed", Strategies: []string{"MO", "NOPE"}, Horizon: 10, Runs: 60, Seed: 7},
-		"population": {Kind: "hetero", Population: []scenario.Member{{Strategy: "nope"}}, Horizon: 10, Runs: 60, Seed: 7},
+	specs := map[string]struct {
+		spec scenario.Spec
+		want string
+	}{
+		"strategy":           {scenario.Spec{Kind: "single", Strategy: "NOPE", Horizon: 10, Runs: 60, Seed: 7}, "unknown strategy"},
+		"strategies":         {scenario.Spec{Kind: "mixed", Strategies: []string{"MO", "NOPE"}, Horizon: 10, Runs: 60, Seed: 7}, "unknown strategy"},
+		"population":         {scenario.Spec{Kind: "hetero", Population: []scenario.Member{{Strategy: "nope"}}, Horizon: 10, Runs: 60, Seed: 7}, "unknown strategy"},
+		"offline controller": {scenario.Spec{Kind: "mecbatch", Strategy: "OO", Horizon: 10, Runs: 60, Seed: 7}, "offline-only"},
+		"no strategy":        {scenario.Spec{Kind: "single", Horizon: 10, Runs: 60, Seed: 7}, "needs a strategy"},
+		"nothing to recognize": {scenario.Spec{Kind: "multiuser", Advanced: true, Horizon: 10, Runs: 60, Seed: 7},
+			"needs a strategy to recognize"},
 	}
 	for fname, fleet := range fleets {
-		for sname, sp := range specs {
+		for sname, c := range specs {
 			var log eventLog
-			_, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{Progress: log.add})
-			if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), "unknown strategy") {
-				t.Fatalf("%s fleet, unknown %s: err = %v, want ErrBadJob naming the strategy", fname, sname, err)
+			_, err := RunFleet(context.Background(), scenario.Job{Spec: c.spec}, fleet, Options{Progress: log.add})
+			if !errors.Is(err, ErrBadJob) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("%s fleet, %s: err = %v, want ErrBadJob saying %q", fname, sname, err, c.want)
 			}
 			if n := log.count(EventFailure) + log.count(EventWorkerDead); n != 0 {
-				t.Fatalf("%s fleet, unknown %s: %d failure events, want 0", fname, sname, n)
+				t.Fatalf("%s fleet, %s: %d failure events, want 0", fname, sname, n)
 			}
 		}
 	}

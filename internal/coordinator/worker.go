@@ -108,6 +108,15 @@ func validateJob(job scenario.Job) error {
 	return nil
 }
 
+// asBadJob marks a spec error a kind found while running
+// (scenario.ErrBadSpec) as ErrBadJob too: every worker would refuse it.
+func asBadJob(err error) error {
+	if errors.Is(err, scenario.ErrBadSpec) {
+		return fmt.Errorf("%w: %w", ErrBadJob, err)
+	}
+	return err
+}
+
 // crashFromEnv resolves the EnvCrash fault injection into a chunk
 // hook; cancel aborts the dispatch's shard context the way SIGTERM does.
 func crashFromEnv(cancel context.CancelFunc) func(i int) {
@@ -165,8 +174,9 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, strict bool) (
 //	POST /v1/run      Job JSON in, a count-1 binary+gzip report envelope
 //	                  out, whatever the Accept header says (206 + prefix
 //	                  report when the worker is terminated mid-shard;
-//	                  400 naming ErrBadJob, before anything runs, for a
-//	                  job that never was runnable)
+//	                  400 naming ErrBadJob for a job that never was
+//	                  runnable: before anything runs, or when its kind
+//	                  refuses the spec)
 //	GET  /v1/healthz  capability envelope: goarch, rng stream version,
 //	                  warm-state build counter
 //
@@ -207,7 +217,11 @@ func Handler(ctx context.Context) http.Handler {
 		defer stop()
 		rep, err := runShard(runCtx, job, crashFromEnv(cancel))
 		if err != nil && (rep == nil || rep.RunCount == 0) {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			status := http.StatusInternalServerError
+			if errors.Is(err, scenario.ErrBadSpec) {
+				status = http.StatusBadRequest
+			}
+			http.Error(w, asBadJob(err).Error(), status)
 			return
 		}
 		w.Header().Set("Content-Type", mimeReports)

@@ -1,7 +1,7 @@
 // Package engine is the shared parallel Monte-Carlo executor behind the
 // paper's evaluation (Section VII): every experiment in this repository —
-// single-user synthetic scenarios (internal/sim), multi-user cover
-// scenarios (internal/multiuser), MEC substrate episode batches
+// synthetic scenarios, a target alone or among coexisting users
+// (internal/sim), MEC substrate episode batches
 // (internal/mec) and the figure drivers built on them — repeats a seeded
 // run many times and aggregates per-slot metrics. The engine owns the
 // concerns those harnesses used to duplicate:

@@ -6,10 +6,8 @@ import (
 
 	"chaffmec/internal/chaff"
 	"chaffmec/internal/engine"
-	"chaffmec/internal/markov"
 	"chaffmec/internal/mec"
 	"chaffmec/internal/mobility"
-	"chaffmec/internal/multiuser"
 	"chaffmec/internal/sim"
 )
 
@@ -98,21 +96,18 @@ func ExtMultiuser(cfg Config, crowds []int) ([]ExtMultiuserRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		opts := engine.Options{Runs: cfg.Runs, Seed: cfg.Seed, Workers: cfg.Workers}
 		for _, others := range crowds {
-			var otherChains []*markov.Chain
-			for i := 0; i < others; i++ {
-				otherChains = append(otherChains, chain)
+			sc := sim.Scenario{Chain: chain, Horizon: cfg.Horizon, Others: make([]sim.Other, others)}
+			for i := range sc.Others {
+				sc.Others[i].Chain = chain
 			}
-			unprot, err := multiuser.Run(context.Background(), multiuser.Config{
-				TargetChain: chain, OtherChains: otherChains, Horizon: cfg.Horizon,
-			}, engine.Options{Runs: cfg.Runs, Seed: cfg.Seed, Workers: cfg.Workers})
+			unprot, err := sim.Run(context.Background(), sc, opts)
 			if err != nil {
 				return nil, err
 			}
-			prot, err := multiuser.Run(context.Background(), multiuser.Config{
-				TargetChain: chain, OtherChains: otherChains, Horizon: cfg.Horizon,
-				Strategy: chaff.NewMO(chain), NumChaffs: 1,
-			}, engine.Options{Runs: cfg.Runs, Seed: cfg.Seed, Workers: cfg.Workers})
+			sc.Strategy, sc.NumChaffs = chaff.NewMO(chain), 1
+			prot, err := sim.Run(context.Background(), sc, opts)
 			if err != nil {
 				return nil, err
 			}

@@ -50,7 +50,7 @@ func Fig7(cfg Config) ([]Fig7Panel, error) {
 			}
 			switch gamma, err := chaff.CappedGammaByName(name, chain); {
 			case err == nil:
-				sc.Detector, sc.CappedGamma = sim.AdvancedDetector, gamma
+				sc.Advanced, sc.Gamma = true, gamma
 			case !errors.Is(err, chaff.ErrNoGamma):
 				return nil, err
 			}

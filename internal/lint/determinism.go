@@ -24,8 +24,7 @@ const OrderIndependentDirective = "chaffmec:orderindependent"
 //
 // In every kernel- or report-producing package (report, store, plus the
 // math/simulation layers: markov, detect, chaff, engine, rng, stats,
-// mobility, sim, multiuser, mec, trace, trellis, geo, analysis,
-// scenario):
+// mobility, sim, mec, trace, trellis, geo, analysis, scenario):
 //
 //   - time.Now / time.Since / time.Until are diagnostics: wall-clock
 //     values must never feed aggregates, wire bytes or keys. Provenance
@@ -55,7 +54,7 @@ var mapRangePkgs = map[string]bool{
 var wallClockPkgs = map[string]bool{
 	"analysis": true, "chaff": true, "detect": true, "engine": true,
 	"geo": true, "markov": true, "mec": true, "mobility": true,
-	"multiuser": true, "report": true, "rng": true, "scenario": true,
+	"report": true, "rng": true, "scenario": true,
 	"sim": true, "stats": true, "store": true, "trace": true,
 	"trellis": true,
 }

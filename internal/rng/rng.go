@@ -54,8 +54,7 @@
 // allowed, but it is a breaking change that must re-pin every stream
 // regression test in the same commit (this happened once, when the
 // repository moved from math/rand's lagged-Fibonacci source to
-// splitmix64 — see the regress_test files in internal/sim and
-// internal/multiuser).
+// splitmix64 — see internal/sim's regress_test.go and others_test.go).
 package rng
 
 import "math/rand"

@@ -69,7 +69,7 @@ func TestShardMergeEqualsWhole(t *testing.T) {
 		// The internal/sim pinned regression scenario (see sim/regress_test).
 		{Name: "pin-single", Kind: "single", Model: "spatially-skewed", ModelSeed: 99,
 			Strategy: "MO", NumChaffs: 2, Horizon: 8, Runs: 32, Seed: 12345, Workers: 3},
-		// The internal/multiuser pinned regression scenario.
+		// The internal/sim multi-user pinned regression scenario.
 		{Name: "pin-multiuser", Kind: "multiuser", Model: "spatially-skewed", ModelSeed: 1,
 			OtherUsers: 2, Strategy: "MO", NumChaffs: 1, Horizon: 8, Runs: 32, Seed: 12345, Workers: 3},
 		{Name: "mixed", Kind: "mixed", Strategies: []string{"IM", "MO"}, Horizon: 12, Runs: 25, Seed: 3},

@@ -10,98 +10,133 @@ import (
 	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
-	"chaffmec/internal/multiuser"
 	"chaffmec/internal/report"
 	"chaffmec/internal/sim"
 )
 
-// runSingle is the internal/sim scenario.
-func runSingle(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
-	if sp.Strategy == "" {
-		return nil, errors.New(`scenario: kind "single" needs a strategy`)
-	}
-	chain, err := buildChain(sp.Model, sp)
-	if err != nil {
-		return nil, err
-	}
-	strat, err := chaff.NewByName(sp.Strategy, chain)
-	if err != nil {
-		return nil, err
-	}
-	sc := sim.Scenario{
-		Chain:     chain,
-		Strategy:  strat,
-		NumChaffs: sp.NumChaffs,
-		Horizon:   sp.Horizon,
-	}
-	if sp.Advanced {
-		sc.Detector = sim.AdvancedDetector
-		// A deterministic strategy is its own Γ (sim.Scenario.Gamma); the
-		// robust ones and an injected map go through specGamma.
-		if _, self := strat.(chaff.TrajectoryMapper); sp.Gamma != nil || !self {
-			if sc.CappedGamma, err = specGamma(sp, chain); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res, err := sim.Run(ctx, sc, sp.options(shard))
-	if err != nil {
-		return nil, err
-	}
-	rep := sp.envelope(shard)
-	rep.Series = map[string]engine.SeriesSnapshot{
-		report.SeriesTracking:  res.TrackStats.Snapshot(),
-		report.SeriesDetection: res.DetectionStats.Snapshot(),
-	}
-	return rep, nil
+// ErrBadSpec marks a spec a kind refuses as configured: a missing or
+// contradictory field, or a model the kind cannot build. No worker could
+// run such a spec, so a fleet fails the job instead of retrying it.
+var ErrBadSpec = errors.New("scenario: bad spec")
+
+// badSpec is an ErrBadSpec saying what is wrong.
+func badSpec(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrBadSpec}, args...)...)
 }
 
-// runMultiuser is the internal/multiuser scenario, optionally with the
-// strategy-aware advanced eavesdropper.
-func runMultiuser(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
-	chain, err := buildChain(sp.Model, sp)
-	if err != nil {
-		return nil, err
+var errNothingToRecognize = badSpec("advanced eavesdropper needs a strategy to recognize")
+
+// The synthetic population kinds differ only in the sim.Scenario they
+// build over the target's chain; populationKind runs each.
+var (
+	runSingle    = populationKind(singleScenario, true)
+	runMultiuser = populationKind(multiuserScenario, false)
+	runMixed     = populationKind(mixedScenario, true)
+	runHetero    = populationKind(heteroScenario, false)
+)
+
+// populationKind is the one runner of the synthetic population kinds:
+// it builds the target's chain and, through build, the kind's scenario,
+// runs it on sim.Run and writes the envelope — with the detection
+// series when detection is set.
+func populationKind(build func(sp Spec, chain *markov.Chain) (sim.Scenario, error), detection bool) Runner {
+	return func(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
+		chain, err := buildChain(sp.Model, sp)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := build(sp, chain)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.Run(ctx, sc, sp.options(shard))
+		if err != nil {
+			return nil, err
+		}
+		rep := sp.envelope(shard)
+		rep.Series = map[string]engine.SeriesSnapshot{report.SeriesTracking: res.TrackStats.Snapshot()}
+		if detection {
+			rep.Series[report.SeriesDetection] = res.DetectionStats.Snapshot()
+		}
+		return rep, nil
 	}
-	cfg := multiuser.Config{TargetChain: chain, Horizon: sp.Horizon}
+}
+
+// singleScenario is one user and one chaff strategy, watched by the
+// basic or the strategy-aware eavesdropper.
+func singleScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
+	if sp.Strategy == "" {
+		return sim.Scenario{}, badSpec(`kind "single" needs a strategy`)
+	}
+	return crowdScenario(sp, chain, nil)
+}
+
+// multiuserScenario is a target among OtherUsers unprotected users
+// following OtherModel: a "hetero" population of one unprotected member.
+func multiuserScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
+	var members []Member
 	if sp.OtherUsers > 0 {
-		other := chain
-		if sp.OtherModel != sp.Model {
-			if other, err = buildChain(sp.OtherModel, sp); err != nil {
-				return nil, err
-			}
-			if other.NumStates() != chain.NumStates() {
-				return nil, fmt.Errorf("scenario: other model %q has %d cells, target has %d",
-					sp.OtherModel, other.NumStates(), chain.NumStates())
-			}
-		}
-		for i := 0; i < sp.OtherUsers; i++ {
-			cfg.OtherChains = append(cfg.OtherChains, other)
-		}
+		members = []Member{{Model: sp.OtherModel, Count: sp.OtherUsers}}
 	}
+	return crowdScenario(sp, chain, members)
+}
+
+// heteroScenario is a heterogeneous population: every Population member
+// contributes Count coexisting users following their own mobility model
+// and running their own chaff strategy.
+func heteroScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
+	if len(sp.Population) == 0 {
+		return sim.Scenario{}, badSpec(`kind "hetero" needs a population`)
+	}
+	return crowdScenario(sp, chain, sp.Population)
+}
+
+// crowdScenario is a target protected by Spec.Strategy (unprotected
+// when empty) among the members' users, watched by the basic or
+// (Spec.Advanced) strategy-aware eavesdropper.
+func crowdScenario(sp Spec, chain *markov.Chain, members []Member) (sim.Scenario, error) {
+	sc := sim.Scenario{Chain: chain, Horizon: sp.Horizon, Advanced: sp.Advanced}
+	var err error
 	if sp.Strategy != "" {
-		if cfg.Strategy, err = chaff.NewByName(sp.Strategy, chain); err != nil {
-			return nil, err
+		if sc.Strategy, err = chaff.NewByName(sp.Strategy, chain); err != nil {
+			return sc, err
 		}
-		cfg.NumChaffs = sp.NumChaffs
+		sc.NumChaffs = sp.NumChaffs
 	}
-	if sp.Advanced {
-		if sp.Strategy == "" {
-			return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
+	for mi, m := range members {
+		o := sim.Other{Chain: chain}
+		if m.Model != "" && m.Model != sp.Model {
+			if o.Chain, err = buildChain(m.Model, sp); err != nil {
+				return sc, fmt.Errorf("scenario: population member %d: %w", mi, err)
+			}
+			if o.Chain.NumStates() != chain.NumStates() {
+				return sc, badSpec("population member %d model %q has %d cells, target has %d",
+					mi, m.Model, o.Chain.NumStates(), chain.NumStates())
+			}
 		}
-		if cfg.CappedGamma, err = specGamma(sp, chain); err != nil {
-			return nil, err
+		if m.Strategy != "" {
+			if o.Strategy, err = chaff.NewByName(m.Strategy, o.Chain); err != nil {
+				return sc, fmt.Errorf("scenario: population member %d: %w", mi, err)
+			}
+			o.NumChaffs = max(m.NumChaffs, 1)
+		}
+		for range max(m.Count, 1) {
+			sc.Others = append(sc.Others, o)
 		}
 	}
-	res, err := multiuser.Run(ctx, cfg, sp.options(shard))
-	if err != nil {
-		return nil, err
+	if !sp.Advanced {
+		return sc, nil
 	}
-	rep := sp.envelope(shard)
-	rep.Series = map[string]engine.SeriesSnapshot{
-		report.SeriesTracking: res.TrackStats.Snapshot(),
+	if sc.Strategy == nil {
+		return sc, errNothingToRecognize
 	}
-	return rep, nil
+	// A deterministic strategy observed alone is its own Γ
+	// (sim.Scenario.Gamma); the robust ones, an injected map and a crowd
+	// go through specGamma.
+	if _, self := sc.Strategy.(chaff.TrajectoryMapper); sp.Gamma != nil || !self || len(sc.Others) > 0 {
+		sc.Gamma, err = specGamma(sp, chain)
+	}
+	return sc, err
 }
 
 // specGamma resolves the advanced eavesdropper's strategy map: the
@@ -111,6 +146,24 @@ func specGamma(sp Spec, chain *markov.Chain) (detect.CappedGammaFunc, error) {
 		return sp.Gamma, nil
 	}
 	return chaff.CappedGammaByName(sp.Strategy, chain)
+}
+
+// mixedScenario is a mixed-strategy chaff population: every strategy in
+// Strategies contributes NumChaffs chaffs for the same user, and the
+// basic ML eavesdropper observes the union.
+func mixedScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
+	if len(sp.Strategies) == 0 {
+		return sim.Scenario{}, badSpec(`kind "mixed" needs strategies`)
+	}
+	union := &unionStrategy{per: sp.NumChaffs}
+	for _, name := range sp.Strategies {
+		s, err := chaff.NewByName(name, chain)
+		if err != nil {
+			return sim.Scenario{}, err
+		}
+		union.strategies = append(union.strategies, s)
+	}
+	return sim.Scenario{Chain: chain, Strategy: union, NumChaffs: sp.NumChaffs * len(union.strategies), Horizon: sp.Horizon}, nil
 }
 
 // unionStrategy composes several chaff strategies into one population:
@@ -136,112 +189,4 @@ func (u *unionStrategy) GenerateChaffs(rng *rand.Rand, user markov.Trajectory, n
 		out = append(out, chaffs...)
 	}
 	return out, nil
-}
-
-// runMixed evaluates a mixed-strategy chaff population: every strategy in
-// Strategies contributes NumChaffs chaffs for the same user, and the
-// basic ML eavesdropper observes the union. The population composes into
-// a single chaff.Strategy, so execution is plain sim.Run on the engine.
-func runMixed(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
-	if len(sp.Strategies) == 0 {
-		return nil, errors.New(`scenario: kind "mixed" needs strategies`)
-	}
-	chain, err := buildChain(sp.Model, sp)
-	if err != nil {
-		return nil, err
-	}
-	union := &unionStrategy{per: sp.NumChaffs}
-	for _, name := range sp.Strategies {
-		s, err := chaff.NewByName(name, chain)
-		if err != nil {
-			return nil, err
-		}
-		union.strategies = append(union.strategies, s)
-	}
-	res, err := sim.Run(ctx, sim.Scenario{
-		Chain:     chain,
-		Strategy:  union,
-		NumChaffs: sp.NumChaffs * len(union.strategies),
-		Horizon:   sp.Horizon,
-	}, sp.options(shard))
-	if err != nil {
-		return nil, err
-	}
-	rep := sp.envelope(shard)
-	rep.Series = map[string]engine.SeriesSnapshot{
-		report.SeriesTracking:  res.TrackStats.Snapshot(),
-		report.SeriesDetection: res.DetectionStats.Snapshot(),
-	}
-	return rep, nil
-}
-
-// runHetero evaluates a heterogeneous population: every Population
-// member contributes Count coexisting users following their own mobility
-// model and running their own chaff strategy, the target optionally
-// protects itself with Spec.Strategy, and the (basic or strategy-aware)
-// eavesdropper observes the union. Execution is multiuser.Run with
-// per-other strategies.
-func runHetero(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
-	if len(sp.Population) == 0 {
-		return nil, errors.New(`scenario: kind "hetero" needs a population`)
-	}
-	chain, err := buildChain(sp.Model, sp)
-	if err != nil {
-		return nil, err
-	}
-	cfg := multiuser.Config{TargetChain: chain, Horizon: sp.Horizon}
-	if sp.Strategy != "" {
-		if cfg.Strategy, err = chaff.NewByName(sp.Strategy, chain); err != nil {
-			return nil, err
-		}
-		cfg.NumChaffs = sp.NumChaffs
-	}
-	if sp.Advanced {
-		if sp.Strategy == "" {
-			return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
-		}
-		if cfg.CappedGamma, err = specGamma(sp, chain); err != nil {
-			return nil, err
-		}
-	}
-	for mi, m := range sp.Population {
-		mchain := chain
-		if m.Model != "" && m.Model != sp.Model {
-			if mchain, err = buildChain(m.Model, sp); err != nil {
-				return nil, fmt.Errorf("scenario: population member %d: %w", mi, err)
-			}
-			if mchain.NumStates() != chain.NumStates() {
-				return nil, fmt.Errorf("scenario: population member %d model %q has %d cells, target has %d",
-					mi, m.Model, mchain.NumStates(), chain.NumStates())
-			}
-		}
-		var mstrat chaff.Strategy
-		chaffs := 0
-		if m.Strategy != "" {
-			if mstrat, err = chaff.NewByName(m.Strategy, mchain); err != nil {
-				return nil, fmt.Errorf("scenario: population member %d: %w", mi, err)
-			}
-			if chaffs = m.NumChaffs; chaffs <= 0 {
-				chaffs = 1
-			}
-		}
-		count := m.Count
-		if count <= 0 {
-			count = 1
-		}
-		for i := 0; i < count; i++ {
-			cfg.OtherChains = append(cfg.OtherChains, mchain)
-			cfg.OtherStrategies = append(cfg.OtherStrategies, mstrat)
-			cfg.OtherNumChaffs = append(cfg.OtherNumChaffs, chaffs)
-		}
-	}
-	res, err := multiuser.Run(ctx, cfg, sp.options(shard))
-	if err != nil {
-		return nil, err
-	}
-	rep := sp.envelope(shard)
-	rep.Series = map[string]engine.SeriesSnapshot{
-		report.SeriesTracking: res.TrackStats.Snapshot(),
-	}
-	return rep, nil
 }

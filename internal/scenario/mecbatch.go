@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"strings"
 
 	"chaffmec/internal/chaff"
@@ -42,7 +40,7 @@ const (
 // user every slot).
 func runMecbatch(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report, error) {
 	if sp.Strategy == "" {
-		return nil, errors.New(`scenario: kind "mecbatch" needs a strategy (an online controller)`)
+		return nil, badSpec(`kind "mecbatch" needs a strategy (an online controller)`)
 	}
 	onGrid := strings.EqualFold(strings.TrimSpace(sp.Model), "grid")
 	var grid mobility.Grid
@@ -52,7 +50,7 @@ func runMecbatch(ctx context.Context, sp Spec, shard engine.Shard) (*report.Repo
 			return nil, err
 		}
 	} else if sp.Threshold > 0 {
-		return nil, fmt.Errorf("scenario: threshold policy needs the %q model for distances, got %q", "grid", sp.Model)
+		return nil, badSpec("threshold policy needs the %q model for distances, got %q", "grid", sp.Model)
 	}
 	chain, err := buildChain(sp.Model, sp)
 	if err != nil {
@@ -62,7 +60,7 @@ func runMecbatch(ctx context.Context, sp Spec, shard engine.Shard) (*report.Repo
 	if s, err := chaff.NewByName(sp.Strategy, chain); err != nil {
 		return nil, err
 	} else if _, ok := s.(chaff.OnlineController); !ok {
-		return nil, fmt.Errorf("scenario: strategy %q is offline-only (needs the user's future trajectory)", sp.Strategy)
+		return nil, badSpec("strategy %q is offline-only (needs the user's future trajectory)", sp.Strategy)
 	}
 	newController := func() (chaff.OnlineController, error) {
 		s, err := chaff.NewByName(sp.Strategy, chain)

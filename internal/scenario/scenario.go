@@ -18,12 +18,14 @@
 // exposes the layer via -scenario/-shard/-merge/-target-se/-store; the
 // chaffmec facade via RunJob/RunAdaptiveJob and Fleet.
 //
-// Built-in kinds:
+// Built-in kinds. The first four are synthetic populations: each only
+// builds an internal/sim scenario, and one runner executes it.
 //
 //   - "single": one user, one chaff strategy, basic or strategy-aware
-//     (advanced) eavesdropper — the internal/sim scenario.
-//   - "multiuser": a target among coexisting users, optional chaffs,
-//     basic or advanced eavesdropper — the internal/multiuser scenario.
+//     (advanced) eavesdropper.
+//   - "multiuser": a target among OtherUsers unprotected coexisting
+//     users, optional chaffs, basic or advanced eavesdropper — "hetero"
+//     with one unprotected member.
 //   - "mixed": a mixed-strategy chaff population: every strategy listed
 //     in Strategies contributes NumChaffs chaffs for the same user, and
 //     the basic eavesdropper observes the union.
@@ -381,7 +383,7 @@ func buildChain(model string, sp Spec) (*markov.Chain, error) {
 	case "both-skewed", "spatially&temporally-skewed":
 		return buildSynthetic(mobility.ModelBothSkewed, sp)
 	default:
-		return nil, fmt.Errorf("scenario: unknown model %q", model)
+		return nil, badSpec("unknown model %q", model)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -418,10 +417,10 @@ type traceJob struct {
 // every run (runTraceBlock).
 func newTraceJob(sp Spec) (*traceJob, error) {
 	if sp.Advanced && sp.Strategy == "" {
-		return nil, errors.New("scenario: advanced eavesdropper needs a strategy to recognize")
+		return nil, errNothingToRecognize
 	}
 	if sp.TraceUser < 0 {
-		return nil, fmt.Errorf("scenario: trace_user %d must be >= 0", sp.TraceUser)
+		return nil, badSpec("trace_user %d must be >= 0", sp.TraceUser)
 	}
 	labSeed := sp.ModelSeed
 	if labSeed == 0 {
@@ -441,7 +440,7 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		return nil, fmt.Errorf("scenario: scoring the trace fleet: %w", err)
 	}
 	if sp.TraceUser >= len(ranking) {
-		return nil, fmt.Errorf("scenario: trace_user %d outside the %d-node fleet", sp.TraceUser, len(ranking))
+		return nil, badSpec("trace_user %d outside the %d-node fleet", sp.TraceUser, len(ranking))
 	}
 	user := ranking[sp.TraceUser]
 

@@ -55,7 +55,8 @@ func runScalar(t *testing.T, sc Scenario, opts engine.Options) *Result {
 // runOnce is the scalar per-run pipeline — per-run Sample, GenerateChaffs
 // and prefix detection — kept as the reference the batch path is tested
 // against. It executes a single Monte-Carlo run on the worker's scratch
-// state.
+// state, drawing the target, then each other user followed by its
+// chaffs, then the target's chaffs.
 // The rng is the run's private stream (rng.Derive(seed, run) — see
 // internal/rng), so the result depends only on (seed, run index).
 func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.Rand) (runResult, error) {
@@ -63,11 +64,28 @@ func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.R
 	if err != nil {
 		return runResult{}, fmt.Errorf("sim: sampling user: %w", err)
 	}
-	chaffs, err := sc.Strategy.GenerateChaffs(rng, user, sc.NumChaffs)
-	if err != nil {
-		return runResult{}, fmt.Errorf("sim: generating chaffs: %w", err)
+	trs := []markov.Trajectory{user}
+	for _, o := range sc.Others {
+		tr, err := o.Chain.Sample(rng, sc.Horizon)
+		if err != nil {
+			return runResult{}, err
+		}
+		trs = append(trs, tr)
+		if o.Strategy != nil {
+			chaffs, err := o.Strategy.GenerateChaffs(rng, tr, o.NumChaffs)
+			if err != nil {
+				return runResult{}, err
+			}
+			trs = append(trs, chaffs...)
+		}
 	}
-	trs := append([]markov.Trajectory{user}, chaffs...)
+	var chaffs []markov.Trajectory
+	if sc.Strategy != nil {
+		if chaffs, err = sc.Strategy.GenerateChaffs(rng, user, sc.NumChaffs); err != nil {
+			return runResult{}, fmt.Errorf("sim: generating chaffs: %w", err)
+		}
+		trs = append(trs, chaffs...)
+	}
 
 	dets, err := det.PrefixDetectionsWith(w.ws, trs)
 	if err != nil {
@@ -97,9 +115,12 @@ func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.R
 // TestBatchMatchesScalar is the harness-level differential test: Run
 // (batch dispatch through SampleBatch + ScoreBlock) must reproduce the
 // scalar runOnce pipeline bit for bit — same seeds, same streams, same
-// accumulation — across strategies, detectors and the c_t collector.
+// accumulation — across strategies, detectors, the c_t collector and
+// the population shapes: bare coexisting users, a protected target and
+// heterogeneous protection.
 func TestBatchMatchesScalar(t *testing.T) {
 	c := modelChain(t, mobility.ModelSpatiallySkewed)
+	other := seededChain(t, mobility.ModelNonSkewed, 2)
 	mo := chaff.NewMO(c)
 	cases := []struct {
 		name string
@@ -109,8 +130,15 @@ func TestBatchMatchesScalar(t *testing.T) {
 		{"MO-basic-ct", Scenario{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 25, CollectCt: true}},
 		{"ML-basic", Scenario{Chain: c, Strategy: chaff.NewML(c), NumChaffs: 2, Horizon: 25}},
 		{"MO-advanced", Scenario{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 25,
-			Detector: AdvancedDetector, Gamma: detect.GammaFunc(mo.Gamma)}},
+			Advanced: true, Gamma: uncapped(mo.Gamma)}},
 		{"OO-fallback", Scenario{Chain: c, Strategy: chaff.NewOO(c), NumChaffs: 1, Horizon: 15}},
+		{"bare-others", Scenario{Chain: c, Others: crowd(other, 2), Horizon: 20}},
+		{"protected-target", Scenario{Chain: c, Others: crowd(other, 1),
+			Strategy: chaff.NewIM(c), NumChaffs: 2, Horizon: 20}},
+		{"hetero", Scenario{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 20, CollectCt: true,
+			Others: []Other{{Chain: other, Strategy: chaff.NewIM(other), NumChaffs: 2}, {Chain: c}}}},
+		{"advanced", Scenario{Chain: c, Others: crowd(other, 1),
+			Strategy: mo, NumChaffs: 1, Horizon: 20, Advanced: true, Gamma: uncapped(mo.Gamma)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -56,7 +56,7 @@ func TestOOAdvancedMatchesPinnedValues(t *testing.T) {
 		{
 			name: "OO-advanced",
 			sc: Scenario{Chain: c, Strategy: oo, NumChaffs: 1, Horizon: 100,
-				Detector: AdvancedDetector, Gamma: oo.Gamma},
+				Advanced: true, Gamma: uncapped(oo.Gamma)},
 			perSlot: ones, detect: ones, overall: 1,
 		},
 		{
@@ -67,7 +67,7 @@ func TestOOAdvancedMatchesPinnedValues(t *testing.T) {
 		{
 			name: "ROO-advanced-OO-gamma",
 			sc: Scenario{Chain: c, Strategy: chaff.NewROO(c), NumChaffs: 2, Horizon: 100,
-				Detector: AdvancedDetector, Gamma: oo.Gamma},
+				Advanced: true, Gamma: uncapped(oo.Gamma)},
 			perSlot: ooSeries, detect: ooSeries, overall: 0.0215625,
 		},
 	}

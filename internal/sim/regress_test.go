@@ -69,7 +69,7 @@ func TestRunMatchesPreRefactorValues(t *testing.T) {
 		{
 			name: "MO-advanced",
 			sc: Scenario{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 8,
-				Detector: AdvancedDetector, Gamma: mo.Gamma},
+				Advanced: true, Gamma: uncapped(mo.Gamma)},
 			perSlot:  []float64{1, 1, 1, 1, 1, 1, 1, 1},
 			stderr:   []float64{0, 0, 0, 0, 0, 0, 0, 0},
 			detected: []float64{1, 1, 1, 1, 1, 1, 1, 1},

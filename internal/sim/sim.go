@@ -1,8 +1,14 @@
-// Package sim is the Monte-Carlo harness behind the paper's evaluation
-// (Section VII): it repeats a chaff-vs-eavesdropper scenario over many
-// independently seeded runs in parallel and aggregates per-slot tracking
-// (and detection) accuracy, matching the paper's protocol of averaging
-// 1000 runs at T=100.
+// Package sim is the Monte-Carlo harness behind the paper's synthetic
+// evaluation (Section VII): it repeats a chaff-vs-eavesdropper scenario
+// over many independently seeded runs in parallel and aggregates
+// per-slot tracking (and detection) accuracy, matching the paper's
+// protocol of averaging 1000 runs at T=100.
+//
+// A scenario may place its target among coexisting users, the
+// multi-user setting of the remarks in Sections II-A and III: the
+// eavesdropper knows the target's chain and scores it against every
+// observed trajectory (Eq. 1), so the other users and their chaffs only
+// add columns, and the single-user case is the one with no others.
 //
 // Execution is delegated to internal/engine: detectors are constructed
 // once per scenario, each worker keeps a reusable detect.Workspace and
@@ -24,48 +30,49 @@ import (
 	"chaffmec/internal/tune"
 )
 
-// DetectorKind selects the eavesdropper model of a scenario.
-type DetectorKind int
-
-const (
-	// BasicDetector is the ML detector of Section III (Eq. 1).
-	BasicDetector DetectorKind = iota
-	// AdvancedDetector is the strategy-aware eavesdropper of Section VI-A.
-	// It needs Scenario.Gamma or Scenario.CappedGamma, unless the
-	// Strategy is a chaff.TrajectoryMapper: then the strategy is its own
-	// Γ.
-	AdvancedDetector
-)
+// Other is a user coexisting with the target.
+type Other struct {
+	// Chain is the user's mobility model, over the target's cells.
+	Chain *markov.Chain
+	// Strategy, when non-nil, protects the user with NumChaffs ≥ 1
+	// chaffs.
+	Strategy  chaff.Strategy
+	NumChaffs int
+}
 
 // Scenario describes one synthetic experiment.
 type Scenario struct {
-	// Chain is the user's mobility model (the eavesdropper knows it too).
+	// Chain is the target's mobility model (the eavesdropper knows it
+	// too).
 	Chain *markov.Chain
-	// Strategy controls the chaffs.
-	Strategy chaff.Strategy
-	// NumChaffs is N−1 ≥ 1.
+	// Strategy, when non-nil, protects the target with NumChaffs ≥ 1
+	// chaffs; nil leaves it unprotected.
+	Strategy  chaff.Strategy
 	NumChaffs int
+	// Others are the users coexisting with the target. A run draws the
+	// target first, then each other user followed by its chaffs, and
+	// last the target's chaffs; the eavesdropper observes them in that
+	// column order.
+	Others []Other
 	// Horizon is the trajectory length T.
 	Horizon int
-	// Detector selects the eavesdropper; AdvancedDetector requires Gamma
-	// or CappedGamma when Strategy is not a chaff.TrajectoryMapper.
-	Detector DetectorKind
+	// Advanced upgrades the eavesdropper from the ML detector of
+	// Section III (Eq. 1) to the strategy-aware one of Section VI-A.
+	Advanced bool
 	// Gamma is the strategy map the advanced eavesdropper assumes the
-	// user employs (normally the deterministic variant of Strategy).
-	// When Gamma and CappedGamma are both nil and Strategy is a
-	// chaff.TrajectoryMapper, the eavesdropper uses Strategy's own Γ and
-	// takes each run's first chaff to be Γ(user) instead of computing it
-	// again: the strategy's chaffs must then be Γ(user), replicated, as
-	// every mapper in package chaff generates them. Set Gamma for a
-	// strategy whose chaffs differ from its Γ (the robust ROO, RML, RMO).
-	Gamma detect.GammaFunc
-	// CappedGamma, when set, replaces Gamma: the same map taking the
-	// co-location cap, which lets OO's Γ stop early (see
-	// detect.AdvancedDetector). Results are the same bits.
-	CappedGamma detect.CappedGammaFunc
+	// target employs (normally the deterministic variant of Strategy).
+	// It takes the co-location cap, which lets OO's Γ stop early (see
+	// detect.AdvancedDetector). When Gamma is nil, Strategy must be a
+	// chaff.TrajectoryMapper and Others empty: the eavesdropper uses
+	// Strategy's own Γ and takes each run's first chaff to be Γ(user)
+	// instead of computing it again, so the strategy's chaffs must be
+	// Γ(user), replicated, as every mapper in package chaff generates
+	// them. Set Gamma for a strategy whose chaffs differ from its Γ (the
+	// robust ROO, RML, RMO).
+	Gamma detect.CappedGammaFunc
 	// CollectCt additionally gathers the per-slot log-likelihood gaps
-	// c_t (t ≥ 2, Eq. 15) between the user and the first chaff, for the
-	// Fig. 6 distribution plots.
+	// c_t (t ≥ 2, Eq. 15) between the target and its first chaff, for
+	// the Fig. 6 distribution plots.
 	CollectCt bool
 }
 
@@ -74,14 +81,24 @@ func (sc *Scenario) validate() error {
 	switch {
 	case sc.Chain == nil:
 		return errors.New("sim: scenario needs a chain")
-	case sc.Strategy == nil:
-		return errors.New("sim: scenario needs a strategy")
-	case sc.NumChaffs < 1:
+	case sc.Strategy != nil && sc.NumChaffs < 1:
 		return fmt.Errorf("sim: NumChaffs %d must be >= 1", sc.NumChaffs)
 	case sc.Horizon < 1:
 		return fmt.Errorf("sim: Horizon %d must be >= 1", sc.Horizon)
-	case sc.Detector == AdvancedDetector && sc.Gamma == nil && sc.CappedGamma == nil && !mapper:
-		return fmt.Errorf("sim: advanced detector requires Gamma: strategy %s is not its own Γ", sc.Strategy.Name())
+	case sc.Advanced && sc.Gamma == nil && (!mapper || len(sc.Others) > 0):
+		return errors.New("sim: advanced detector requires Gamma unless the target, observed alone, runs a strategy that is its own Γ")
+	case sc.CollectCt && sc.Strategy == nil:
+		return errors.New("sim: CollectCt needs the target's chaffs")
+	}
+	for i, o := range sc.Others {
+		switch {
+		case o.Chain == nil:
+			return fmt.Errorf("sim: other user %d has no chain", i)
+		case o.Chain.NumStates() != sc.Chain.NumStates():
+			return fmt.Errorf("sim: other user %d has %d cells, want %d", i, o.Chain.NumStates(), sc.Chain.NumStates())
+		case o.Strategy != nil && o.NumChaffs < 1:
+			return fmt.Errorf("sim: other user %d has a strategy but %d chaffs", i, o.NumChaffs)
+		}
 	}
 	return nil
 }
@@ -114,41 +131,36 @@ type Result struct {
 // construction (and the steady-state solve behind it) out of the per-run
 // loop.
 func (sc *Scenario) newDetector() (detect.BlockScorer, error) {
-	switch sc.Detector {
-	case BasicDetector:
+	switch {
+	case !sc.Advanced:
 		return detect.NewMLDetector(sc.Chain), nil
-	case AdvancedDetector:
-		switch {
-		case sc.CappedGamma != nil:
-			return detect.NewCappedAdvancedDetector(sc.Chain, sc.CappedGamma)
-		case sc.Gamma != nil:
-			return detect.NewAdvancedDetector(sc.Chain, sc.Gamma)
-		}
-		// The strategy is its own Γ, and runBlock puts its first chaff,
-		// Γ(user), right after the user. OO shares its plans' Viterbi
-		// snapshot with its Γ and proves most Γ(chaff) misses from costs.
-		if oo, ok := sc.Strategy.(*chaff.OO); ok {
-			return detect.NewSelfGammaDetector(sc.Chain, oo.GammaWithin, oo.ProvesMiss)
-		}
-		gamma := sc.Strategy.(chaff.TrajectoryMapper).Gamma
-		return detect.NewSelfGammaDetector(sc.Chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
-			return gamma(user)
-		}, nil)
-	default:
-		return nil, fmt.Errorf("sim: unknown detector kind %d", sc.Detector)
+	case sc.Gamma != nil:
+		return detect.NewCappedAdvancedDetector(sc.Chain, sc.Gamma)
 	}
+	// The strategy is its own Γ, and runBlock puts its first chaff,
+	// Γ(user), right after the user. OO shares its plans' Viterbi
+	// snapshot with its Γ and proves most Γ(chaff) misses from costs.
+	if oo, ok := sc.Strategy.(*chaff.OO); ok {
+		return detect.NewSelfGammaDetector(sc.Chain, oo.GammaWithin, oo.ProvesMiss)
+	}
+	gamma := sc.Strategy.(chaff.TrajectoryMapper).Gamma
+	return detect.NewSelfGammaDetector(sc.Chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
+		return gamma(user)
+	}, nil)
 }
 
 // simWorker is the per-worker scratch: the reusable detection workspace
-// and the arena feeds — the SoA user sample block plus the gather/chaff
-// buffers GenerateInto fills in place. Everything here is reused across
-// every block the worker executes, which is what takes the steady-state
-// per-run allocations to ~0.
+// and the arena feeds — the SoA user sample block plus the gather, other
+// user and chaff buffers SampleInto and GenerateInto fill in place.
+// Everything here is reused across every block the worker executes,
+// which is what takes the steady-state per-run allocations to ~0.
 type simWorker struct {
-	ws        *detect.Workspace
-	users     []int32             // markov.SampleBatch layout: users[t*B+r]
-	userBuf   markov.Trajectory   // run r's user, gathered for chaff generation
-	chaffBufs []markov.Trajectory // reused chaff buffers, one per chaff
+	ws          *detect.Workspace
+	users       []int32               // markov.SampleBatch layout: users[t*B+r]
+	userBuf     markov.Trajectory     // run r's user, gathered for chaff generation
+	otherBuf    markov.Trajectory     // the current other user's trajectory
+	chaffBufs   []markov.Trajectory   // the target's chaffs
+	otherChaffs [][]markov.Trajectory // each other user's chaffs
 }
 
 // runResult is one run's contribution to the aggregate. The series are
@@ -190,7 +202,7 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 		RunBlock: func(w *simWorker, start int, rngs []*rand.Rand, out []runResult) error {
 			return sc.runBlock(w, scorer, rngs, out)
 		},
-		BlockSize: tune.BlockSize(sc.Chain, 1+sc.NumChaffs, T),
+		BlockSize: tune.BlockSize(sc.Chain, sc.observed(), T),
 		Accumulate: func(run int, r runResult) error {
 			if err := track.Add(r.track); err != nil {
 				return err
@@ -219,28 +231,58 @@ func Run(ctx context.Context, sc Scenario, opts engine.Options) (*Result, error)
 	return res, nil
 }
 
-// newWorker builds one worker's scratch, pre-sizing the gather and chaff
-// buffers to the horizon so the hot loop never grows them.
+// newWorker builds one worker's scratch, pre-sizing every trajectory
+// buffer to the horizon so the hot loop never grows them.
 func (sc *Scenario) newWorker() *simWorker {
 	w := &simWorker{
-		ws:        detect.GetWorkspace(),
-		userBuf:   make(markov.Trajectory, sc.Horizon),
-		chaffBufs: make([]markov.Trajectory, sc.NumChaffs),
+		ws:          detect.GetWorkspace(),
+		userBuf:     make(markov.Trajectory, sc.Horizon),
+		otherBuf:    make(markov.Trajectory, sc.Horizon),
+		chaffBufs:   chaffBuffers(sc.Strategy, sc.NumChaffs, sc.Horizon),
+		otherChaffs: make([][]markov.Trajectory, len(sc.Others)),
 	}
-	for i := range w.chaffBufs {
-		w.chaffBufs[i] = make(markov.Trajectory, sc.Horizon)
+	for i, o := range sc.Others {
+		w.otherChaffs[i] = chaffBuffers(o.Strategy, o.NumChaffs, sc.Horizon)
 	}
 	return w
 }
 
+// chaffBuffers returns n chaff buffers of length T, none when s is nil.
+func chaffBuffers(s chaff.Strategy, n, T int) []markov.Trajectory {
+	if s == nil {
+		return nil
+	}
+	bufs := make([]markov.Trajectory, n)
+	for i := range bufs {
+		bufs[i] = make(markov.Trajectory, T)
+	}
+	return bufs
+}
+
+// observed returns U, the trajectories the eavesdropper observes per
+// run: the column count of the scoring block.
+func (sc *Scenario) observed() int {
+	u := 1 + len(sc.Others)
+	for _, o := range sc.Others {
+		if o.Strategy != nil {
+			u += o.NumChaffs
+		}
+	}
+	if sc.Strategy != nil {
+		u += sc.NumChaffs
+	}
+	return u
+}
+
 // runBlock executes a whole engine dispatch chunk through the batch
 // kernels: the users of all runs in flight are sampled in one SoA block
-// (rngs[r] draws exactly what a per-run Sample would), chaffs are
-// generated into reused worker buffers, and the detector scores the
-// whole block in one slot-major sweep. Per-slot series are copied out of
-// the arena into one backing allocation per block (results must outlive
-// the arena's reuse by the next chunk), so steady-state allocations are
-// ~2 per block instead of ~8 per run.
+// (rngs[r] draws exactly what a per-run Sample would), each run's other
+// users and chaffs are drawn in column order into reused worker buffers,
+// and the detector scores the whole block in one slot-major sweep.
+// Per-slot series are copied out of the arena into one backing
+// allocation per block (results must outlive the arena's reuse by the
+// next chunk), so steady-state allocations are ~2 per block instead of
+// ~8 per run.
 //
 //chaffmec:hotpath
 func (sc *Scenario) runBlock(w *simWorker, scorer detect.BlockScorer, rngs []*rand.Rand, out []runResult) error {
@@ -252,19 +294,27 @@ func (sc *Scenario) runBlock(w *simWorker, scorer detect.BlockScorer, rngs []*ra
 	if err := sc.Chain.SampleBatch(rngs, T, users); err != nil {
 		return fmt.Errorf("sim: sampling user: %w", err)
 	}
-	blk := w.ws.Block(B, 1+sc.NumChaffs, T)
+	blk := w.ws.Block(B, sc.observed(), T)
 	for r := 0; r < B; r++ {
 		for t := 0; t < T; t++ {
 			w.userBuf[t] = int(users[t*B+r])
 		}
-		if err := chaff.GenerateInto(sc.Strategy, rngs[r], w.userBuf, w.chaffBufs); err != nil {
-			return fmt.Errorf("sim: generating chaffs: %w", err)
-		}
 		blk.SetColumn(r, 0, users, B, r)
-		for i, ch := range w.chaffBufs {
-			if err := blk.SetTrajectory(r, 1+i, ch); err != nil {
+		col := 1
+		for i, o := range sc.Others {
+			if err := o.Chain.SampleInto(rngs[r], w.otherBuf); err != nil {
+				return fmt.Errorf("sim: sampling other user %d: %w", i, err)
+			}
+			if err := blk.SetTrajectory(r, col, w.otherBuf); err != nil {
 				return err
 			}
+			var err error
+			if col, err = addChaffs(blk, r, col+1, o.Strategy, rngs[r], w.otherBuf, w.otherChaffs[i]); err != nil {
+				return err
+			}
+		}
+		if _, err := addChaffs(blk, r, col, sc.Strategy, rngs[r], w.userBuf, w.chaffBufs); err != nil {
+			return err
 		}
 		if sc.CollectCt {
 			// c_t needs this run's user and first chaff, both of which the
@@ -292,4 +342,25 @@ func (sc *Scenario) runBlock(w *simWorker, scorer detect.BlockScorer, rngs []*ra
 		out[r].track, out[r].det = track, det
 	}
 	return nil
+}
+
+// addChaffs generates s's chaffs for owner into bufs and packs them into
+// run r's columns from col on, returning the next free column; a nil s
+// generates none.
+//
+//chaffmec:hotpath
+func addChaffs(blk *detect.Block, r, col int, s chaff.Strategy, rng *rand.Rand, owner markov.Trajectory, bufs []markov.Trajectory) (int, error) {
+	if s == nil {
+		return col, nil
+	}
+	if err := chaff.GenerateInto(s, rng, owner, bufs); err != nil {
+		return col, fmt.Errorf("sim: generating chaffs: %w", err)
+	}
+	for _, ch := range bufs {
+		if err := blk.SetTrajectory(r, col, ch); err != nil {
+			return col, err
+		}
+		col++
+	}
+	return col, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"chaffmec/internal/analysis"
 	"chaffmec/internal/chaff"
+	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
 	"chaffmec/internal/mobility"
@@ -17,21 +18,53 @@ import (
 
 func modelChain(t *testing.T, id mobility.ModelID) *markov.Chain {
 	t.Helper()
-	c, err := mobility.Build(id, rng.New(99), 10)
+	return seededChain(t, id, 99)
+}
+
+func seededChain(t *testing.T, id mobility.ModelID, seed int64) *markov.Chain {
+	t.Helper()
+	c, err := mobility.Build(id, rng.New(seed), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
+// uncapped is g taking the co-location cap it ignores.
+func uncapped(g detect.GammaFunc) detect.CappedGammaFunc {
+	return func(user markov.Trajectory, _ int) (markov.Trajectory, error) { return g(user) }
+}
+
+// crowd is n unprotected users coexisting with the target, all on c.
+func crowd(c *markov.Chain, n int) []Other {
+	others := make([]Other, n)
+	for i := range others {
+		others[i].Chain = c
+	}
+	return others
+}
+
 func TestRunValidation(t *testing.T) {
 	c := modelChain(t, mobility.ModelNonSkewed)
+	small, err := mobility.RandomChain(rng.New(9), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mo := chaff.NewMO(c)
 	bad := []Scenario{
 		{},
 		{Chain: c},
 		{Chain: c, Strategy: chaff.NewIM(c)},
+		{Chain: c, Strategy: chaff.NewIM(c), Horizon: 10},
 		{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1},
-		{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1, Horizon: 10, Detector: AdvancedDetector},
+		{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1, Horizon: 10, Advanced: true},
+		{Chain: c, Horizon: 10, Advanced: true},
+		{Chain: c, Horizon: 10, CollectCt: true},
+		// With others, column 1 is not the strategy's own Γ(user).
+		{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 10, Advanced: true, Others: crowd(c, 1)},
+		{Chain: c, Horizon: 10, Others: []Other{{}}},
+		{Chain: c, Horizon: 10, Others: crowd(small, 1)},
+		{Chain: c, Horizon: 10, Others: []Other{{Chain: c, Strategy: mo}}},
 	}
 	for i, sc := range bad {
 		if _, err := Run(context.Background(), sc, engine.Options{Runs: 1}); err == nil {
@@ -144,7 +177,7 @@ func TestAdvancedDetectorBeatsDeterministicStrategies(t *testing.T) {
 	mo := chaff.NewMO(c)
 	sc := Scenario{
 		Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 50,
-		Detector: AdvancedDetector, Gamma: mo.Gamma,
+		Advanced: true, Gamma: uncapped(mo.Gamma),
 	}
 	res, err := Run(context.Background(), sc, engine.Options{Runs: 100, Seed: 11})
 	if err != nil {
@@ -161,7 +194,7 @@ func TestRobustStrategiesResistAdvancedDetector(t *testing.T) {
 	rmo := chaff.NewRMO(c)
 	sc := Scenario{
 		Chain: c, Strategy: rmo, NumChaffs: 9, Horizon: 50,
-		Detector: AdvancedDetector, Gamma: mo.Gamma,
+		Advanced: true, Gamma: uncapped(mo.Gamma),
 	}
 	res, err := Run(context.Background(), sc, engine.Options{Runs: 100, Seed: 13})
 	if err != nil {
@@ -175,18 +208,28 @@ func TestRobustStrategiesResistAdvancedDetector(t *testing.T) {
 // TestCappedGammaMatchesPinnedPlain reruns the OO pin scenarios of
 // oo_pin_test.go (and OO with replicated chaffs) with the capped Γ the
 // scenario runner wires in: every bit must match the plain Γ's result.
+// The cases with other users make each Γ's co-location cap a max over
+// many candidates: others unprotected, protected by OO themselves, and
+// the target's replicated chaffs (which cap each other at T).
 func TestCappedGammaMatchesPinnedPlain(t *testing.T) {
 	c := ooPinChain(t)
 	oo := chaff.NewOO(c)
+	ooProtected := crowd(c, 3)
+	for i := range ooProtected {
+		ooProtected[i].Strategy, ooProtected[i].NumChaffs = oo, 1
+	}
 	for name, sc := range map[string]Scenario{
 		"OO-advanced":           {Chain: c, Strategy: oo, NumChaffs: 1, Horizon: 100},
 		"OO-advanced-2-chaffs":  {Chain: c, Strategy: oo, NumChaffs: 2, Horizon: 100},
 		"ROO-advanced-OO-gamma": {Chain: c, Strategy: chaff.NewROO(c), NumChaffs: 2, Horizon: 100},
+		"unprotected others":    {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 1, Horizon: 40},
+		"OO-protected others":   {Chain: c, Others: ooProtected, Strategy: oo, NumChaffs: 1, Horizon: 40},
+		"replicated chaffs":     {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 2, Horizon: 40},
 	} {
-		sc.Detector = AdvancedDetector
+		sc.Advanced = true
 		plain, capped := sc, sc
-		plain.Gamma = oo.Gamma
-		capped.CappedGamma = oo.GammaWithin
+		plain.Gamma = uncapped(oo.Gamma)
+		capped.Gamma = oo.GammaWithin
 		opts := engine.Options{Runs: 32, Seed: 2017, Workers: 2}
 		want, err := Run(context.Background(), plain, opts)
 		if err != nil {
@@ -226,18 +269,24 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The engine must make results bitwise independent of parallelism:
 	// Workers 1, 4 and GOMAXPROCS all produce the identical Result.
 	c := modelChain(t, mobility.ModelBothSkewed)
-	sc := Scenario{Chain: c, Strategy: chaff.NewMO(c), NumChaffs: 2, Horizon: 15, CollectCt: true}
-	ref, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		got, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: workers})
+	for name, sc := range map[string]Scenario{
+		"MO-ct":              {Chain: c, Strategy: chaff.NewMO(c), NumChaffs: 2, Horizon: 15, CollectCt: true},
+		"MO-among-others":    {Chain: c, Others: crowd(c, 1), Strategy: chaff.NewMO(c), NumChaffs: 1, Horizon: 12},
+		"unprotected-others": {Chain: c, Others: crowd(c, 2), Horizon: 20},
+		"protected-others":   {Chain: c, Others: []Other{{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 2}}, Horizon: 12},
+	} {
+		ref, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("workers=%d: result differs from the single-worker run", workers)
+		for _, workers := range []int{4, 16, runtime.GOMAXPROCS(0)} {
+			got, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref, got) {
+				t.Fatalf("%s, workers=%d: result differs from the single-worker run", name, workers)
+			}
 		}
 	}
 }
