@@ -116,8 +116,8 @@ func (sc *Scenario) runOnce(w *simWorker, det detect.PrefixDetector, rng *rand.R
 // (batch dispatch through SampleBatch + ScoreBlock) must reproduce the
 // scalar runOnce pipeline bit for bit — same seeds, same streams, same
 // accumulation — across strategies, detectors, the c_t collector and
-// the population shapes: bare coexisting users, a protected target and
-// heterogeneous protection.
+// the population shapes (the "others" group): bare coexisting users, a
+// protected target and heterogeneous protection.
 func TestBatchMatchesScalar(t *testing.T) {
 	c := modelChain(t, mobility.ModelSpatiallySkewed)
 	other := seededChain(t, mobility.ModelNonSkewed, 2)
@@ -132,6 +132,11 @@ func TestBatchMatchesScalar(t *testing.T) {
 		{"MO-advanced", Scenario{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 25,
 			Advanced: true, Gamma: uncapped(mo.Gamma)}},
 		{"OO-fallback", Scenario{Chain: c, Strategy: chaff.NewOO(c), NumChaffs: 1, Horizon: 15}},
+	}
+	others := []struct {
+		name string
+		sc   Scenario
+	}{
 		{"bare-others", Scenario{Chain: c, Others: crowd(other, 2), Horizon: 20}},
 		{"protected-target", Scenario{Chain: c, Others: crowd(other, 1),
 			Strategy: chaff.NewIM(c), NumChaffs: 2, Horizon: 20}},
@@ -140,35 +145,41 @@ func TestBatchMatchesScalar(t *testing.T) {
 		{"advanced", Scenario{Chain: c, Others: crowd(other, 1),
 			Strategy: mo, NumChaffs: 1, Horizon: 20, Advanced: true, Gamma: uncapped(mo.Gamma)}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			opts := engine.Options{Runs: 60, Seed: 17, Workers: 4}
-			want := runScalar(t, tc.sc, opts)
-			got, err := Run(context.Background(), tc.sc, opts)
-			if err != nil {
-				t.Fatal(err)
+	check := func(t *testing.T, sc Scenario) {
+		opts := engine.Options{Runs: 60, Seed: 17, Workers: 4}
+		want := runScalar(t, sc, opts)
+		got, err := Run(context.Background(), sc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Runs != want.Runs {
+			t.Fatalf("runs: batch %d, scalar %d", got.Runs, want.Runs)
+		}
+		for i := range want.PerSlot {
+			if got.PerSlot[i] != want.PerSlot[i] {
+				t.Fatalf("slot %d tracking: batch %v, scalar %v", i, got.PerSlot[i], want.PerSlot[i])
 			}
-			if got.Runs != want.Runs {
-				t.Fatalf("runs: batch %d, scalar %d", got.Runs, want.Runs)
+			if got.Detection[i] != want.Detection[i] {
+				t.Fatalf("slot %d detection: batch %v, scalar %v", i, got.Detection[i], want.Detection[i])
 			}
-			for i := range want.PerSlot {
-				if got.PerSlot[i] != want.PerSlot[i] {
-					t.Fatalf("slot %d tracking: batch %v, scalar %v", i, got.PerSlot[i], want.PerSlot[i])
-				}
-				if got.Detection[i] != want.Detection[i] {
-					t.Fatalf("slot %d detection: batch %v, scalar %v", i, got.Detection[i], want.Detection[i])
-				}
+		}
+		if len(got.CtSamples) != len(want.CtSamples) {
+			t.Fatalf("ct samples: batch %d, scalar %d", len(got.CtSamples), len(want.CtSamples))
+		}
+		for i := range want.CtSamples {
+			if got.CtSamples[i] != want.CtSamples[i] {
+				t.Fatalf("ct sample %d: batch %v, scalar %v", i, got.CtSamples[i], want.CtSamples[i])
 			}
-			if len(got.CtSamples) != len(want.CtSamples) {
-				t.Fatalf("ct samples: batch %d, scalar %d", len(got.CtSamples), len(want.CtSamples))
-			}
-			for i := range want.CtSamples {
-				if got.CtSamples[i] != want.CtSamples[i] {
-					t.Fatalf("ct sample %d: batch %v, scalar %v", i, got.CtSamples[i], want.CtSamples[i])
-				}
-			}
-		})
+		}
 	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { check(t, tc.sc) })
+	}
+	t.Run("others", func(t *testing.T) {
+		for _, tc := range others {
+			t.Run(tc.name, func(t *testing.T) { check(t, tc.sc) })
+		}
+	})
 }
 
 // TestRunBlockAllocs pins the warm batch hot path: one engine chunk of B

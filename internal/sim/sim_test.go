@@ -51,25 +51,33 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mo := chaff.NewMO(c)
-	bad := []Scenario{
-		{},
-		{Chain: c},
-		{Chain: c, Strategy: chaff.NewIM(c)},
-		{Chain: c, Strategy: chaff.NewIM(c), Horizon: 10},
-		{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1},
-		{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1, Horizon: 10, Advanced: true},
-		{Chain: c, Horizon: 10, Advanced: true},
-		{Chain: c, Horizon: 10, CollectCt: true},
-		// With others, column 1 is not the strategy's own Γ(user).
-		{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 10, Advanced: true, Others: crowd(c, 1)},
-		{Chain: c, Horizon: 10, Others: []Other{{}}},
-		{Chain: c, Horizon: 10, Others: crowd(small, 1)},
-		{Chain: c, Horizon: 10, Others: []Other{{Chain: c, Strategy: mo}}},
+	bad := map[string][]Scenario{
+		"target": {
+			{},
+			{Chain: c},
+			{Chain: c, Strategy: chaff.NewIM(c)},
+			{Chain: c, Strategy: chaff.NewIM(c), Horizon: 10},
+			{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1},
+			{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1, Horizon: 10, Advanced: true},
+			{Chain: c, Horizon: 10, Advanced: true},
+			{Chain: c, Horizon: 10, CollectCt: true},
+		},
+		"others": {
+			// With others, column 1 is not the strategy's own Γ(user).
+			{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 10, Advanced: true, Others: crowd(c, 1)},
+			{Chain: c, Horizon: 10, Others: []Other{{}}},
+			{Chain: c, Horizon: 10, Others: crowd(small, 1)},
+			{Chain: c, Horizon: 10, Others: []Other{{Chain: c, Strategy: mo}}},
+		},
 	}
-	for i, sc := range bad {
-		if _, err := Run(context.Background(), sc, engine.Options{Runs: 1}); err == nil {
-			t.Fatalf("scenario %d accepted", i)
-		}
+	for group, scs := range bad {
+		t.Run(group, func(t *testing.T) {
+			for i, sc := range scs {
+				if _, err := Run(context.Background(), sc, engine.Options{Runs: 1}); err == nil {
+					t.Fatalf("scenario %d accepted", i)
+				}
+			}
+		})
 	}
 }
 
@@ -218,30 +226,38 @@ func TestCappedGammaMatchesPinnedPlain(t *testing.T) {
 	for i := range ooProtected {
 		ooProtected[i].Strategy, ooProtected[i].NumChaffs = oo, 1
 	}
-	for name, sc := range map[string]Scenario{
-		"OO-advanced":           {Chain: c, Strategy: oo, NumChaffs: 1, Horizon: 100},
-		"OO-advanced-2-chaffs":  {Chain: c, Strategy: oo, NumChaffs: 2, Horizon: 100},
-		"ROO-advanced-OO-gamma": {Chain: c, Strategy: chaff.NewROO(c), NumChaffs: 2, Horizon: 100},
-		"unprotected others":    {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 1, Horizon: 40},
-		"OO-protected others":   {Chain: c, Others: ooProtected, Strategy: oo, NumChaffs: 1, Horizon: 40},
-		"replicated chaffs":     {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 2, Horizon: 40},
+	for group, cases := range map[string]map[string]Scenario{
+		"pinned": {
+			"OO-advanced":           {Chain: c, Strategy: oo, NumChaffs: 1, Horizon: 100},
+			"OO-advanced-2-chaffs":  {Chain: c, Strategy: oo, NumChaffs: 2, Horizon: 100},
+			"ROO-advanced-OO-gamma": {Chain: c, Strategy: chaff.NewROO(c), NumChaffs: 2, Horizon: 100},
+		},
+		"others": {
+			"unprotected others":  {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 1, Horizon: 40},
+			"OO-protected others": {Chain: c, Others: ooProtected, Strategy: oo, NumChaffs: 1, Horizon: 40},
+			"replicated chaffs":   {Chain: c, Others: crowd(c, 3), Strategy: oo, NumChaffs: 2, Horizon: 40},
+		},
 	} {
-		sc.Advanced = true
-		plain, capped := sc, sc
-		plain.Gamma = uncapped(oo.Gamma)
-		capped.Gamma = oo.GammaWithin
-		opts := engine.Options{Runs: 32, Seed: 2017, Workers: 2}
-		want, err := Run(context.Background(), plain, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(context.Background(), capped, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: capped Γ result differs from the plain Γ's", name)
-		}
+		t.Run(group, func(t *testing.T) {
+			for name, sc := range cases {
+				sc.Advanced = true
+				plain, capped := sc, sc
+				plain.Gamma = uncapped(oo.Gamma)
+				capped.Gamma = oo.GammaWithin
+				opts := engine.Options{Runs: 32, Seed: 2017, Workers: 2}
+				want, err := Run(context.Background(), plain, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Run(context.Background(), capped, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: capped Γ result differs from the plain Γ's", name)
+				}
+			}
+		})
 	}
 }
 
@@ -275,18 +291,20 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		"unprotected-others": {Chain: c, Others: crowd(c, 2), Horizon: 20},
 		"protected-others":   {Chain: c, Others: []Other{{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 2}}, Horizon: 12},
 	} {
-		ref, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{4, 16, runtime.GOMAXPROCS(0)} {
-			got, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: workers})
+		t.Run(name, func(t *testing.T) {
+			ref, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("%s, workers=%d: result differs from the single-worker run", name, workers)
+			for _, workers := range []int{4, 16, runtime.GOMAXPROCS(0)} {
+				got, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref, got) {
+					t.Fatalf("workers=%d: result differs from the single-worker run", workers)
+				}
 			}
-		}
+		})
 	}
 }
