@@ -233,6 +233,9 @@ func RunFleet(ctx context.Context, job scenario.Job, fleet Fleet, opts Options) 
 		if c.key, err = campaignKey(job.Spec, runtime.GOARCH); err != nil {
 			return nil, err
 		}
+		if c.journal, err = c.st.Journal(storeKindCampaign, c.key); err != nil {
+			return nil, err
+		}
 	}
 	c.replay(plan.FixedRuns())
 	c.sync()
@@ -251,6 +254,7 @@ type run struct {
 	byID    map[string]int   // member ID -> workers index
 	st      *store.Store     // nil: no journal
 	key     string           // the campaign journal's key
+	journal *store.Journal   // appends the rounds' records, one round at a time
 	banked  *report.Coverage // the journal's valid records, replayed once
 }
 
@@ -365,8 +369,10 @@ type record struct {
 
 // journaler appends one round's records to the campaign's journal on
 // its own goroutine, in the order the dispatch loop resolved them, so a
-// store write never holds up the next dispatch. Appends are
-// best-effort: a failed one only costs a future recompute.
+// store write never holds up the next dispatch. The round holds one
+// store.Journal handle: its file is opened at the round's first record
+// and closed once, when the round ends. Appends are best-effort: a
+// failed one only costs a future recompute.
 type journaler struct {
 	recs chan record
 	done chan struct{}
@@ -376,9 +382,9 @@ type journaler struct {
 // planned shard count, so the dispatch loop's sends rarely wait.
 func (c *run) startJournal(capacity int) *journaler {
 	jr := &journaler{recs: make(chan record, capacity), done: make(chan struct{})}
-	key := c.key
 	go func() {
 		defer close(jr.done)
+		defer c.journal.Close() //nolint:errcheck // best-effort
 		var buf bytes.Buffer
 		for rec := range jr.recs {
 			blob := rec.envelope
@@ -389,7 +395,7 @@ func (c *run) startJournal(capacity int) *journaler {
 				}
 				blob = buf.Bytes()
 			}
-			c.st.Append(storeKindCampaign, key, blob) //nolint:errcheck // best-effort
+			c.journal.Append(blob) //nolint:errcheck // best-effort
 		}
 	}()
 	return jr

@@ -23,7 +23,7 @@ import (
 // journalFile returns the path of the store's one campaign journal.
 func journalFile(t *testing.T, st *store.Store) string {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(st.Root(), "campaign", "*", "*"))
+	paths, err := filepath.Glob(filepath.Join(st.Root(), "campaign", "*"))
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("campaign journals = %v (err %v), want exactly one", paths, err)
 	}
@@ -376,7 +376,7 @@ func TestJournalDurableAtRound(t *testing.T) {
 		case EventRound:
 			rounds++
 			if key == "" {
-				paths, _ := filepath.Glob(filepath.Join(st.Root(), "campaign", "*", "*"))
+				paths, _ := filepath.Glob(filepath.Join(st.Root(), "campaign", "*"))
 				if len(paths) != 1 {
 					t.Errorf("round %d: %d campaign journals, want 1", rounds, len(paths))
 					return
@@ -505,10 +505,17 @@ func TestJournalKeyedByArch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		j, err := st.Journal("campaign", key)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, rec := range recs {
-			if err := st.Append("campaign", key, rec); err != nil {
+			if err := j.Append(rec); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
 		}
 		log := &eventLog{}
 		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp}, fleet, Options{Store: st, Progress: log.add})

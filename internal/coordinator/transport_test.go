@@ -285,6 +285,8 @@ func TestBadJobFailsCampaignAtOnce(t *testing.T) {
 		"no strategy":        {scenario.Spec{Kind: "single", Horizon: 10, Runs: 60, Seed: 7}, "needs a strategy"},
 		"nothing to recognize": {scenario.Spec{Kind: "multiuser", Advanced: true, Horizon: 10, Runs: 60, Seed: 7},
 			"needs a strategy to recognize"},
+		"mixed advanced": {scenario.Spec{Kind: "mixed", Strategies: []string{"MO", "OO"}, Advanced: true, Horizon: 10, Runs: 60, Seed: 7},
+			"basic eavesdropper only"},
 	}
 	for fname, fleet := range fleets {
 		for sname, c := range specs {

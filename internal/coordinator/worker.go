@@ -23,7 +23,9 @@ import (
 // aborts (exit 1, no response) after executing the first chunk of a
 // dispatch — "mid-shard", deterministically. Value "partial" instead
 // simulates a SIGTERM: the dispatch answers 206 with the prefix
-// checkpoint of its completed chunks. Unset (production) does nothing.
+// checkpoint of its completed chunks. A stream-free shard is one chunk
+// (see runShard), so "partial" answers it whole. Unset (production)
+// does nothing.
 const EnvCrash = "CHAFFMEC_WORKER_CRASH"
 
 // workerChunks splits a worker's shard into about this many chunks of
@@ -45,6 +47,9 @@ const (
 // worker process) included — the prefix report of the COMPLETED chunks
 // is returned alongside the error: a resumable checkpoint covering
 // [start, k), exactly round checkpointing applied inside one shard. A
+// stream-free shard (scenario.StreamFree: every run is the same run,
+// folded in closed form) has no progress worth checkpointing, so it
+// runs as one chunk: it completes whole or fails with no prefix. A
 // whole-range job (no shard) is delegated to the scenario layer's own
 // (adaptive, resumable) round loop.
 func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*report.Report, error) {
@@ -57,6 +62,11 @@ func runShard(ctx context.Context, job scenario.Job, afterChunk func(i int)) (*r
 	}
 	start, end := job.Shard.Range(plan.FixedRuns())
 	chunk := min(max((end-start+workerChunks-1)/workerChunks, minChunk), maxChunk)
+	// A spec StreamFree cannot resolve is chunked as usual, and its
+	// first chunk reports the kind's own error.
+	if free, _ := scenario.StreamFree(job.Spec); free {
+		chunk = max(end-start, 1)
+	}
 	var done []*report.Report
 	for i, at := 0, start; at < end; i, at = i+1, at+chunk {
 		var rep *report.Report
@@ -183,8 +193,9 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any, strict bool) (
 // ctx is the worker process's lifetime (SIGTERM cancels it): in-flight
 // shards abort at the next chunk boundary and respond with their
 // checkpointed prefix, so a drained worker hands its work back instead
-// of losing it. EnvCrash, read on each dispatch, injects the same
-// faults.
+// of losing it. A stream-free shard runs as one chunk, so it has no
+// prefix: it answers whole, or fails. EnvCrash, read on each dispatch,
+// injects the same faults.
 func Handler(ctx context.Context) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {

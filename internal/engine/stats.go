@@ -173,27 +173,41 @@ func (s *SeriesStats) collapse() {
 // experiments split across workers, processes or hosts. o is not
 // modified.
 func (s *SeriesStats) Merge(o *SeriesStats) error {
-	if o.t != s.t {
-		return fmt.Errorf("engine: merging series stats of length %d into %d", o.t, s.t)
+	nodes := make([]StatNode, len(o.spine))
+	for i, node := range o.spine {
+		nodes[i] = StatNode{Start: node.start, N: node.n, Mean: node.mean, M2: node.m2}
 	}
-	if len(o.spine) == 0 {
+	return s.MergeSnapshot(SeriesSnapshot{T: o.t, Next: o.next, Nodes: nodes})
+}
+
+// MergeSnapshot is Merge of SeriesFromSnapshot(snap), with the same
+// validation and the same bits, but each node is copied once, straight
+// into s. snap is not modified.
+func (s *SeriesStats) MergeSnapshot(snap SeriesSnapshot) error {
+	if err := checkSnapshot(snap); err != nil {
+		return err
+	}
+	if snap.T != s.t {
+		return fmt.Errorf("engine: merging series stats of length %d into %d", snap.T, s.t)
+	}
+	if len(snap.Nodes) == 0 {
 		return nil
 	}
 	if len(s.spine) == 0 {
-		s.next = o.spine[0].start
+		s.next = snap.Nodes[0].Start
 	}
-	if o.spine[0].start != s.next {
+	if snap.Nodes[0].Start != s.next {
 		return fmt.Errorf("engine: merging series stats covering runs [%d,%d) into stats ending at run %d",
-			o.spine[0].start, o.next, s.next)
+			snap.Nodes[0].Start, snap.Next, s.next)
 	}
-	for _, node := range o.spine {
-		cl := seriesNode{start: node.start, n: node.n, mean: s.buf(), m2: s.buf()}
-		copy(cl.mean, node.mean)
-		copy(cl.m2, node.m2)
+	for _, node := range snap.Nodes {
+		cl := seriesNode{start: node.Start, n: node.N, mean: s.buf(), m2: s.buf()}
+		copy(cl.mean, node.Mean)
+		copy(cl.m2, node.M2)
 		s.spine = append(s.spine, cl)
 		s.collapse()
 	}
-	s.next = o.next
+	s.next = snap.Next
 	return nil
 }
 
@@ -305,36 +319,47 @@ func (s *SeriesStats) Snapshot() SeriesSnapshot {
 // SeriesFromSnapshot reconstructs an accumulator from its snapshot,
 // validating the invariants a hand-edited or corrupted file could break.
 func SeriesFromSnapshot(snap SeriesSnapshot) (*SeriesStats, error) {
-	if snap.T < 0 {
-		return nil, fmt.Errorf("engine: snapshot has negative length %d", snap.T)
+	if err := checkSnapshot(snap); err != nil {
+		return nil, err
 	}
 	s := &SeriesStats{t: snap.T, next: snap.Next}
-	pos := int64(-1)
-	var bufs [][]float64
+	if len(snap.Nodes) == 0 {
+		return s, nil
+	}
+	bufs := blocks(2*len(snap.Nodes), snap.T)
+	s.spine = make([]seriesNode, len(snap.Nodes))
 	for i, node := range snap.Nodes {
-		if node.N < 1 || node.Start < 0 {
-			return nil, fmt.Errorf("engine: snapshot node %d covers invalid range [%d,%d)", i, node.Start, node.Start+node.N)
-		}
-		if len(node.Mean) != snap.T || len(node.M2) != snap.T {
-			return nil, fmt.Errorf("engine: snapshot node %d has series length %d/%d, want %d", i, len(node.Mean), len(node.M2), snap.T)
-		}
-		if pos >= 0 && node.Start != pos {
-			return nil, fmt.Errorf("engine: snapshot node %d starts at %d, want %d (contiguous)", i, node.Start, pos)
-		}
-		pos = node.Start + node.N
-		if bufs == nil {
-			bufs = blocks(2*len(snap.Nodes), snap.T)
-			s.spine = make([]seriesNode, 0, len(snap.Nodes))
-		}
 		mean, m2 := bufs[2*i], bufs[2*i+1]
 		copy(mean, node.Mean)
 		copy(m2, node.M2)
-		s.spine = append(s.spine, seriesNode{start: node.Start, n: node.N, mean: mean, m2: m2})
-	}
-	if pos >= 0 && pos != snap.Next {
-		return nil, fmt.Errorf("engine: snapshot ends at run %d but declares next run %d", pos, snap.Next)
+		s.spine[i] = seriesNode{start: node.Start, n: node.N, mean: mean, m2: m2}
 	}
 	return s, nil
+}
+
+// checkSnapshot validates a series snapshot: a non-negative length,
+// nodes of that length tiling a contiguous run range that ends at Next.
+func checkSnapshot(snap SeriesSnapshot) error {
+	if snap.T < 0 {
+		return fmt.Errorf("engine: snapshot has negative length %d", snap.T)
+	}
+	pos := int64(-1)
+	for i, node := range snap.Nodes {
+		if node.N < 1 || node.Start < 0 {
+			return fmt.Errorf("engine: snapshot node %d covers invalid range [%d,%d)", i, node.Start, node.Start+node.N)
+		}
+		if len(node.Mean) != snap.T || len(node.M2) != snap.T {
+			return fmt.Errorf("engine: snapshot node %d has series length %d/%d, want %d", i, len(node.Mean), len(node.M2), snap.T)
+		}
+		if pos >= 0 && node.Start != pos {
+			return fmt.Errorf("engine: snapshot node %d starts at %d, want %d (contiguous)", i, node.Start, pos)
+		}
+		pos = node.Start + node.N
+	}
+	if pos >= 0 && pos != snap.Next {
+		return fmt.Errorf("engine: snapshot ends at run %d but declares next run %d", pos, snap.Next)
+	}
+	return nil
 }
 
 // scalarNode is one dyadic interval's scalar aggregate.

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"chaffmec/internal/engine"
@@ -116,9 +117,10 @@ func encodeBinary(w io.Writer, reports []*Report) error {
 // binEncoder writes the binary layout, latching the first error so the
 // per-field calls stay unconditional.
 type binEncoder struct {
-	w   *bufio.Writer
-	err error
-	buf [binary.MaxVarintLen64]byte
+	w      *bufio.Writer
+	err    error
+	buf    [binary.MaxVarintLen64]byte
+	floatb []byte // one float block's bytes, reused across blocks
 }
 
 func (e *binEncoder) write(b []byte) {
@@ -152,10 +154,14 @@ func (e *binEncoder) float(f float64) {
 	e.write(e.buf[:8])
 }
 
+// floats writes a float block in one write.
 func (e *binEncoder) floats(fs []float64) {
+	b := slices.Grow(e.floatb[:0], 8*len(fs))
 	for _, f := range fs {
-		e.float(f)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
+	e.floatb = b
+	e.write(b)
 }
 
 func (e *binEncoder) report(rep *Report) {

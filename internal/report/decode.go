@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"chaffmec/internal/engine"
 )
@@ -18,23 +19,26 @@ import (
 // that buffer, but nothing else holds it, so the caller owns them
 // outright.
 func ReadReports(r io.Reader) ([]*Report, error) {
-	data, err := readBounded(r)
+	data, err := readBounded(r, 0)
 	if err != nil {
 		return nil, fmt.Errorf("report: reading: %w", err)
 	}
 	return DecodeReports(data)
 }
 
-// readBounded reads r to EOF, refusing input longer than maxDecodeLen.
-func readBounded(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxDecodeLen+1))
-	if err != nil {
+// readBounded reads r to EOF into a buffer sized for hint bytes,
+// refusing input longer than maxDecodeLen.
+func readBounded(r io.Reader, hint int) ([]byte, error) {
+	// MinRead spare bytes let the read that meets EOF land without a
+	// regrow.
+	buf := bytes.NewBuffer(make([]byte, 0, hint+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxDecodeLen+1)); err != nil {
 		return nil, err
 	}
-	if len(data) > maxDecodeLen {
+	if buf.Len() > maxDecodeLen {
 		return nil, fmt.Errorf("input exceeds %d bytes", maxDecodeLen)
 	}
-	return data, nil
+	return buf.Bytes(), nil
 }
 
 // DecodeReports decodes a report envelope held wholly in memory,
@@ -45,7 +49,7 @@ func readBounded(r io.Reader) ([]byte, error) {
 // them (see decodeFloats in decode_zerocopy.go; build with the
 // chaffmec_purego tag to force the copying fallback). A gzip frame is
 // inflated, up to maxDecodeLen bytes, into a fresh buffer that only the
-// returned reports hold.
+// returned reports hold (see inflate).
 //
 // The aliasing makes the contract explicit: the returned reports may
 // share memory with data, so the caller must keep data live and
@@ -55,18 +59,8 @@ func readBounded(r io.Reader) ([]byte, error) {
 // should use ReadReports, whose buffer is private to its result.
 func DecodeReports(data []byte) ([]*Report, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b { // gzip frame
-		gz, err := gzip.NewReader(bytes.NewReader(data))
+		raw, err := inflate(data)
 		if err != nil {
-			return nil, fmt.Errorf("report: gzip frame: %w", err)
-		}
-		// Inflate to a fresh buffer and decode that: the aliased series
-		// then point into heap memory the reports keep alive, and the
-		// frame's CRC/length trailer is verified by reading to EOF.
-		raw, err := readBounded(gz)
-		if err != nil {
-			return nil, fmt.Errorf("report: gzip frame: %w", err)
-		}
-		if err := gz.Close(); err != nil {
 			return nil, fmt.Errorf("report: gzip frame: %w", err)
 		}
 		data = raw
@@ -75,6 +69,43 @@ func DecodeReports(data []byte) ([]*Report, error) {
 		return decodeBinary(data)
 	}
 	return Read(bytes.NewReader(data))
+}
+
+// inflater is a pooled gzip reader over an in-memory frame: Reset
+// reuses its flate decompressor, whose window and tables cost far more
+// to allocate than the few KB a shard envelope inflates to.
+type inflater struct {
+	src bytes.Reader
+	gz  gzip.Reader
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// maxInflateGuess caps the inflated-size guess at this multiple of the
+// frame's length, so a forged trailer cannot make a small frame reserve
+// a large buffer; report envelopes deflate by less than that.
+const maxInflateGuess = 64
+
+// inflate decompresses a gzip frame into a fresh buffer, refusing more
+// than maxDecodeLen bytes, and reads it to EOF, so every member's CRC
+// and length trailer is verified. The buffer is sized from the last
+// member's ISIZE trailer (the inflated length mod 2^32), capped at
+// maxDecodeLen and at maxInflateGuess times the frame: a wrong trailer
+// only makes a wrong guess, which costs a regrow or some spare
+// capacity, never a different result.
+func inflate(frame []byte) ([]byte, error) {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil)
+		inflaters.Put(in)
+	}()
+	in.src.Reset(frame)
+	if err := in.gz.Reset(&in.src); err != nil {
+		return nil, err
+	}
+	// The 10-byte header parsed, so the frame holds a 4-byte trailer.
+	trailer := uint64(binary.LittleEndian.Uint32(frame[len(frame)-4:]))
+	return readBounded(&in.gz, int(min(trailer, maxDecodeLen, maxInflateGuess*uint64(len(frame)))))
 }
 
 func decodeBinary(data []byte) ([]*Report, error) {

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"io"
 	"math"
 	"runtime"
@@ -323,4 +324,56 @@ func wireOrErr(reps []*Report) []byte {
 		return []byte("unwritable: " + err.Error())
 	}
 	return wire.Bytes()
+}
+
+// TestInflateTrailerIsAGuess: the gzip ISIZE trailer only sizes the
+// inflate buffer. A frame of two gzip members, whose trailer counts only
+// the second, decodes to the same reports; a forged trailer fails the
+// frame's own length check without reserving more than maxInflateGuess
+// times the frame; and the pooled reader decodes a good frame after
+// either.
+func TestInflateTrailerIsAGuess(t *testing.T) {
+	reps := pinnedEnvelope(t)
+	want := jsonWire(t, reps)
+	var raw bytes.Buffer
+	if err := WriteReportsBinary(&raw, reps, false); err != nil {
+		t.Fatal(err)
+	}
+	member := func(b []byte) []byte {
+		var buf bytes.Buffer
+		gz := gzip.NewWriter(&buf)
+		if _, err := gz.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := gz.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	half := raw.Len() / 2
+	twoMembers := append(member(raw.Bytes()[:half]), member(raw.Bytes()[half:])...)
+	one := member(raw.Bytes())
+	check := func(frame []byte) {
+		t.Helper()
+		back, err := DecodeReports(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := jsonWire(t, back); !bytes.Equal(got, want) {
+			t.Fatal("decoded reports differ from the encoded ones")
+		}
+	}
+	check(twoMembers)
+	for _, isize := range []uint32{0, 1, math.MaxUint32} {
+		forged := append([]byte(nil), one...)
+		binary.LittleEndian.PutUint32(forged[len(forged)-4:], isize)
+		_, alloc, err := decodeMeasured(DecodeReports, forged)
+		if err == nil {
+			t.Fatalf("trailer %d: a frame with a forged length decoded", isize)
+		}
+		if limit := uint64(maxInflateGuess*len(forged) + 4*raw.Len()); alloc > limit {
+			t.Fatalf("trailer %d: %d bytes allocated for a %d-byte frame, want at most %d", isize, alloc, len(forged), limit)
+		}
+		check(one)
+	}
 }

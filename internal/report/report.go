@@ -260,37 +260,32 @@ func Merge(parts ...*Report) (*Report, error) {
 		// Every rejection names the offending shard's run range: a
 		// coordinator retrying fanned-out shards logs these errors, and
 		// "which shard" is the actionable part.
-		shard := fmt.Sprintf("shard [%d,%d)", p.RunStart, p.RunStart+p.RunCount)
 		if p.header() != first.header() {
 			return nil, fmt.Errorf("report: cannot merge %q (%s, seed %d) with %s of %q (%s, seed %d): different experiments",
-				first.Name, first.Kind, first.Seed, shard, p.Name, p.Kind, p.Seed)
+				first.Name, first.Kind, first.Seed, shardOf(p), p.Name, p.Kind, p.Seed)
 		}
 		if p.Stream != first.Stream {
 			return nil, fmt.Errorf("report: cannot merge %s of %q: stream %q vs %q — partials drew from different generators",
-				shard, p.Name, p.Stream, first.Stream)
+				shardOf(p), p.Name, p.Stream, first.Stream)
 		}
 		if len(first.Spec) > 0 && len(p.Spec) > 0 && !bytes.Equal(first.Spec, p.Spec) &&
 			!bytes.Equal(compactJSON(first.Spec), compactJSON(p.Spec)) {
-			return nil, fmt.Errorf("report: cannot merge %q: partials declare different specs (offending %s)", first.Name, shard)
+			return nil, fmt.Errorf("report: cannot merge %q: partials declare different specs (offending %s)", first.Name, shardOf(p))
 		}
 		if want := out.RunStart + out.RunCount; p.RunStart != want {
 			return nil, fmt.Errorf("report: %q covers runs [%d,%d), want a shard starting at %d (gap or overlap)",
 				p.Name, p.RunStart, p.RunStart+p.RunCount, want)
 		}
-		if err := sameKeys(shard, "series", keys(first.Series), keys(p.Series)); err != nil {
+		if err := sameKeys(p, "series", first.Series, p.Series); err != nil {
 			return nil, err
 		}
-		if err := sameKeys(shard, "scalars", keys(first.Scalars), keys(p.Scalars)); err != nil {
+		if err := sameKeys(p, "scalars", first.Scalars, p.Scalars); err != nil {
 			return nil, err
 		}
 		//chaffmec:orderindependent each name merges into its own accumulator; first error reported is the only order-sensitive part and aborts the whole merge
 		for name, acc := range series {
-			s, err := p.SeriesStats(name)
-			if err != nil {
-				return nil, err
-			}
-			if err := acc.Merge(s); err != nil {
-				return nil, fmt.Errorf("report: merging series %q of %s: %w", name, shard, err)
+			if err := acc.MergeSnapshot(p.Series[name]); err != nil {
+				return nil, fmt.Errorf("report: merging series %q of %s: %w", name, shardOf(p), err)
 			}
 		}
 		//chaffmec:orderindependent each name merges into its own accumulator; first error reported is the only order-sensitive part and aborts the whole merge
@@ -301,7 +296,7 @@ func Merge(parts ...*Report) (*Report, error) {
 			}
 			acc := scalars[name]
 			if err := acc.Merge(s); err != nil {
-				return nil, fmt.Errorf("report: merging scalar %q of %s: %w", name, shard, err)
+				return nil, fmt.Errorf("report: merging scalar %q of %s: %w", name, shardOf(p), err)
 			}
 			scalars[name] = acc
 		}
@@ -344,16 +339,25 @@ func keys[V any](m map[string]V) []string {
 	return out
 }
 
-func sameKeys(shard, what string, a, b []string) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("report: %s publishes different %s (%v vs %v)", shard, what, b, a)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("report: %s publishes different %s (%v vs %v)", shard, what, b, a)
+// shardOf labels a part by its run range in Merge's errors.
+func shardOf(p *Report) string {
+	return fmt.Sprintf("shard [%d,%d)", p.RunStart, p.RunStart+p.RunCount)
+}
+
+// sameKeys checks that part p publishes exactly the names want does.
+func sameKeys[V any](p *Report, what string, want, got map[string]V) error {
+	same := len(want) == len(got)
+	//chaffmec:orderindependent an all-keys membership test; no cross-key state
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			same = false
+			break
 		}
 	}
-	return nil
+	if same {
+		return nil
+	}
+	return fmt.Errorf("report: %s publishes different %s (%v vs %v)", shardOf(p), what, keys(got), keys(want))
 }
 
 // Write encodes reports as an indented JSON array.

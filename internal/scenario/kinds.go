@@ -150,10 +150,14 @@ func specGamma(sp Spec, chain *markov.Chain) (detect.CappedGammaFunc, error) {
 
 // mixedScenario is a mixed-strategy chaff population: every strategy in
 // Strategies contributes NumChaffs chaffs for the same user, and the
-// basic ML eavesdropper observes the union.
+// basic ML eavesdropper observes the union. No strategy-aware
+// eavesdropper knows the union, so Advanced is refused.
 func mixedScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
 	if len(sp.Strategies) == 0 {
 		return sim.Scenario{}, badSpec(`kind "mixed" needs strategies`)
+	}
+	if sp.Advanced {
+		return sim.Scenario{}, badSpec(`kind "mixed" runs the basic eavesdropper only; drop "advanced"`)
 	}
 	union := &unionStrategy{per: sp.NumChaffs}
 	for _, name := range sp.Strategies {

@@ -392,6 +392,22 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	return rep, nil
 }
 
+// StreamFree reports whether every run of sp is the same run: a trace
+// job that draws nothing from its run streams (see newTraceJob), whose
+// shards fold their one series in closed form and so have no per-run
+// progress to checkpoint. Resolving the job loads the lab the job would
+// run on, through the same shared cache. Every other kind answers false.
+func StreamFree(sp Spec) (bool, error) {
+	if sp.Kind != "trace" {
+		return false, nil
+	}
+	job, err := newTraceJob(sp.withDefaults())
+	if err != nil {
+		return false, err
+	}
+	return job.fixed != nil, nil
+}
+
 // traceJob is a trace spec resolved against its lab entry: either the
 // one series every run of a stream-free job carries (fixed), or the
 // engine callbacks that produce each block's tracking series.

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"maps"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 
 	"chaffmec/internal/engine"
 	"chaffmec/internal/figures"
+	"chaffmec/internal/markov"
 	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
 )
@@ -168,5 +170,51 @@ func TestTraceFixedChunkAllocs(t *testing.T) {
 	})
 	if got != 1 {
 		t.Errorf("IM: %v allocations per warm %d-run chunk, want 1", got, width)
+	}
+}
+
+// TestStreamFreeIsTraceJobDecision: StreamFree answers what newTraceJob
+// decides (a job with one fixed series), for chaff-free, mapper and
+// drawing strategies and an injected Γ; other kinds answer false, and a
+// trace spec the kind refuses is an error.
+func TestStreamFreeIsTraceJobDecision(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace lab build")
+	}
+	base := Spec{Kind: "trace", Nodes: 40, Horizon: 25, Runs: 48, Seed: 6}
+	mo := base
+	mo.Strategy, mo.NumChaffs = "MO", 1
+	ooAdv := base
+	ooAdv.Strategy, ooAdv.NumChaffs, ooAdv.Advanced = "OO", 1, true
+	injected := ooAdv
+	injected.Gamma = func(user markov.Trajectory, within int) (markov.Trajectory, error) { return user, nil }
+	im3 := base
+	im3.Strategy, im3.NumChaffs = "IM", 3
+	for name, c := range map[string]struct {
+		sp   Spec
+		want bool
+	}{
+		"chaff-free": {base, true}, "MO": {mo, true}, "OO-advanced": {ooAdv, true},
+		"injected Γ": {injected, false}, "IM3": {im3, false},
+	} {
+		got, err := StreamFree(c.sp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		job, err := newTraceJob(c.sp.withDefaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != c.want || got != (job.fixed != nil) {
+			t.Errorf("%s: StreamFree = %v, want %v (newTraceJob fixed: %v)", name, got, c.want, job.fixed != nil)
+		}
+	}
+	if free, err := StreamFree(Spec{Kind: "single", Strategy: "MO", NumChaffs: 1, Horizon: 10}); free || err != nil {
+		t.Errorf("single MO: StreamFree = %v, %v; want false, nil", free, err)
+	}
+	bad := base
+	bad.TraceUser = -1
+	if _, err := StreamFree(bad); !errors.Is(err, ErrBadSpec) {
+		t.Errorf("trace_user -1: err = %v, want ErrBadSpec", err)
 	}
 }

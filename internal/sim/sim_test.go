@@ -81,28 +81,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestRunDeterministic(t *testing.T) {
-	c := modelChain(t, mobility.ModelSpatiallySkewed)
-	sc := Scenario{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 3, Horizon: 20}
-	a, err := Run(context.Background(), sc, engine.Options{Runs: 50, Seed: 42, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(context.Background(), sc, engine.Options{Runs: 50, Seed: 42, Workers: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tSlot := range a.PerSlot {
-		if a.PerSlot[tSlot] != b.PerSlot[tSlot] {
-			t.Fatalf("slot %d differs across worker counts: %v vs %v",
-				tSlot, a.PerSlot[tSlot], b.PerSlot[tSlot])
-		}
-	}
-	if a.Overall != b.Overall || a.Runs != 50 {
-		t.Fatal("aggregate results differ")
-	}
-}
-
 func TestIMMatchesClosedForm(t *testing.T) {
 	// Eq. 11 validation: simulated IM accuracy ≈ Σπ² + (1/N)(1−Σπ²).
 	c := modelChain(t, mobility.ModelNonSkewed)
@@ -283,9 +261,12 @@ func TestCollectCt(t *testing.T) {
 
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The engine must make results bitwise independent of parallelism:
-	// Workers 1, 4 and GOMAXPROCS all produce the identical Result.
+	// Workers 1, 4, 13 (an odd width), 16 and GOMAXPROCS all produce the
+	// identical Result.
 	c := modelChain(t, mobility.ModelBothSkewed)
+	spatial := modelChain(t, mobility.ModelSpatiallySkewed)
 	for name, sc := range map[string]Scenario{
+		"IM-spatial":         {Chain: spatial, Strategy: chaff.NewIM(spatial), NumChaffs: 3, Horizon: 20},
 		"MO-ct":              {Chain: c, Strategy: chaff.NewMO(c), NumChaffs: 2, Horizon: 15, CollectCt: true},
 		"MO-among-others":    {Chain: c, Others: crowd(c, 1), Strategy: chaff.NewMO(c), NumChaffs: 1, Horizon: 12},
 		"unprotected-others": {Chain: c, Others: crowd(c, 2), Horizon: 20},
@@ -296,7 +277,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{4, 16, runtime.GOMAXPROCS(0)} {
+			for _, workers := range []int{4, 13, 16, runtime.GOMAXPROCS(0)} {
 				got, err := Run(context.Background(), sc, engine.Options{Runs: 40, Seed: 21, Workers: workers})
 				if err != nil {
 					t.Fatal(err)

@@ -4,18 +4,21 @@
 // computed them), so that re-running the same work is a cache hit and
 // an interrupted campaign resumes from its journal for free.
 //
-// Layout: <root>/<kind>/<kk>/<key>, where kind namespaces artifact
-// types, key is the hex SHA-256 of the inputs and kk its first two hex
-// digits (a fan-out level keeping directories small). Two kinds live
-// there: "tracelab" (one fitted trace lab per blob) and "campaign" (one
-// coordinator campaign's journal per file).
+// Layout: <root>/<kind>/<key>, where kind namespaces artifact types
+// and key is the hex SHA-256 of the inputs. Two kinds live there:
+// "tracelab" (one fitted trace lab per blob) and "campaign" (one
+// coordinator campaign's journal per file); each holds a handful of
+// files per spec, so there is no fan-out level. Stores written with the
+// former <root>/<kind>/<kk>/<key> layout are not read: their files are
+// ignored, and the artifacts are rebuilt on demand (pruning the old
+// directories is safe).
 //
 // The two kinds use the two write disciplines the store offers. Put
 // writes a whole blob to a temp file in the same directory and renames
 // it into place, so readers never observe a partial blob and concurrent
-// writers of the same key are idempotent. Append adds one
-// length-prefixed record to an O_APPEND file in a single write, so
-// concurrent appenders interleave whole records; Records reads them
+// writers of the same key are idempotent. A Journal handle appends
+// length-prefixed records to an O_APPEND file, each in a single write,
+// so concurrent appenders interleave whole records; Records reads them
 // back and cuts a torn tail (a crash mid-append) back to the last whole
 // record. The store carries no manifest or integrity metadata of its
 // own: keys bind artifacts to their inputs, and corruption detection is
@@ -86,10 +89,10 @@ func (s *Store) path(kind, key string) (string, error) {
 	if kind == "" || strings.ContainsAny(kind, "/\\.") {
 		return "", fmt.Errorf("store: invalid artifact kind %q", kind)
 	}
-	if len(key) < 2 || strings.ContainsAny(key, "/\\.") {
+	if key == "" || strings.ContainsAny(key, "/\\.") {
 		return "", fmt.Errorf("store: invalid key %q", key)
 	}
-	return filepath.Join(s.root, kind, key[:2], key), nil
+	return filepath.Join(s.root, kind, key), nil
 }
 
 // Get returns the blob stored under (kind, key), or ok=false when the
@@ -160,37 +163,66 @@ func (s *Store) Put(kind, key string, blob []byte) error {
 // payload length as a little-endian uint32.
 const recordPrefix = 4
 
-// Append adds record to the journal stored under (kind, key), creating
-// it if absent. The length prefix and the payload go out in one write
-// to an O_APPEND file, so appenders sharing the journal — goroutines or
-// processes — interleave whole records and never split one another's.
-// A crash mid-write leaves a torn tail, which the next Records cuts off.
-func (s *Store) Append(kind, key string, record []byte) error {
+// Journal is a handle appending records to one journal: it opens the
+// file at its first Append, keeps it open for every later one, and
+// Close closes it, so a batch of records costs one open and one close,
+// and a handle that takes no record touches nothing. Each record — its
+// length prefix and payload — goes out in one write to an O_APPEND
+// file, so appenders sharing the journal, goroutines or processes,
+// interleave whole records and never split one another's. A crash
+// mid-write leaves a torn tail, which the next Records cuts off. A
+// Journal is for one goroutine at a time.
+type Journal struct {
+	path  string
+	f     *os.File
+	frame []byte // the record being written, reused
+}
+
+// Journal returns a handle appending to the journal stored under (kind,
+// key), which the first Append creates if absent.
+func (s *Store) Journal(kind, key string) (*Journal, error) {
 	p, err := s.path(kind, key)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	return &Journal{path: p}, nil
+}
+
+// Append adds record to the journal.
+func (j *Journal) Append(record []byte) error {
 	if uint64(len(record)) > math.MaxUint32 {
 		return fmt.Errorf("store: %d-byte record exceeds the journal's 4 GiB frame", len(record))
 	}
-	frame := make([]byte, recordPrefix+len(record))
-	binary.LittleEndian.PutUint32(frame, uint32(len(record)))
-	copy(frame[recordPrefix:], record)
-	const flags = os.O_WRONLY | os.O_APPEND | os.O_CREATE
-	f, err := os.OpenFile(p, flags, 0o644)
-	if errors.Is(err, fs.ErrNotExist) {
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+	if j.f == nil {
+		const flags = os.O_WRONLY | os.O_APPEND | os.O_CREATE
+		f, err := os.OpenFile(j.path, flags, 0o644)
+		if errors.Is(err, fs.ErrNotExist) {
+			if err := os.MkdirAll(filepath.Dir(j.path), 0o755); err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			f, err = os.OpenFile(j.path, flags, 0o644)
+		}
+		if err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
-		f, err = os.OpenFile(p, flags, 0o644)
+		j.f = f
 	}
-	if err != nil {
+	j.frame = binary.LittleEndian.AppendUint32(j.frame[:0], uint32(len(record)))
+	j.frame = append(j.frame, record...)
+	if _, err := j.f.Write(j.frame); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	_, err = f.Write(frame)
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	return nil
+}
+
+// Close closes the journal's file, if an Append opened it. The handle
+// may take records again: the next Append reopens the file.
+func (j *Journal) Close() error {
+	if j.f == nil {
+		return nil
 	}
+	err := j.f.Close()
+	j.f = nil
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}

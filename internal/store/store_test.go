@@ -76,7 +76,7 @@ func TestLayoutAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The documented layout — prune docs and humans depend on it.
-	want := filepath.Join(s.Root(), "tracelab", key[:2], key)
+	want := filepath.Join(s.Root(), "tracelab", key)
 	if _, err := os.Stat(want); err != nil {
 		t.Fatalf("blob not at documented path: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestLayoutAndValidation(t *testing.T) {
 
 	for _, bad := range [][2]string{
 		{"", key}, {"a/b", key}, {"..", key},
-		{"tracelab", ""}, {"tracelab", "x"}, {"tracelab", "../../etc/passwd"},
+		{"tracelab", ""}, {"tracelab", "../../etc/passwd"},
 	} {
 		if err := s.Put(bad[0], bad[1], []byte("x")); err == nil {
 			t.Fatalf("Put(%q,%q) accepted", bad[0], bad[1])
@@ -99,8 +99,8 @@ func TestLayoutAndValidation(t *testing.T) {
 		if _, _, err := s.Get(bad[0], bad[1]); err == nil {
 			t.Fatalf("Get(%q,%q) accepted", bad[0], bad[1])
 		}
-		if err := s.Append(bad[0], bad[1], []byte("x")); err == nil {
-			t.Fatalf("Append(%q,%q) accepted", bad[0], bad[1])
+		if _, err := s.Journal(bad[0], bad[1]); err == nil {
+			t.Fatalf("Journal(%q,%q) accepted", bad[0], bad[1])
 		}
 		if _, err := s.Records(bad[0], bad[1]); err == nil {
 			t.Fatalf("Records(%q,%q) accepted", bad[0], bad[1])
@@ -146,15 +146,80 @@ func TestAppendRecords(t *testing.T) {
 		t.Fatalf("missing journal: records=%q err=%v, want none", recs, err)
 	}
 	want := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte{0xab}, 5000)}
-	for _, rec := range want {
-		if err := s.Append("campaign", key, rec); err != nil {
+	appendRecords(t, s, key, want...)
+	checkRecords(t, s, key, want)
+	// Journals and blobs share the layout.
+	if _, err := os.Stat(filepath.Join(s.Root(), "campaign", key)); err != nil {
+		t.Fatalf("journal not at the documented path: %v", err)
+	}
+}
+
+// TestJournalHandle: a handle that takes no record creates nothing; a
+// closed handle reopens on its next Append; and handles sharing one
+// journal from many goroutines interleave whole records.
+func TestJournalHandle(t *testing.T) {
+	s := open(t)
+	key := Key("handle")
+	idle, err := s.Journal("campaign", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Root(), "campaign")); !os.IsNotExist(err) {
+		t.Fatalf("a handle with no record touched the store: %v", err)
+	}
+	appendRecords(t, s, key, []byte("one"))
+	j, err := s.Journal("campaign", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{"two", "three"} {
+		if err := j.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	checkRecords(t, s, key, want)
-	// Journals and blobs share the layout.
-	if _, err := os.Stat(filepath.Join(s.Root(), "campaign", key[:2], key)); err != nil {
-		t.Fatalf("journal not at the documented path: %v", err)
+	checkRecords(t, s, key, [][]byte{[]byte("one"), []byte("two"), []byte("three")})
+
+	shared := Key("shared")
+	const writers, each = 4, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			j, err := s.Journal("campaign", shared)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer j.Close()
+			rec := bytes.Repeat([]byte{byte('a' + w)}, 1000+w)
+			for i := 0; i < each; i++ {
+				if err := j.Append(rec); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	recs, err := s.Records("campaign", shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != writers*each {
+		t.Fatalf("%d records, want %d", len(recs), writers*each)
+	}
+	for i, rec := range recs {
+		w := int(rec[0] - 'a')
+		if w < 0 || w >= writers || len(rec) != 1000+w || bytes.Count(rec, rec[:1]) != len(rec) {
+			t.Fatalf("record %d is not one writer's whole record", i)
+		}
 	}
 }
 
@@ -171,12 +236,8 @@ func TestRecordsTruncatesTornTail(t *testing.T) {
 			s := open(t)
 			key := Key("torn", tc.name)
 			whole := [][]byte{[]byte("alpha"), []byte("beta")}
-			for _, rec := range append(whole, []byte("gamma-is-cut")) {
-				if err := s.Append("campaign", key, rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			p := filepath.Join(s.Root(), "campaign", key[:2], key)
+			appendRecords(t, s, key, append(whole, []byte("gamma-is-cut"))...)
+			p := filepath.Join(s.Root(), "campaign", key)
 			good := int64(2*recordPrefix + len("alpha") + len("beta"))
 			if err := os.Truncate(p, good+int64(tc.cut)); err != nil {
 				t.Fatal(err)
@@ -185,11 +246,27 @@ func TestRecordsTruncatesTornTail(t *testing.T) {
 			if fi, err := os.Stat(p); err != nil || fi.Size() != good {
 				t.Fatalf("journal after the cut: size=%v err=%v, want %d bytes", fi.Size(), err, good)
 			}
-			if err := s.Append("campaign", key, []byte("delta")); err != nil {
-				t.Fatal(err)
-			}
+			appendRecords(t, s, key, []byte("delta"))
 			checkRecords(t, s, key, append(whole, []byte("delta")))
 		})
+	}
+}
+
+// appendRecords appends recs to the campaign journal under key through
+// one Journal handle.
+func appendRecords(t *testing.T, s *Store, key string, recs ...[]byte) {
+	t.Helper()
+	j, err := s.Journal("campaign", key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
