@@ -698,24 +698,25 @@ func (r *runner) eq11() error {
 		return err
 	}
 	fmt.Println("Eq.11 closed form vs simulation (IM strategy)")
+	// One closed/sim series pair per model, in first-seen row order: the
+	// CSV's bytes must not depend on map iteration.
 	var series []plotter.Series
-	byModel := map[string]*[2]plotter.Series{}
+	pairAt := map[string]int{}
 	for _, row := range rows {
 		fmt.Printf("%-30s N=%2d closed %.4f simulated %.4f (limit %.4f)\n",
 			row.Model, row.N, row.ClosedForm, row.Simulated, row.Limit)
 		key := row.Model.String()
-		pair, ok := byModel[key]
+		i, ok := pairAt[key]
 		if !ok {
-			pair = &[2]plotter.Series{{Name: key + "/closed"}, {Name: key + "/sim"}}
-			byModel[key] = pair
+			i = len(series)
+			pairAt[key] = i
+			series = append(series, plotter.Series{Name: key + "/closed"}, plotter.Series{Name: key + "/sim"})
 		}
-		pair[0].X = append(pair[0].X, float64(row.N))
-		pair[0].Y = append(pair[0].Y, row.ClosedForm)
-		pair[1].X = append(pair[1].X, float64(row.N))
-		pair[1].Y = append(pair[1].Y, row.Simulated)
-	}
-	for _, pair := range byModel {
-		series = append(series, pair[0], pair[1])
+		closed, sim := &series[i], &series[i+1]
+		closed.X = append(closed.X, float64(row.N))
+		closed.Y = append(closed.Y, row.ClosedForm)
+		sim.X = append(sim.X, float64(row.N))
+		sim.Y = append(sim.Y, row.Simulated)
 	}
 	return r.writeCSV("eq11_im_accuracy.csv", series)
 }

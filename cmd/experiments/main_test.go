@@ -20,6 +20,7 @@ import (
 	"chaffmec/internal/coordinator"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/figures"
+	"chaffmec/internal/mobility"
 	"chaffmec/internal/report"
 	"chaffmec/internal/scenario"
 	"chaffmec/internal/store"
@@ -66,6 +67,34 @@ func TestRunnerSyntheticFigures(t *testing.T) {
 	}
 	if len(matches) < 5 {
 		t.Fatalf("only %d CSVs written", len(matches))
+	}
+}
+
+// TestEq11SeriesFollowModelOrder pins the series order of
+// eq11_im_accuracy.csv to the paper's model order, closed form before
+// simulation; it used to follow a map's iteration order.
+func TestEq11SeriesFollowModelOrder(t *testing.T) {
+	r := &runner{cfg: figures.Config{Runs: 4, Horizon: 10, Cells: 10, Seed: 1}, outDir: t.TempDir()}
+	if err := r.eq11(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(r.outDir, "eq11_im_accuracy.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		name, _, _ := strings.Cut(line, ",")
+		if len(got) == 0 || got[len(got)-1] != name {
+			got = append(got, name)
+		}
+	}
+	var want []string
+	for _, id := range mobility.AllModels {
+		want = append(want, id.String()+"/closed", id.String()+"/sim")
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("series order %q, want %q", got, want)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestStreamStabilitySuite(t *testing.T) {
 }
 
 func TestDeterminismSuite(t *testing.T) {
-	linttest.Run(t, "testdata/determinism/src", lint.Determinism, "report")
+	linttest.Run(t, "testdata/determinism/src", lint.Determinism, "report", "figures")
 }
 
 func TestHotpathSuite(t *testing.T) {

@@ -15,7 +15,8 @@ const OrderIndependentDirective = "chaffmec:orderindependent"
 // ordered map iteration or a wall-clock read silently breaks.
 //
 // In the determinism-critical packages (report, store — the Report
-// envelope, its wire codecs and the content-addressed artifact keys):
+// envelope, its wire codecs and the content-addressed artifact keys —
+// and figures, experiments, plotter, which write the figure CSVs):
 //
 //   - every `range` over a map is a diagnostic unless annotated with
 //     //chaffmec:orderindependent <why> on (or immediately above) the
@@ -36,15 +37,18 @@ const OrderIndependentDirective = "chaffmec:orderindependent"
 // is go test -race/-count's domain).
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid unsorted map ranges in report/store code paths and wall-clock reads in kernel/report-producing packages",
+	Doc:  "forbid unsorted map ranges in report/store code paths and figure CSV writers, and wall-clock reads in kernel/report-producing packages",
 	Run:  runDeterminism,
 }
 
 // mapRangePkgs are the package path elements whose map iterations feed
-// Report series/scalars, wire encoders or store.Key parts.
+// Report series/scalars, wire encoders, store.Key parts or figure CSVs.
 var mapRangePkgs = map[string]bool{
-	"report": true,
-	"store":  true,
+	"report":      true,
+	"store":       true,
+	"figures":     true,
+	"experiments": true,
+	"plotter":     true,
 }
 
 // wallClockPkgs are the package path elements where wall-clock reads
@@ -110,7 +114,7 @@ func runDeterminism(pass *Pass) error {
 				}
 			}
 			pass.Reportf(rs.For,
-				"map iteration order is nondeterministic and this package feeds Report aggregates, wire bytes or store keys; iterate sorted keys, or annotate //%s <why> if the body provably commutes", OrderIndependentDirective)
+				"map iteration order is nondeterministic and this package feeds Report aggregates, wire bytes, store keys or figure CSVs; iterate sorted keys, or annotate //%s <why> if the body provably commutes", OrderIndependentDirective)
 			return true
 		})
 	}
