@@ -318,19 +318,8 @@ func realMain() int {
 		wanted[strings.TrimSpace(strings.ToLower(f))] = true
 	}
 	all := wanted["all"]
-	type step struct {
-		id  string
-		run func() error
-	}
-	steps := []step{
-		{"4", r.fig4}, {"kl", r.tableKL}, {"5", r.fig5}, {"6", r.fig6},
-		{"7", r.fig7}, {"eq11", r.eq11}, {"thm", r.theory},
-		{"8", r.fig8}, {"9a", r.fig9a}, {"9b", r.fig9b}, {"10", r.fig10},
-		{"ext-solvers", r.extSolvers}, {"ext-multiuser", r.extMultiuser},
-		{"ext-cost", r.extCost},
-	}
 	ranAny := false
-	for _, s := range steps {
+	for _, s := range r.steps() {
 		if !all && !wanted[s.id] {
 			continue
 		}
@@ -566,6 +555,24 @@ type runner struct {
 	grid   figures.GridOptions // per-cell runs / precision for 9b/10
 
 	lab *figures.TraceLab // built lazily, shared by 8/9a/9b/10
+}
+
+// step is one -fig experiment: its id and the runner method that
+// computes, prints and writes it.
+type step struct {
+	id  string
+	run func() error
+}
+
+// steps lists every -fig experiment in the order -fig all runs them.
+func (r *runner) steps() []step {
+	return []step{
+		{"4", r.fig4}, {"kl", r.tableKL}, {"5", r.fig5}, {"6", r.fig6},
+		{"7", r.fig7}, {"eq11", r.eq11}, {"thm", r.theory},
+		{"8", r.fig8}, {"9a", r.fig9a}, {"9b", r.fig9b}, {"10", r.fig10},
+		{"ext-solvers", r.extSolvers}, {"ext-multiuser", r.extMultiuser},
+		{"ext-cost", r.extCost},
+	}
 }
 
 func (r *runner) traceLab() (*figures.TraceLab, error) {

@@ -41,35 +41,6 @@ func TestMaxOf(t *testing.T) {
 	}
 }
 
-func TestRunnerSyntheticFigures(t *testing.T) {
-	r := &runner{
-		cfg:    figures.Config{Runs: 10, Horizon: 20, Cells: 10, Seed: 1},
-		outDir: t.TempDir(),
-		nodes:  40,
-		topK:   1,
-		seed:   3,
-	}
-	for name, step := range map[string]func() error{
-		"fig4": r.fig4,
-		"kl":   r.tableKL,
-		"fig5": r.fig5,
-		"fig6": r.fig6,
-		"eq11": r.eq11,
-	} {
-		if err := step(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	// CSV artifacts land in outDir.
-	matches, err := filepath.Glob(filepath.Join(r.outDir, "*.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) < 5 {
-		t.Fatalf("only %d CSVs written", len(matches))
-	}
-}
-
 // TestEq11SeriesFollowModelOrder pins the series order of
 // eq11_im_accuracy.csv to the paper's model order, closed form before
 // simulation; it used to follow a map's iteration order.
