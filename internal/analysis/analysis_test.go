@@ -260,3 +260,22 @@ func TestTheoremV5(t *testing.T) {
 		t.Fatal("T=2 accepted")
 	}
 }
+
+// BenchmarkInducedChainDrift times building the CML-induced chain of a
+// 10-cell non-skewed model and solving its drift.
+func BenchmarkInducedChainDrift(b *testing.B) {
+	chain, err := mobility.Build(mobility.ModelNonSkewed, rng.New(99), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ic, err := NewInducedCML(chain)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ic.Drift(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

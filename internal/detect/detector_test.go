@@ -276,3 +276,26 @@ func TestArgmaxSetNegInfRows(t *testing.T) {
 		t.Fatalf("near-tie set %v, want 2 entries", set)
 	}
 }
+
+// BenchmarkPrefixDetection times the per-prefix ML decisions over ten
+// T=100 trajectories of a 10-cell non-skewed model.
+func BenchmarkPrefixDetection(b *testing.B) {
+	chain, err := mobility.Build(mobility.ModelNonSkewed, rng.New(99), 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := rng.New(1)
+	trs := make([]markov.Trajectory, 10)
+	for i := range trs {
+		if trs[i], err = chain.Sample(r, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+	d := NewMLDetector(chain)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.PrefixDetections(trs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

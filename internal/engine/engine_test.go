@@ -389,3 +389,23 @@ func identityBlock(_ struct{}, start int, _ []*rand.Rand, res []int) error {
 	}
 	return nil
 }
+
+// BenchmarkEngineOverhead isolates the engine's dispatch/reorder cost with
+// a no-op block body.
+func BenchmarkEngineOverhead(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		err := Run(context.Background(), Options{Runs: 1000, Seed: 1}, Config[struct{}, int]{
+			RunBlock: func(_ struct{}, start int, _ []*rand.Rand, out []int) error {
+				for i := range out {
+					out[i] = start + i
+				}
+				return nil
+			},
+			Accumulate: func(int, int) error { return nil },
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -256,3 +256,20 @@ func TestTrajectoryHelpers(t *testing.T) {
 		t.Fatalf("Validate(4): %v", err)
 	}
 }
+
+// BenchmarkSteadyState times the stationary solve of a dense 10-cell
+// chain, the paper's synthetic size.
+func BenchmarkSteadyState(b *testing.B) {
+	// Fresh chain each iteration: SteadyState caches per chain.
+	p := randomChain(rng.New(99), 10).Matrix()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := New(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := c.SteadyState(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

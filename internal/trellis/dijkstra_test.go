@@ -50,8 +50,8 @@ func (pq *priorityQueue) Pop() any {
 // MLTrajectory by running Dijkstra's algorithm on the Fig. 2 graph with
 // edge costs −log π(x) (source edges) and −log P(x′|x) (layer edges); all
 // costs are non-negative so Dijkstra applies, as the paper notes. It is
-// provided for fidelity with Section IV-B and as a cross-check of the DP;
-// complexity O(T·L² log(TL)).
+// the paper's Section IV-B formulation, kept as the oracle the layered
+// DP is cross-checked against; complexity O(T·L² log(TL)).
 func MLTrajectoryDijkstra(c *markov.Chain, T int, excl *ExclusionSet) (markov.Trajectory, float64, error) {
 	if T <= 0 {
 		return nil, 0, fmt.Errorf("trellis: horizon %d must be positive", T)

@@ -1,10 +1,10 @@
 // Package trellis implements the auxiliary layered graph of Fig. 2 of the
 // paper: vertices are (slot, cell) pairs, edge costs are negative
 // log-probabilities, and the maximum-likelihood trajectory of length T is
-// the shortest path from the virtual source to the virtual sink. Both an
-// exact layered dynamic program (Viterbi) and Dijkstra's algorithm (the
-// paper's description, Section IV-B) are provided; they agree and the DP
-// is the default since the graph is a layered DAG.
+// the shortest path from the virtual source to the virtual sink. The
+// graph is a layered DAG, so an exact layered dynamic program (Viterbi)
+// solves it; the tests check it against Dijkstra's algorithm, the
+// paper's description (Section IV-B).
 package trellis
 
 import (
