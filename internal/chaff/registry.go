@@ -100,14 +100,20 @@ func GammaByName(name string, chain *markov.Chain) (func(markov.Trajectory) (mar
 // CappedGammaByName is GammaByName with a co-location cap, the form the
 // advanced eavesdropper calls (it satisfies detect.CappedGammaFunc): OO
 // and ROO map to OO.GammaWithin, which stops its DP at the cap; every
-// other Γ has no cheap bound and ignores the cap.
+// other Γ has no cheap bound and ignores the cap. It is the one place
+// the eavesdropper's Γ is chosen: a strategy with no Γ (IM, Rollout)
+// returns nil and no error, and the eavesdropper degenerates to the
+// basic detector (Section VI-A.1).
 func CappedGammaByName(name string, chain *markov.Chain) (func(markov.Trajectory, int) (markov.Trajectory, error), error) {
 	switch strings.ToUpper(strings.TrimSpace(name)) {
 	case "OO", "ROO":
 		return NewOO(chain).GammaWithin, nil
 	}
 	gamma, err := GammaByName(name, chain)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrNoGamma):
+		return nil, nil
+	case err != nil:
 		return nil, err
 	}
 	return func(user markov.Trajectory, _ int) (markov.Trajectory, error) { return gamma(user) }, nil

@@ -301,3 +301,31 @@ func TestBadJobFailsCampaignAtOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvancedWithoutGammaCampaign: a strategy-aware campaign against
+// strategies with no Γ (IM, Rollout) runs the basic detector, so over
+// two HTTP workers it emits no failure event and merges to the
+// single-process report.
+func TestAdvancedWithoutGammaCampaign(t *testing.T) {
+	srv := httptest.NewServer(Handler(context.Background()))
+	defer srv.Close()
+	srv2 := httptest.NewServer(Handler(context.Background()))
+	defer srv2.Close()
+	for _, sp := range []scenario.Spec{
+		{Kind: "single", Strategy: "IM", NumChaffs: 2, Advanced: true, Horizon: 10, Runs: 60, Seed: 7},
+		{Kind: "single", Strategy: "Rollout", Advanced: true, Horizon: 8, Runs: 12, Seed: 7},
+	} {
+		var log eventLog
+		got, err := RunFleet(context.Background(), scenario.Job{Spec: sp},
+			StaticOf(HTTPFleet(srv.URL, srv2.URL)...), Options{Progress: log.add})
+		if n := log.count(EventFailure); n != 0 {
+			t.Fatalf("%s: %d failure events, want 0 (err %v)", sp.Strategy, n, err)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Strategy, err)
+		}
+		if norm(t, got) != norm(t, single(t, sp)) {
+			t.Fatalf("%s: fleet report differs from the single-process run", sp.Strategy)
+		}
+	}
+}

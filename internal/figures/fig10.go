@@ -5,65 +5,55 @@ import (
 	"math/rand"
 
 	"chaffmec/internal/chaff"
-	"chaffmec/internal/detect"
 	"chaffmec/internal/markov"
+	"chaffmec/internal/sim"
 )
 
 // Fig10 reproduces Fig. 10: tracking accuracy of the advanced
 // (strategy-aware) eavesdropper for the top-K users under two chaffs,
 // comparing the original strategies (IM, ML, OO, MO) — which are
 // ineffective — against the robust randomized ones (RMO, RML, ROO).
-// Like Fig9b, the (user × strategy) grid runs on the engine worker
-// pool, every cell averaging over opts.Runs (default one) engine-derived
-// chaff streams — adaptively extended per cell under opts.TargetSE, with
-// error bars in StdErr; the output is deterministic for any worker
-// count.
+// Every column's eavesdropper assumes the Γ chaff.CappedGammaByName
+// resolves for its strategy, as the trace scenario kind's does: the
+// robust variants are recognized through their deterministic originals,
+// and against IM, which has no Γ, it is the basic ML detector (Section
+// VI-A.1). Like Fig9b, the (user × strategy) grid runs on the engine
+// worker pool, every cell averaging over opts.Runs (default one)
+// engine-derived chaff streams — adaptively extended per cell under
+// opts.TargetSE, with error bars in StdErr; the output is deterministic
+// for any worker count.
 func Fig10(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResult, error) {
 	return fig10(lab, topK, seed, opts, chaff.CappedGammaByName)
 }
 
-// fig10 is Fig10 with the family → Γ map as a parameter.
+// fig10 is Fig10 with the strategy → Γ map as a parameter.
 func fig10(lab *TraceLab, topK int, seed int64, opts GridOptions,
 	gammaOf func(string, *markov.Chain) (func(markov.Trajectory, int) (markov.Trajectory, error), error)) (*TraceBarResult, error) {
 	top, _, err := lab.TopUsers(topK)
 	if err != nil {
 		return nil, err
 	}
-	// Γ maps: the advanced eavesdropper knows the strategy family and its
-	// deterministic core. IM has no deterministic map (nil ⇒ plain ML
-	// detection, Section VI-A.1); the robust variants are recognized via
-	// their deterministic originals.
-	gammas := map[string]detect.CappedGammaFunc{}
-	for _, family := range []string{"ML", "OO", "MO"} {
-		if gammas[family], err = gammaOf(family, lab.Chain); err != nil {
+	// The k=4 variants probe whether deeper perturbation escapes the
+	// advanced filter. On low-entropy empirical chains it often does
+	// not: the filter's reference family {Γ(x_v)} over all observed
+	// trajectories enumerates the few high-likelihood corridor paths
+	// that any perturbed variant lands on (see EXPERIMENTS.md for the
+	// analysis; RML is immune because Γ_ML has a one-element image).
+	rml4, roo4 := chaff.NewRML(lab.Chain), chaff.NewROO(lab.Chain)
+	rml4.Pairs, roo4.Pairs = 4, 4
+	labels := []string{"IM", "ML", "OO", "MO", "RMO", "RML", "ROO", "RML4", "ROO4"}
+	strategies := []chaff.Strategy{chaff.NewIM(lab.Chain), chaff.NewML(lab.Chain), chaff.NewOO(lab.Chain), chaff.NewMO(lab.Chain),
+		chaff.NewRMO(lab.Chain), chaff.NewRML(lab.Chain), chaff.NewROO(lab.Chain), rml4, roo4}
+	const numChaffs = 2
+	traces := make([]*sim.Trace, len(strategies))
+	for si, strategy := range strategies {
+		gamma, err := gammaOf(strategy.Name(), lab.Chain)
+		if err != nil {
 			return nil, err
 		}
-	}
-	strategies := []struct {
-		label string
-		build func() chaff.Strategy
-		gamma detect.CappedGammaFunc
-	}{
-		{"IM", func() chaff.Strategy { return chaff.NewIM(lab.Chain) }, nil},
-		{"ML", func() chaff.Strategy { return chaff.NewML(lab.Chain) }, gammas["ML"]},
-		{"OO", func() chaff.Strategy { return chaff.NewOO(lab.Chain) }, gammas["OO"]},
-		{"MO", func() chaff.Strategy { return chaff.NewMO(lab.Chain) }, gammas["MO"]},
-		{"RMO", func() chaff.Strategy { return chaff.NewRMO(lab.Chain) }, gammas["MO"]},
-		{"RML", func() chaff.Strategy { return chaff.NewRML(lab.Chain) }, gammas["ML"]},
-		{"ROO", func() chaff.Strategy { return chaff.NewROO(lab.Chain) }, gammas["OO"]},
-		// k=4 variants probe whether deeper perturbation escapes the
-		// advanced filter. On low-entropy empirical chains it often does
-		// not: the filter's reference family {Γ(x_v)} over all observed
-		// trajectories enumerates the few high-likelihood corridor paths
-		// that any perturbed variant lands on (see EXPERIMENTS.md for the
-		// analysis; RML is immune because Γ_ML has a one-element image).
-		{"RML4", func() chaff.Strategy { s := chaff.NewRML(lab.Chain); s.Pairs = 4; return s }, gammas["ML"]},
-		{"ROO4", func() chaff.Strategy { s := chaff.NewROO(lab.Chain); s.Pairs = 4; return s }, gammas["OO"]},
-	}
-	const numChaffs = 2
-	labels := make([]string, len(strategies))
-	for i, s := range strategies {
-		labels[i] = s.label
+		if traces[si], err = lab.trace(strategy, numChaffs, true, gamma); err != nil {
+			return nil, err
+		}
 	}
 	res := newTraceBarResult(len(top), labels)
 	var cells []gridCell
@@ -75,10 +65,9 @@ func fig10(lab *TraceLab, topK int, seed int64, opts GridOptions,
 		}
 	}
 	err = runGrid(res, cells, seed, opts, func(c gridCell, rng *rand.Rand) (float64, error) {
-		s := strategies[c.si]
-		acc, err := lab.userAccuracyWithChaffs(top[c.rank], s.build(), numChaffs, rng, s.gamma)
+		acc, err := traceAccuracy(traces[c.si], top[c.rank], rng)
 		if err != nil {
-			return 0, fmt.Errorf("figures: fig10 user %s strategy %s: %w", lab.Nodes[top[c.rank]], s.label, err)
+			return 0, fmt.Errorf("figures: fig10 user %s strategy %s: %w", lab.Nodes[top[c.rank]], labels[c.si], err)
 		}
 		return acc, nil
 	})

@@ -2,7 +2,6 @@ package figures
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"chaffmec/internal/chaff"
@@ -20,10 +19,9 @@ type Fig7Panel struct {
 }
 
 // fig7Strategies are the strategies Fig. 7 evaluates. The advanced
-// eavesdropper recognizes each through its deterministic original's Γ
-// (chaff.CappedGammaByName). IM has no deterministic map, so there the
-// strategy-aware eavesdropper degenerates to the basic ML detector
-// (Section VI-A.1).
+// eavesdropper (sim.Scenario.Gamma) recognizes the robust ones through
+// their deterministic originals' Γ. IM has no Γ, so there it
+// degenerates to the basic ML detector (Section VI-A.1).
 var fig7Strategies = []string{"IM", "RML", "ROO", "RMO"}
 
 // Fig7 reproduces Fig. 7 with N=10 (nine chaffs).
@@ -47,12 +45,7 @@ func Fig7(cfg Config) ([]Fig7Panel, error) {
 				Strategy:  strategy,
 				NumChaffs: numChaffs,
 				Horizon:   cfg.Horizon,
-			}
-			switch gamma, err := chaff.CappedGammaByName(name, chain); {
-			case err == nil:
-				sc.Advanced, sc.Gamma = true, gamma
-			case !errors.Is(err, chaff.ErrNoGamma):
-				return nil, err
+				Advanced:  true,
 			}
 			res, err := sim.Run(context.Background(), sc, engine.Options{Runs: cfg.Runs, Seed: cfg.Seed, Workers: cfg.Workers})
 			if err != nil {

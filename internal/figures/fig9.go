@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"chaffmec/internal/chaff"
-	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
-	"chaffmec/internal/markov"
 	"chaffmec/internal/rng"
+	"chaffmec/internal/sim"
 )
 
 // Fig9aResult reproduces Fig. 9(a): per-user tracking accuracy of the
@@ -26,15 +24,10 @@ type Fig9aResult struct {
 
 // Fig9a runs the multi-user no-chaff evaluation.
 func Fig9a(lab *TraceLab) (*Fig9aResult, error) {
-	accs, err := lab.UserAccuracies(nil)
+	idx, accs, err := lab.TopUsers(len(lab.Trajectories))
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, len(accs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return accs[idx[a]] > accs[idx[b]] })
 	res := &Fig9aResult{Baseline: 1 / float64(len(lab.Trajectories))}
 	for _, u := range idx {
 		res.Nodes = append(res.Nodes, lab.Nodes[u])
@@ -207,38 +200,31 @@ func Fig9b(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResu
 	if err != nil {
 		return nil, err
 	}
-	strategies := []struct {
-		label string
-		build func() chaff.Strategy
-	}{
-		{"no chaff", nil},
-		{"IM", func() chaff.Strategy { return chaff.NewIM(lab.Chain) }},
-		{"MO", func() chaff.Strategy { return chaff.NewMO(lab.Chain) }},
-		{"ML", func() chaff.Strategy { return chaff.NewML(lab.Chain) }},
-		{"OO", func() chaff.Strategy { return chaff.NewOO(lab.Chain) }},
-	}
-	labels := make([]string, len(strategies))
-	for i, s := range strategies {
-		labels[i] = s.label
+	labels := []string{"no chaff", "IM", "MO", "ML", "OO"}
+	traces := make([]*sim.Trace, len(labels))
+	for si := 1; si < len(labels); si++ {
+		strategy, err := chaff.NewByName(labels[si], lab.Chain)
+		if err != nil {
+			return nil, err
+		}
+		if traces[si], err = lab.trace(strategy, 1, false, nil); err != nil {
+			return nil, err
+		}
 	}
 	res := newTraceBarResult(len(top), labels)
 	var cells []gridCell
 	for rank, u := range top {
 		res.Users = append(res.Users, lab.Nodes[u])
 		res.UserIdx = append(res.UserIdx, u)
-		for si, s := range strategies {
-			if s.build == nil {
-				res.Acc[rank][si] = accs[u] // no-chaff column: already computed
-				continue
-			}
+		res.Acc[rank][0] = accs[u] // no-chaff column: already computed
+		for si := 1; si < len(labels); si++ {
 			cells = append(cells, gridCell{rank, si})
 		}
 	}
 	err = runGrid(res, cells, seed, opts, func(c gridCell, rng *rand.Rand) (float64, error) {
-		s := strategies[c.si]
-		acc, err := lab.userAccuracyWithChaffs(top[c.rank], s.build(), 1, rng, nil)
+		acc, err := traceAccuracy(traces[c.si], top[c.rank], rng)
 		if err != nil {
-			return 0, fmt.Errorf("figures: fig9b user %s strategy %s: %w", lab.Nodes[top[c.rank]], s.label, err)
+			return 0, fmt.Errorf("figures: fig9b user %s strategy %s: %w", lab.Nodes[top[c.rank]], labels[c.si], err)
 		}
 		return acc, nil
 	})
@@ -246,34 +232,4 @@ func Fig9b(lab *TraceLab, topK int, seed int64, opts GridOptions) (*TraceBarResu
 		return nil, err
 	}
 	return res, nil
-}
-
-// userAccuracyWithChaffs computes user u's time-average tracking accuracy
-// after adding numChaffs chaff trajectories generated for u. A nil gamma
-// uses the basic ML detector; otherwise the advanced strategy-aware
-// detector of Section VI-A filters with Γ before detecting.
-func (lab *TraceLab) userAccuracyWithChaffs(u int, strategy chaff.Strategy, numChaffs int, rng *rand.Rand, gamma detect.CappedGammaFunc) (float64, error) {
-	chaffs, err := strategy.GenerateChaffs(rng, lab.Trajectories[u], numChaffs)
-	if err != nil {
-		return 0, err
-	}
-	trs := append(append([]markov.Trajectory{}, lab.Trajectories...), chaffs...)
-	var dets [][]int
-	if gamma == nil {
-		dets, err = detect.NewMLDetector(lab.Chain).PrefixDetections(trs)
-	} else {
-		var adv *detect.AdvancedDetector
-		adv, err = detect.NewCappedAdvancedDetector(lab.Chain, gamma)
-		if err == nil {
-			dets, err = adv.PrefixDetections(trs)
-		}
-	}
-	if err != nil {
-		return 0, err
-	}
-	series, err := detect.TrackingAccuracySeries(dets, trs, u)
-	if err != nil {
-		return 0, err
-	}
-	return detect.TimeAverage(series), nil
 }

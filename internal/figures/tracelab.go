@@ -3,6 +3,7 @@ package figures
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"chaffmec/internal/chaff"
@@ -10,6 +11,7 @@ import (
 	"chaffmec/internal/geo"
 	"chaffmec/internal/markov"
 	"chaffmec/internal/rng"
+	"chaffmec/internal/sim"
 	"chaffmec/internal/trace"
 	"chaffmec/internal/tracegen"
 )
@@ -156,19 +158,18 @@ func BuildTraceLab(cfg TraceConfig) (*TraceLab, error) {
 	}, nil
 }
 
-// UserAccuracies runs per-slot ML detection over all trajectories (plus
-// any extras, e.g. chaffs) and returns each node's time-average tracking
-// accuracy — the multi-user evaluation of Fig. 9(a).
-func (lab *TraceLab) UserAccuracies(extra []markov.Trajectory) ([]float64, error) {
-	trs := append(append([]markov.Trajectory{}, lab.Trajectories...), extra...)
-	dets, err := detect.NewMLDetector(lab.Chain).PrefixDetections(trs)
+// UserAccuracies returns each node's time-average tracking accuracy
+// under the basic ML eavesdropper observing every trajectory — the
+// multi-user evaluation of Fig. 9(a).
+func (lab *TraceLab) UserAccuracies() ([]float64, error) {
+	fleet, err := detect.NewFleet(lab.Chain, lab.Trajectories)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(lab.Trajectories))
-	for u := range lab.Trajectories {
-		series, err := detect.TrackingAccuracySeries(dets, trs, u)
-		if err != nil {
+	series := make([]float64, len(lab.Trajectories[0]))
+	for u := range out {
+		if err := fleet.Track(u, nil, nil, series); err != nil {
 			return nil, err
 		}
 		out[u] = detect.TimeAverage(series)
@@ -184,16 +185,20 @@ func (lab *TraceLab) ProtectAndMeasure(u int, strategy chaff.Strategy, numChaffs
 	if u < 0 || u >= len(lab.Trajectories) {
 		return 0, fmt.Errorf("figures: user index %d outside [0,%d)", u, len(lab.Trajectories))
 	}
-	return lab.userAccuracyWithChaffs(u, strategy, numChaffs, rng.New(seed), nil)
+	tr, err := lab.trace(strategy, numChaffs, false, nil)
+	if err != nil {
+		return 0, err
+	}
+	return traceAccuracy(tr, u, rng.New(seed))
 }
 
 // TopUsers returns the indices of the k most-tracked users (descending
-// accuracy), together with all per-user accuracies.
+// accuracy, ties in index order), together with all per-user accuracies.
 func (lab *TraceLab) TopUsers(k int) ([]int, []float64, error) {
 	if k < 1 || k > len(lab.Trajectories) {
 		return nil, nil, fmt.Errorf("figures: k=%d outside [1,%d]", k, len(lab.Trajectories))
 	}
-	accs, err := lab.UserAccuracies(nil)
+	accs, err := lab.UserAccuracies()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -203,4 +208,26 @@ func (lab *TraceLab) TopUsers(k int) ([]int, []float64, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return accs[idx[a]] > accs[idx[b]] })
 	return idx[:k], accs, nil
+}
+
+// trace is the eavesdropper watching the lab's fleet plus numChaffs
+// chaffs of strategy: the trace scenario kind's (sim.NewTrace).
+func (lab *TraceLab) trace(strategy chaff.Strategy, numChaffs int, advanced bool, gamma detect.CappedGammaFunc) (*sim.Trace, error) {
+	fleet, err := detect.NewFleet(lab.Chain, lab.Trajectories)
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewTrace(lab.Chain, fleet, lab.Trajectories, strategy, numChaffs, advanced, gamma)
+}
+
+// traceAccuracy is user u's time-average tracking accuracy in one run of
+// tr, its chaffs drawn from rng.
+func traceAccuracy(tr *sim.Trace, u int, rng *rand.Rand) (float64, error) {
+	w := tr.NewWorker()
+	defer w.Release()
+	out := make([][]float64, 1)
+	if err := tr.RunBlock(w, u, []*rand.Rand{rng}, out); err != nil {
+		return 0, err
+	}
+	return detect.TimeAverage(out[0]), nil
 }

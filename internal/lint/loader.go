@@ -191,30 +191,6 @@ func (l *Loader) LoadDir(path, dir string, includeTests bool) (*Package, error) 
 	return l.check(path, dir, files)
 }
 
-// LoadExternalTests loads dir's package foo_test files (if any) as
-// their own package under path+"_test". It returns (nil, nil) when the
-// directory has none.
-func (l *Loader) LoadExternalTests(path, dir string) (*Package, error) {
-	all, err := goFilesIn(dir, true)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, f := range all {
-		name, err := packageClause(filepath.Join(dir, f))
-		if err != nil {
-			return nil, err
-		}
-		if strings.HasSuffix(name, "_test") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return nil, nil
-	}
-	return l.check(path+"_test", dir, files)
-}
-
 // check parses files and runs the type checker, collecting Info.
 func (l *Loader) check(path, dir string, files []string) (*Package, error) {
 	if len(files) == 0 {

@@ -31,10 +31,6 @@ func RowEntropy(dist []float64) float64 {
 	return h
 }
 
-// DistEntropy returns the Shannon entropy (nats) of dist; alias of
-// RowEntropy provided for call-site readability on steady states.
-func DistEntropy(dist []float64) float64 { return RowEntropy(dist) }
-
 // KL returns the Kullback-Leibler divergence D(p‖q) in nats. Entries where
 // p > 0 but q = 0 contribute +Inf.
 func KL(p, q []float64) float64 {

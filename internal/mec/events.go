@@ -72,9 +72,6 @@ type EventLog struct {
 // Append adds an event.
 func (l *EventLog) Append(e Event) { l.events = append(l.events, e) }
 
-// Events returns a copy of the log.
-func (l *EventLog) Events() []Event { return append([]Event(nil), l.events...) }
-
 // Len returns the number of events.
 func (l *EventLog) Len() int { return len(l.events) }
 

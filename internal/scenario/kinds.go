@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"chaffmec/internal/chaff"
-	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/markov"
 	"chaffmec/internal/report"
@@ -95,7 +94,12 @@ func heteroScenario(sp Spec, chain *markov.Chain) (sim.Scenario, error) {
 // when empty) among the members' users, watched by the basic or
 // (Spec.Advanced) strategy-aware eavesdropper.
 func crowdScenario(sp Spec, chain *markov.Chain, members []Member) (sim.Scenario, error) {
-	sc := sim.Scenario{Chain: chain, Horizon: sp.Horizon, Advanced: sp.Advanced}
+	if sp.Advanced && sp.Strategy == "" {
+		return sim.Scenario{}, errNothingToRecognize
+	}
+	// Unless one is injected, the scenario resolves the eavesdropper's Γ
+	// itself (sim.Scenario.Gamma).
+	sc := sim.Scenario{Chain: chain, Horizon: sp.Horizon, Advanced: sp.Advanced, Gamma: sp.Gamma}
 	var err error
 	if sp.Strategy != "" {
 		if sc.Strategy, err = chaff.NewByName(sp.Strategy, chain); err != nil {
@@ -124,28 +128,7 @@ func crowdScenario(sp Spec, chain *markov.Chain, members []Member) (sim.Scenario
 			sc.Others = append(sc.Others, o)
 		}
 	}
-	if !sp.Advanced {
-		return sc, nil
-	}
-	if sc.Strategy == nil {
-		return sc, errNothingToRecognize
-	}
-	// A deterministic strategy observed alone is its own Γ
-	// (sim.Scenario.Gamma); the robust ones, an injected map and a crowd
-	// go through specGamma.
-	if _, self := sc.Strategy.(chaff.TrajectoryMapper); sp.Gamma != nil || !self || len(sc.Others) > 0 {
-		sc.Gamma, err = specGamma(sp, chain)
-	}
-	return sc, err
-}
-
-// specGamma resolves the advanced eavesdropper's strategy map: the
-// injected Spec.Gamma when present, else the capped Γ of Spec.Strategy.
-func specGamma(sp Spec, chain *markov.Chain) (detect.CappedGammaFunc, error) {
-	if sp.Gamma != nil {
-		return sp.Gamma, nil
-	}
-	return chaff.CappedGammaByName(sp.Strategy, chain)
+	return sc, nil
 }
 
 // mixedScenario is a mixed-strategy chaff population: every strategy in

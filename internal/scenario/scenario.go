@@ -113,13 +113,16 @@ type Spec struct {
 	// NumChaffs is the chaff budget per strategy (default 1).
 	NumChaffs int `json:"num_chaffs,omitempty"`
 	// Advanced upgrades the eavesdropper to the strategy-aware detector
-	// of Section VI-A (requires a strategy with a deterministic Γ).
+	// of Section VI-A, which assumes Strategy's Γ (the robust RML, ROO
+	// and RMO are recognized through their deterministic originals).
+	// Against a strategy with no Γ (IM, Rollout) it is the basic
+	// detector (Section VI-A.1).
 	Advanced bool `json:"advanced,omitempty"`
 	// Gamma, when non-nil and Advanced is set, is the strategy map the
 	// advanced eavesdropper assumes, instead of deriving it from
-	// Strategy — the injection hook paired with Chain (the facade's
-	// Evaluate passes the Γ it already probed). It takes the
-	// co-location cap (detect.CappedGammaFunc). Not expressible in JSON.
+	// Strategy — an injection hook paired with Chain, for library
+	// callers and tests. It takes the co-location cap
+	// (detect.CappedGammaFunc). Not expressible in JSON.
 	Gamma detect.CappedGammaFunc `json:"-"`
 
 	// OtherUsers adds coexisting users ("multiuser" kind), following

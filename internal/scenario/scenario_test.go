@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -33,6 +35,38 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := Run(Spec{Kind: "multiuser", Advanced: true, Runs: 1, Horizon: 5}); err == nil {
 		t.Fatal("advanced eavesdropper without strategy accepted")
+	}
+}
+
+// TestAdvancedWithoutGammaIsBasic: against a strategy with no Γ (IM,
+// Rollout) the strategy-aware eavesdropper is the basic ML detector
+// (Section VI-A.1), so an advanced spec of every kind that takes one
+// emits the series of the same spec without "advanced", bit for bit.
+func TestAdvancedWithoutGammaIsBasic(t *testing.T) {
+	specs := map[string]Spec{
+		"single IM":      {Kind: "single", Strategy: "IM", NumChaffs: 2, Runs: 40, Horizon: 20, Seed: 3},
+		"single Rollout": {Kind: "single", Strategy: "Rollout", Runs: 8, Horizon: 10, Seed: 3},
+		"multiuser IM":   {Kind: "multiuser", Strategy: "IM", OtherUsers: 2, Runs: 40, Horizon: 20, Seed: 3},
+	}
+	if !testing.Short() {
+		specs["trace IM"] = Spec{Kind: "trace", Strategy: "IM", NumChaffs: 2, Nodes: 40, Horizon: 25, Runs: 24, Seed: 6}
+	}
+	for name, sp := range specs {
+		series := func(advanced bool) string {
+			sp.Advanced = advanced
+			rep, err := RunJob(context.Background(), Job{Spec: sp})
+			if err != nil {
+				t.Fatalf("%s, advanced=%v: %v", name, advanced, err)
+			}
+			blob, err := json.Marshal(rep.Series)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(blob)
+		}
+		if adv, basic := series(true), series(false); adv != basic {
+			t.Errorf("%s: advanced series\n%s\nwant the basic detector's\n%s", name, adv, basic)
+		}
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 	"chaffmec/internal/detect"
 	"chaffmec/internal/engine"
 	"chaffmec/internal/figures"
-	"chaffmec/internal/markov"
 	"chaffmec/internal/report"
 	"chaffmec/internal/rng"
+	"chaffmec/internal/sim"
 	"chaffmec/internal/store"
 	"chaffmec/internal/tune"
 )
@@ -233,101 +233,6 @@ func TraceLabBuilds() int {
 	return c.builds
 }
 
-// traceWorker is a trace run's per-worker scratch: the chaff buffers
-// every block regenerates in place, the chaffs' running
-// log-likelihoods for the fleet scorer, and (strategy-aware
-// eavesdropper only) the reusable block-scoring workspace.
-type traceWorker struct {
-	chaffBufs []markov.Trajectory
-	ll        []float64
-	ws        *detect.Workspace
-}
-
-func newTraceWorker(numChaffs, T int, advanced bool) *traceWorker {
-	w := &traceWorker{
-		chaffBufs: make([]markov.Trajectory, numChaffs),
-		ll:        make([]float64, numChaffs),
-	}
-	for i := range w.chaffBufs {
-		w.chaffBufs[i] = make(markov.Trajectory, T)
-	}
-	if advanced {
-		w.ws = detect.GetWorkspace()
-	}
-	return w
-}
-
-func (w *traceWorker) release() {
-	if w.ws != nil {
-		w.ws.Release()
-	}
-}
-
-// runTraceFleet is the basic-ML trace kernel: it generates each run's
-// chaff stream into the worker's reused buffers and scores only those
-// chaffs against the lab's fleet table, writing the protected user's
-// tracking series straight into the block's backing — one allocation
-// per block.
-//
-//chaffmec:hotpath
-func runTraceFleet(fleet *detect.Fleet, userTr markov.Trajectory, strat chaff.Strategy, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
-	T := len(userTr)
-	//lint:ignore hotpath by design: results must outlive the worker's buffers, so each block pays exactly one backing allocation
-	backing := make([]float64, len(rngs)*T)
-	for r := range rngs {
-		if strat != nil {
-			if err := chaff.GenerateInto(strat, rngs[r], userTr, w.chaffBufs); err != nil {
-				return fmt.Errorf("scenario: trace chaffs: %w", err)
-			}
-		}
-		series := backing[r*T : (r+1)*T]
-		if err := fleet.Track(user, w.chaffBufs, w.ll, series); err != nil {
-			return err
-		}
-		out[r] = series
-	}
-	return nil
-}
-
-// runTraceBlock is the strategy-aware trace kernel: the survivor mask
-// depends on each run's chaffs, so it packs the fleet plus each run's
-// chaff stream (generated into the worker's reused buffers) into the
-// worker's scoring block, sweeps the whole chunk once through the block
-// scorer, and copies the protected user's tracking series out of the
-// arena — one backing allocation per block.
-//
-//chaffmec:hotpath
-func runTraceBlock(lab *figures.TraceLab, strat chaff.Strategy, scorer *detect.AdvancedDetector, user int, w *traceWorker, rngs []*rand.Rand, out [][]float64) error {
-	B, T := len(rngs), lab.Horizon
-	blk := w.ws.Block(B, len(lab.Trajectories)+len(w.chaffBufs), T)
-	for r := range rngs {
-		for u, tr := range lab.Trajectories {
-			if err := blk.SetTrajectory(r, u, tr); err != nil {
-				return err
-			}
-		}
-		if err := chaff.GenerateInto(strat, rngs[r], lab.Trajectories[user], w.chaffBufs); err != nil {
-			return fmt.Errorf("scenario: trace chaffs: %w", err)
-		}
-		for i, ch := range w.chaffBufs {
-			if err := blk.SetTrajectory(r, len(lab.Trajectories)+i, ch); err != nil {
-				return err
-			}
-		}
-	}
-	if err := scorer.ScoreBlock(blk, user); err != nil {
-		return err
-	}
-	//lint:ignore hotpath by design: results must outlive the arena's reuse by the next chunk, so each block pays exactly one backing allocation
-	backing := make([]float64, B*T)
-	for r := range out {
-		series := backing[r*T : (r+1)*T]
-		copy(series, blk.Tracking(r))
-		out[r] = series
-	}
-	return nil
-}
-
 // runTrace is the trace-driven population kind (Section VII-B): a
 // TraceLab fleet — synthetic taxi traces regularised, inactivity
 // filtered and quantised into Voronoi cells — forms the fixed observed
@@ -371,9 +276,9 @@ func runTrace(ctx context.Context, sp Spec, shard engine.Shard) (*report.Report,
 	} else {
 		// Only chaff generation draws from the run streams. The chunk
 		// width is tune.BlockSize (chunking never changes results).
-		err = engine.Run(ctx, o, engine.Config[*traceWorker, []float64]{
+		err = engine.Run(ctx, o, engine.Config[*sim.TraceWorker, []float64]{
 			NewWorker:  job.newWorker,
-			FreeWorker: (*traceWorker).release,
+			FreeWorker: (*sim.TraceWorker).Release,
 			RunBlock:   job.runBlock,
 			BlockSize:  tune.BlockSize(lab.Chain, len(lab.Trajectories)+job.numChaffs, lab.Horizon),
 			Accumulate: func(run int, series []float64) error {
@@ -415,22 +320,21 @@ type traceJob struct {
 	lab       *figures.TraceLab
 	numChaffs int
 	fixed     func() ([]float64, error)
-	newWorker func(int) (*traceWorker, error)
-	runBlock  func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error
+	newWorker func(int) (*sim.TraceWorker, error)
+	runBlock  func(w *sim.TraceWorker, start int, rngs []*rand.Rand, out [][]float64) error
 }
 
-// newTraceJob resolves sp's lab, protected user and kernel.
+// newTraceJob resolves sp's lab, protected user and eavesdropper
+// (sim.Trace, which scores each run's chaffs against the lab's fleet
+// table, or re-scores the packed fleet per run for the strategy-aware
+// eavesdropper).
 //
 // A chaff-free job, or one whose strategy is a chaff.TrajectoryMapper
 // with no injected Γ, draws nothing from the run streams, so all its
 // runs are one run: job.fixed returns that run's series, which the lab
 // entry computes once per traceSeriesKey, lazily on the first call,
-// through the per-run kernel below at width 1, and runTrace folds it
-// over the whole range without the engine. Otherwise the basic
-// eavesdropper scores each run's chaffs against the lab's fleet table,
-// which is built once per lab (runTraceFleet), and the strategy-aware
-// one filters survivors per run and so re-scores the packed fleet in
-// every run (runTraceBlock).
+// through the same kernel at width 1, and runTrace folds it over the
+// whole range without the engine.
 func newTraceJob(sp Spec) (*traceJob, error) {
 	if sp.Advanced && sp.Strategy == "" {
 		return nil, errNothingToRecognize
@@ -468,28 +372,17 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		}
 		job.numChaffs = sp.NumChaffs
 	}
-	kernel := func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
-		return runTraceFleet(fleet, lab.Trajectories[user], strat, user, w, rngs, out)
+	tr, err := sim.NewTrace(lab.Chain, fleet, lab.Trajectories, strat, sp.NumChaffs, sp.Advanced, sp.Gamma)
+	if err != nil {
+		return nil, err
 	}
-	if sp.Advanced {
-		gamma, err := specGamma(sp, lab.Chain)
-		if err != nil {
-			return nil, err
-		}
-		scorer, err := detect.NewCappedAdvancedDetector(lab.Chain, gamma)
-		if err != nil {
-			return nil, err
-		}
-		kernel = func(w *traceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
-			return runTraceBlock(lab, strat, scorer, user, w, rngs, out)
-		}
+	kernel := func(w *sim.TraceWorker, start int, rngs []*rand.Rand, out [][]float64) error {
+		return tr.RunBlock(w, user, rngs, out)
 	}
 
 	if _, mapper := strat.(chaff.TrajectoryMapper); (strat != nil && !mapper) || sp.Gamma != nil {
 		job.runBlock = kernel
-		job.newWorker = func(int) (*traceWorker, error) {
-			return newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced), nil
-		}
+		job.newWorker = func(int) (*sim.TraceWorker, error) { return tr.NewWorker(), nil }
 		return job, nil
 	}
 	key := traceSeriesKey{chaffs: job.numChaffs, user: user, advanced: sp.Advanced}
@@ -504,8 +397,8 @@ func newTraceJob(sp Spec) (*traceJob, error) {
 		c.Unlock()
 		// The strategy draws nothing, so run 0 stands for every run; its
 		// nil stream would fault on a draw.
-		w := newTraceWorker(job.numChaffs, lab.Horizon, sp.Advanced)
-		defer w.release()
+		w := tr.NewWorker()
+		defer w.Release()
 		one := make([][]float64, 1)
 		if fixed.err = kernel(w, 0, []*rand.Rand{nil}, one); fixed.err == nil {
 			fixed.series = one[0]

@@ -159,7 +159,7 @@ func TestTraceFixedChunkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.release()
+	defer w.Release()
 	if err := job.runBlock(w, 0, rngs, out); err != nil { // warm the fleet view
 		t.Fatal(err)
 	}

@@ -310,11 +310,13 @@ func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
 	}
 	if sp.Advanced {
 		// The full Γ: the runner's capped one must give the same bits.
-		gamma, err := chaff.GammaByName(sp.Strategy, lab.Chain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if det, err = detect.NewAdvancedDetector(lab.Chain, gamma); err != nil {
+		// A strategy with no Γ leaves the basic detector.
+		switch gamma, err := chaff.GammaByName(sp.Strategy, lab.Chain); {
+		case err == nil:
+			if det, err = detect.NewAdvancedDetector(lab.Chain, gamma); err != nil {
+				t.Fatal(err)
+			}
+		case !errors.Is(err, chaff.ErrNoGamma):
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +342,10 @@ func traceScalar(t *testing.T, sp Spec) engine.SeriesSnapshot {
 // one), and with IM chaff (the case whose chaffs draw from the
 // run streams; MO's do not) — at any worker count. Two identical ML
 // chaffs tie each other, three IM chaffs crowd the tie sets, and MO at
-// TraceUser 2 protects a user other than the most tracked one.
+// TraceUser 2 protects a user other than the most tracked one. The
+// strategy-aware rows of Fig. 10 run here too: two robust chaffs (RMO,
+// RML, ROO) recognized through their originals' Γ, and IM, which has no
+// Γ and so meets the basic detector.
 func TestTraceBatchMatchesScalar(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace lab build")
@@ -370,9 +375,15 @@ func TestTraceBatchMatchesScalar(t *testing.T) {
 	oo2Adv.NumChaffs = 2
 	freeUser3 := base
 	freeUser3.TraceUser = 3
-	for name, sp := range map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im,
+	specs := map[string]Spec{"chaff-free": base, "MO": mo, "MO-advanced": adv, "OO-advanced": ooAdv, "IM": im,
 		"ML2": ml2, "MO-user2": moUser2, "IM3": im3,
-		"MO2-advanced-user1": mo2AdvUser1, "OO2-advanced": oo2Adv, "chaff-free-user3": freeUser3} {
+		"MO2-advanced-user1": mo2AdvUser1, "OO2-advanced": oo2Adv, "chaff-free-user3": freeUser3}
+	for _, name := range []string{"RMO", "RML", "ROO", "IM"} {
+		sp := base
+		sp.Strategy, sp.NumChaffs, sp.Advanced = name, 2, true
+		specs[name+"2-advanced"] = sp
+	}
+	for name, sp := range specs {
 		want := traceScalar(t, sp)
 		for _, workers := range []int{1, 4} {
 			sp.Workers = workers

@@ -9,6 +9,8 @@
 // eavesdropper knows the target's chain and scores it against every
 // observed trajectory (Eq. 1), so the other users and their chaffs only
 // add columns, and the single-user case is the one with no others.
+// Trace is the same eavesdropper over the trace-driven study's fixed,
+// recorded fleet (Section VII-B).
 //
 // Execution is delegated to internal/engine: detectors are constructed
 // once per scenario, each worker keeps a reusable detect.Workspace and
@@ -59,16 +61,17 @@ type Scenario struct {
 	// Advanced upgrades the eavesdropper from the ML detector of
 	// Section III (Eq. 1) to the strategy-aware one of Section VI-A.
 	Advanced bool
-	// Gamma is the strategy map the advanced eavesdropper assumes the
-	// target employs (normally the deterministic variant of Strategy).
-	// It takes the co-location cap, which lets OO's Γ stop early (see
-	// detect.AdvancedDetector). When Gamma is nil, Strategy must be a
-	// chaff.TrajectoryMapper and Others empty: the eavesdropper uses
-	// Strategy's own Γ and takes each run's first chaff to be Γ(user)
-	// instead of computing it again, so the strategy's chaffs must be
-	// Γ(user), replicated, as every mapper in package chaff generates
-	// them. Set Gamma for a strategy whose chaffs differ from its Γ (the
-	// robust ROO, RML, RMO).
+	// Gamma, when non-nil, is the strategy map the advanced
+	// eavesdropper assumes the target employs, injected in place of the
+	// one it resolves itself. It takes the co-location cap, which lets
+	// OO's Γ stop early (see detect.AdvancedDetector). When Gamma is
+	// nil, the eavesdropper assumes Strategy's Γ, resolved through
+	// chaff.CappedGammaByName (the robust RML, ROO and RMO through their
+	// deterministic originals), and a strategy with none (IM, Rollout)
+	// leaves the basic detector (Section VI-A.1). A chaff.TrajectoryMapper
+	// target observed alone is its own Γ: the eavesdropper takes each
+	// run's first chaff to be Γ(user) instead of computing it again, as
+	// every mapper in package chaff generates Γ(user), replicated.
 	Gamma detect.CappedGammaFunc
 	// CollectCt additionally gathers the per-slot log-likelihood gaps
 	// c_t (t ≥ 2, Eq. 15) between the target and its first chaff, for
@@ -77,7 +80,6 @@ type Scenario struct {
 }
 
 func (sc *Scenario) validate() error {
-	_, mapper := sc.Strategy.(chaff.TrajectoryMapper)
 	switch {
 	case sc.Chain == nil:
 		return errors.New("sim: scenario needs a chain")
@@ -85,8 +87,8 @@ func (sc *Scenario) validate() error {
 		return fmt.Errorf("sim: NumChaffs %d must be >= 1", sc.NumChaffs)
 	case sc.Horizon < 1:
 		return fmt.Errorf("sim: Horizon %d must be >= 1", sc.Horizon)
-	case sc.Advanced && sc.Gamma == nil && (!mapper || len(sc.Others) > 0):
-		return errors.New("sim: advanced detector requires Gamma unless the target, observed alone, runs a strategy that is its own Γ")
+	case sc.Advanced && sc.Gamma == nil && sc.Strategy == nil:
+		return errNothingToRecognize
 	case sc.CollectCt && sc.Strategy == nil:
 		return errors.New("sim: CollectCt needs the target's chaffs")
 	}
@@ -131,22 +133,43 @@ type Result struct {
 // construction (and the steady-state solve behind it) out of the per-run
 // loop.
 func (sc *Scenario) newDetector() (detect.BlockScorer, error) {
-	switch {
-	case !sc.Advanced:
+	if !sc.Advanced {
 		return detect.NewMLDetector(sc.Chain), nil
-	case sc.Gamma != nil:
-		return detect.NewCappedAdvancedDetector(sc.Chain, sc.Gamma)
 	}
-	// The strategy is its own Γ, and runBlock puts its first chaff,
-	// Γ(user), right after the user. OO shares its plans' Viterbi
-	// snapshot with its Γ and proves most Γ(chaff) misses from costs.
-	if oo, ok := sc.Strategy.(*chaff.OO); ok {
-		return detect.NewSelfGammaDetector(sc.Chain, oo.GammaWithin, oo.ProvesMiss)
+	if self, ok := sc.Strategy.(chaff.TrajectoryMapper); ok && sc.Gamma == nil && len(sc.Others) == 0 {
+		// The strategy is its own Γ, and runBlock puts its first chaff,
+		// Γ(user), right after the user. OO shares its plans' Viterbi
+		// snapshot with its Γ and proves most Γ(chaff) misses from costs.
+		if oo, ok := self.(*chaff.OO); ok {
+			return detect.NewSelfGammaDetector(sc.Chain, oo.GammaWithin, oo.ProvesMiss)
+		}
+		return detect.NewSelfGammaDetector(sc.Chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
+			return self.Gamma(user)
+		}, nil)
 	}
-	gamma := sc.Strategy.(chaff.TrajectoryMapper).Gamma
-	return detect.NewSelfGammaDetector(sc.Chain, func(user markov.Trajectory, _ int) (markov.Trajectory, error) {
-		return gamma(user)
-	}, nil)
+	gamma, err := resolveGamma(sc.Strategy, sc.Chain, sc.Gamma)
+	if err != nil {
+		return nil, err
+	}
+	if gamma == nil {
+		return detect.NewMLDetector(sc.Chain), nil
+	}
+	return detect.NewCappedAdvancedDetector(sc.Chain, gamma)
+}
+
+var errNothingToRecognize = errors.New("sim: advanced detector needs a strategy or a Gamma to recognize")
+
+// resolveGamma is the Γ the strategy-aware eavesdropper assumes: the
+// injected one when set, else the strategy's own (nil, the basic
+// detector, for a strategy with no Γ).
+func resolveGamma(strategy chaff.Strategy, chain *markov.Chain, injected detect.CappedGammaFunc) (detect.CappedGammaFunc, error) {
+	switch {
+	case injected != nil:
+		return injected, nil
+	case strategy == nil:
+		return nil, errNothingToRecognize
+	}
+	return chaff.CappedGammaByName(strategy.Name(), chain)
 }
 
 // simWorker is the per-worker scratch: the reusable detection workspace

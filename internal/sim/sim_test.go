@@ -58,13 +58,10 @@ func TestRunValidation(t *testing.T) {
 			{Chain: c, Strategy: chaff.NewIM(c)},
 			{Chain: c, Strategy: chaff.NewIM(c), Horizon: 10},
 			{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1},
-			{Chain: c, Strategy: chaff.NewIM(c), NumChaffs: 1, Horizon: 10, Advanced: true},
 			{Chain: c, Horizon: 10, Advanced: true},
 			{Chain: c, Horizon: 10, CollectCt: true},
 		},
 		"others": {
-			// With others, column 1 is not the strategy's own Γ(user).
-			{Chain: c, Strategy: mo, NumChaffs: 1, Horizon: 10, Advanced: true, Others: crowd(c, 1)},
 			{Chain: c, Horizon: 10, Others: []Other{{}}},
 			{Chain: c, Horizon: 10, Others: crowd(small, 1)},
 			{Chain: c, Horizon: 10, Others: []Other{{Chain: c, Strategy: mo}}},
